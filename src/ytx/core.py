@@ -282,11 +282,6 @@ KNOWN_KINDS = (
 AUX_KINDS = frozenset({"subject-center", "trial-minmax", "frame", "deflate",
                        "expectation-norm", "regression-norm"})
 
-#: kinds required to be strictly monotone increasing on the training range
-DISTRIBUTIONAL_KINDS = frozenset({
-    "identity", "log-offset", "sqrt", "box-cox", "yeo-johnson",
-    "quantile-normal", "quantile-uniform"})
-
 
 @dataclass(frozen=True)
 class FittedTransform:

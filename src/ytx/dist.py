@@ -2,7 +2,7 @@
 
 Log-with-offset, square root, Box-Cox and Yeo-Johnson (maximum-likelihood
 lambda), quantile maps to normal/uniform references, the Fisher-Pearson
-skewness statistic, and a dependency-free normal quantile function.
+skewness statistic, and the standard normal CDF and quantile function.
 """
 
 from __future__ import annotations
@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
+from scipy import special
 
 from .core import FittedTransform, register_kind, target_range
 from .errors import DataError, TransformDomainError
@@ -17,86 +18,27 @@ from .errors import DataError, TransformDomainError
 LAMBDA_BOUNDS = (-5.0, 5.0)
 CLIP_EPSILON = 1e-7
 
-_SQRT2 = math.sqrt(2.0)
-_SQRT_2PI = math.sqrt(2.0 * math.pi)
-
 
 # --------------------------------------------------------------------------
 # Normal distribution helpers
 
 def normal_cdf(x):
-    """Standard normal CDF via erfc; accurate to ~1e-16 in both tails."""
+    """Standard normal CDF (scipy's ``ndtr``)."""
     if np.isscalar(x):
-        return 0.5 * math.erfc(-x / _SQRT2)
-    return np.array([0.5 * math.erfc(-v / _SQRT2) for v in np.ravel(x)]
-                    ).reshape(np.shape(x))
-
-
-def _normal_sf(x):
-    if np.isscalar(x):
-        return 0.5 * math.erfc(x / _SQRT2)
-    return np.array([0.5 * math.erfc(v / _SQRT2) for v in np.ravel(x)]
-                    ).reshape(np.shape(x))
-
-
-# Acklam's rational approximation for the normal quantile (~1e-9), used as
-# the starting point for Halley refinement below.
-_PPF_A = (-3.969683028665376e+01, 2.209460984245205e+02,
-          -2.759285104469687e+02, 1.383577518672690e+02,
-          -3.066479806614716e+01, 2.506628277459239e+00)
-_PPF_B = (-5.447609879822406e+01, 1.615858368580409e+02,
-          -1.556989798598866e+02, 6.680131188771972e+01,
-          -1.328068155288572e+01)
-_PPF_C = (-7.784894002430293e-03, -3.223964580411365e-01,
-          -2.400758277161838e+00, -2.549732539343734e+00,
-          4.374664141464968e+00, 2.938163982698783e+00)
-_PPF_D = (7.784695709041462e-03, 3.224671290700398e-01,
-          2.445134137142996e+00, 3.754408661907416e+00)
-
-
-def _ppf_initial(p):
-    a, b, c, d = _PPF_A, _PPF_B, _PPF_C, _PPF_D
-    p_low, p_high = 0.02425, 1.0 - 0.02425
-    if p < p_low:
-        q = math.sqrt(-2.0 * math.log(p))
-        return ((((((c[0] * q + c[1]) * q + c[2]) * q + c[3]) * q + c[4])
-                 * q + c[5])
-                / ((((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1.0))
-    if p > p_high:
-        q = math.sqrt(-2.0 * math.log(1.0 - p))
-        return -((((((c[0] * q + c[1]) * q + c[2]) * q + c[3]) * q + c[4])
-                  * q + c[5])
-                 / ((((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1.0))
-    q = p - 0.5
-    r = q * q
-    return ((((((a[0] * r + a[1]) * r + a[2]) * r + a[3]) * r + a[4])
-             * r + a[5]) * q
-            / (((((b[0] * r + b[1]) * r + b[2]) * r + b[3]) * r + b[4])
-               * r + 1.0))
-
-
-def _ppf_scalar(p):
-    if not 0.0 < p < 1.0:
-        raise TransformDomainError(f"probability {p} outside (0, 1)")
-    x = _ppf_initial(p)
-    # Two Halley steps against the erfc-based CDF push the error to ~1e-15.
-    # The residual is formed in whichever tail avoids cancellation.
-    for _ in range(2):
-        if x <= 0.0:
-            err = 0.5 * math.erfc(-x / _SQRT2) - p
-        else:
-            err = (1.0 - p) - 0.5 * math.erfc(x / _SQRT2)
-        u = err * _SQRT_2PI * math.exp(0.5 * x * x)
-        x -= u / (1.0 + 0.5 * x * u)
-    return x
+        return float(special.ndtr(x))
+    return special.ndtr(np.asarray(x, dtype=float))
 
 
 def normal_ppf(p):
-    """Inverse standard normal CDF; absolute error well below 1e-8."""
+    """Inverse standard normal CDF (scipy's ``ndtri``) on (0, 1)."""
+    values = np.asarray(p, dtype=float)
+    outside = ~((values > 0.0) & (values < 1.0))
+    if outside.any():
+        raise TransformDomainError(
+            f"probability {values[outside].flat[0]} outside (0, 1)")
     if np.isscalar(p):
-        return _ppf_scalar(float(p))
-    return np.array([_ppf_scalar(float(v)) for v in np.ravel(p)]
-                    ).reshape(np.shape(p))
+        return float(special.ndtri(values))
+    return special.ndtri(values)
 
 
 # --------------------------------------------------------------------------
@@ -392,7 +334,7 @@ def _q_inverse_range(params):
     eps = params["clip_epsilon"]
     if params["reference"] == "uniform":
         return (eps, 1.0 - eps)
-    return (_ppf_scalar(eps), _ppf_scalar(1.0 - eps))
+    return (float(special.ndtri(eps)), float(special.ndtri(1.0 - eps)))
 
 
 register_kind("quantile-normal", _q_forward, _q_inverse, _q_inverse_range)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import ytx
-from ytx import evaluation as ev
+from ytx import core, evaluation as ev
 from ytx.errors import ConfigError, DataError
 
 
@@ -161,6 +161,111 @@ class TestLasso:
             ytx.fit_lasso(np.ones((4, 1)), np.arange(4.0), alpha=0.0)
 
 
+def _soft_threshold(value, amount):
+    return np.sign(value) * max(abs(value) - amount, 0.0)
+
+
+def _reference_fit_lasso(X, y, alpha=1.0, tol=1e-7, max_sweeps=10000):
+    """The residual-update coordinate descent that the Gram kernel replaced."""
+    X = np.asarray(X, dtype=float)
+    y = np.asarray(y, dtype=float)
+    if alpha <= 0.0:
+        raise ConfigError("lasso alpha must be positive")
+    Xs, means, stds = ev._standardize(X)
+    yc = y - y.mean()
+    n, d = Xs.shape
+    col_sq = np.sum(Xs ** 2, axis=0) / n
+    beta = np.zeros(d)
+    resid = yc.copy()
+    converged = False
+    sweep = 0
+    history = []
+    for sweep in range(1, max_sweeps + 1):
+        max_delta = 0.0
+        for j in range(d):
+            if col_sq[j] == 0.0:
+                continue
+            old = beta[j]
+            rho = (Xs[:, j] @ resid) / n + col_sq[j] * old
+            new = _soft_threshold(rho, alpha) / col_sq[j]
+            if new != old:
+                resid -= (new - old) * Xs[:, j]
+                beta[j] = new
+                max_delta = max(max_delta, abs(new - old))
+        history.append(ev.lasso_objective(Xs, yc, beta, alpha))
+        if max_delta < tol:
+            converged = True
+            break
+    return ev.LinearModel("lasso", alpha, beta, float(y.mean()), means, stds,
+                          converged=converged, n_sweeps=sweep,
+                          objective_history=tuple(history))
+
+
+def factor_design(n=1000, d=50, factors=10, seed=0):
+    """Features driven by a few latent factors, with a lognormal target."""
+    rng = np.random.default_rng(seed)
+    F = rng.normal(size=(n, factors))
+    X = F @ rng.normal(size=(factors, d)) + 0.7 * rng.normal(size=(n, d))
+    y = np.exp(1.0 + F @ rng.uniform(-0.5, 0.5, factors)
+               + 0.3 * rng.normal(size=n))
+    return X, y
+
+
+def alpha_max(X, y):
+    Xs, _, _ = ev._standardize(X)
+    return float(np.max(np.abs(Xs.T @ (y - y.mean())))) / X.shape[0]
+
+
+class TestLassoKernel:
+    """The Gram-matrix kernel retraces the residual-update iterates."""
+
+    def assert_matches_reference(self, X, y, alpha):
+        model = ytx.fit_lasso(X, y, alpha)
+        ref = _reference_fit_lasso(X, y, alpha)
+        assert model.n_sweeps == ref.n_sweeps
+        assert model.converged == ref.converged
+        assert np.max(np.abs(model.coefficients - ref.coefficients)) <= 1e-10
+        return model
+
+    def test_factor_correlated_wide_design(self):
+        X, y = factor_design()
+        model = self.assert_matches_reference(X, y, 0.1)
+        assert model.n_sweeps > 50
+
+    def test_zero_variance_column(self):
+        X, y = factor_design(n=200, d=8, factors=3, seed=1)
+        X[:, 3] = 2.5
+        model = self.assert_matches_reference(X, y, 0.05)
+        assert model.coefficients[3] == 0.0
+
+    def test_alpha_at_alpha_max_kills_all(self):
+        X, y = factor_design(n=300, d=12, factors=4, seed=2)
+        model = self.assert_matches_reference(X, y, alpha_max(X, y))
+        assert np.all(model.coefficients == 0.0)
+        assert model.n_sweeps == 1
+
+    def test_small_alpha_needs_hundreds_of_sweeps(self):
+        X, y = factor_design(n=400, d=30, factors=6, seed=3)
+        model = self.assert_matches_reference(X, y, 1e-3)
+        assert model.n_sweeps >= 200
+
+
+class TestStandardize:
+    def test_inexact_constant_column_gets_no_weight(self):
+        rng = np.random.default_rng(10)
+        X = np.column_stack([rng.normal(size=(60, 3)), np.full(60, 0.1)])
+        y = X[:, :3] @ [1.0, -0.5, 0.25] + rng.normal(size=60)
+        assert X[:, 3].std() > 0.0   # the mean of 0.1s rounds inexactly
+        probe = rng.normal(size=(5, 4))
+        probe[:, 3] = 0.1
+        moved = probe.copy()
+        moved[:, 3] = 0.2
+        for model in (ytx.fit_ridge(X, y, 1.0), ytx.fit_lasso(X, y, 0.05)):
+            assert np.array_equal(ytx.predict(model, probe),
+                                  ytx.predict(model, moved))
+            assert model.coefficients[3] == 0.0
+
+
 class TestFoldPlan:
     def test_partition_even(self):
         plan = ytx.make_fold_plan(4, seed=0)
@@ -210,6 +315,25 @@ class TestBenchmark:
             pred = ytx.predict(model, ds.features[list(test)])
             direct = ytx.rse(ds.target[list(test)], pred)
             assert report.cells[("ridge", "identity")]["rse"][i] == direct
+
+    def test_ridge_cells_match_public_fit_and_predict(self):
+        ds = toy_dataset(seed=6)
+        kinds = ("log-offset", "sqrt", "yeo-johnson", "quantile-normal")
+        report = ytx.run_benchmark(ds, models=("ridge", "lasso"),
+                                   transforms=kinds, seed=13)
+        plan = ytx.make_fold_plan(ds.n, 13)
+        for i, (train, test) in enumerate(plan.folds):
+            X_tr, X_te = ds.features[list(train)], ds.features[list(test)]
+            y_tr, y_te = ds.target[list(train)], ds.target[list(test)]
+            for kind in ("identity",) + kinds:
+                t = ev.fit_transform_kind(kind, y_tr)
+                model = ytx.fit_ridge(X_tr, ytx.forward(t, y_tr), 1.0)
+                z_pred, _ = core.clamp_to_inverse_range(
+                    t, ytx.predict(model, X_te))
+                y_pred = ytx.inverse(t, z_pred)
+                cell = report.cells[("ridge", kind)]
+                assert cell["rse"][i] == ytx.rse(y_te, y_pred)
+                assert cell["smape"][i] == ytx.smape(y_te, y_pred)
 
     def test_baseline_always_present(self):
         ds = toy_dataset()
