@@ -103,18 +103,24 @@ def cmd_transform(args):
     aux = evaluation._aux_slice(kind, dataset, tuple(range(dataset.n)))
     transformed = core.forward(fitted, dataset.target, aux)
 
-    with open(args.input, newline="") as handle:
-        rows = list(csv.reader(handle))
-    header, data_rows = rows[0], rows[1:]
-    target_col = header.index(roles.target)
-    out_rows = [header]
-    for out_i, raw_i in enumerate(dataset.kept_rows):
-        row = list(data_rows[raw_i])
-        row[target_col] = repr(float(transformed[out_i]))
-        out_rows.append(row)
+    # One pass over the input writes the header and the kept rows, with the
+    # target replaced; load_csv has already validated the header.
     out_csv = args.out_csv or (args.input + ".transformed.csv")
-    with open(out_csv, "w", newline="") as handle:
-        csv.writer(handle).writerows(out_rows)
+    if os.path.exists(out_csv) and os.path.samefile(args.input, out_csv):
+        raise ConfigError("--out-csv must not be the input file")
+    kept = set(dataset.kept_rows)
+    values = iter(transformed)
+    with open(args.input, newline="", encoding="utf-8-sig") as src, \
+            open(out_csv, "w", newline="", encoding="utf-8") as dst:
+        reader = csv.reader(src)
+        writer = csv.writer(dst)
+        header = next(reader)
+        writer.writerow(header)
+        target_col = header.index(roles.target)
+        for i, row in enumerate(reader):
+            if i in kept:
+                row[target_col] = repr(float(next(values)))
+                writer.writerow(row)
     if args.out_json:
         _write(args.out_json, fitted.to_json() + "\n")
     print(f"wrote {out_csv} ({dataset.n} rows, kind={kind})")

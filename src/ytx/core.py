@@ -123,23 +123,60 @@ class Dataset:
         return self.aux["context"]
 
 
-def _parse_float(token):
-    """Parse a finite float; None for unparseable or non-finite tokens."""
-    try:
-        value = float(token)
-    except ValueError:
-        return None
-    if math.isfinite(value):
-        return value
-    return None
+def _read_columns(reader, width):
+    """Per-column token lists of the data rows, ragged rows set aside."""
+    columns = [[] for _ in range(width)]
+    ragged = []
+    n_rows = 0
+    # Chunks of a few thousand rows bound the row lists alive at once; zip
+    # stops on the exhausted range before pulling another row.
+    while chunk := [row for _, row in zip(range(4096), reader)]:
+        ragged.extend(i for i, row in enumerate(chunk, n_rows)
+                      if len(row) != width)
+        rows = [row for row in chunk if len(row) == width]
+        for column, tokens in zip(columns, zip(*rows)):
+            column.extend(tokens)
+        n_rows += len(chunk)
+    return columns, ragged, n_rows
 
 
-def _is_numeric_token(token):
+def _floats(tokens, rows=None, strip=True):
+    """Parse a column of tokens as floats, nan where a token is not one.
+
+    Only a column whose one-pass parse raises is parsed token by token; a
+    rejected token is then stripped and, if ``strip``, parsed again (float()
+    refuses the ``\\x1c``-``\\x1f`` padding that str.strip() removes).
+    Returns None when a token on a row set in ``rows`` is neither a float
+    nor a missing marker: the column is categorical.
+    """
     try:
-        float(token)
+        return np.fromiter(map(float, tokens), float, len(tokens))
     except ValueError:
-        return False
-    return True
+        pass
+    values = np.full(len(tokens), math.nan)
+    for i, token in enumerate(tokens):
+        for text in (token, token.strip()) if strip else (token,):
+            try:
+                values[i] = float(text)
+                break
+            except ValueError:
+                pass
+        else:
+            if rows is not None and rows[i] and text.strip() not in _MISSING:
+                return None
+    return values
+
+
+def _labels(tokens):
+    """A column's stripped tokens, deduplicated, and which are not missing.
+
+    Keeping the token strings themselves would pin the memory of the
+    tokens read around them.
+    """
+    seen = {}
+    values = [seen.setdefault(s, s) for s in map(str.strip, tokens)]
+    present = [v not in _MISSING for v in values]
+    return np.array(values, dtype=object), np.array(present, dtype=bool)
 
 
 def load_csv(path, roles):
@@ -147,124 +184,87 @@ def load_csv(path, roles):
 
     Rows whose target, role, or numeric feature values are missing or
     unparseable are dropped and counted.  Non-numeric feature columns are
-    one-hot encoded with categories in lexicographic order.
+    one-hot encoded with categories in lexicographic order.  A UTF-8 byte
+    order mark is ignored; repeated header names are a :class:`DataError`.
     """
     try:
-        with open(path, newline="") as handle:
+        with open(path, newline="", encoding="utf-8-sig") as handle:
             reader = csv.reader(handle)
-            rows = list(reader)
+            header = next(reader, None)
+            if header is None:
+                raise DataError(f"{path}: empty file")
+            columns, ragged, n_rows = _read_columns(reader, len(header))
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
-    if not rows:
-        raise DataError(f"{path}: empty file")
-    header, data_rows = rows[0], rows[1:]
-    col_index = {name: i for i, name in enumerate(header)}
-
-    for col in [roles.target, *roles.role_columns()]:
-        if col not in col_index:
+    if len(set(header)) != len(header):
+        repeated = sorted({c for c in header if header.count(c) > 1})
+        raise DataError(f"{path}: repeated column names {repeated}")
+    columns = dict(zip(header, columns))
+    role_cols = roles.role_columns()
+    for col in [roles.target, *role_cols]:
+        if col not in columns:
             raise DataError(f"missing role column {col!r}")
 
-    role_cols = set(roles.role_columns())
-    feature_cols = [c for c in header
-                    if c != roles.target and c not in role_cols]
+    # Each column is parsed once and its tokens released; a missing token
+    # never parses finite, so every drop is a mask over the full-width rows.
+    target = _floats(columns.pop(roles.target), strip=False)
+    keep = np.isfinite(target)
+    numeric_roles = {roles.frame, roles.price_index, *roles.context}
+    role_values = {}
+    for col in dict.fromkeys(role_cols):
+        if col in numeric_roles:
+            values = _floats(columns.pop(col))
+            present = np.isfinite(values)
+        else:
+            values, present = _labels(columns.pop(col))
+        keep &= present
+        role_values[col] = values
 
-    # First pass: keep rows whose target and role values are usable.
-    kept = []
-    numeric_roles = [c for c in (roles.frame, roles.price_index) if c]
-    numeric_roles.extend(roles.context)
-    for i, row in enumerate(data_rows):
-        if len(row) != len(header):
-            continue
-        if row[col_index[roles.target]].strip() in _MISSING:
-            continue
-        if _parse_float(row[col_index[roles.target]]) is None:
-            continue
-        ok = True
-        for col in roles.role_columns():
-            token = row[col_index[col]].strip()
-            if token in _MISSING:
-                ok = False
-                break
-            if col in numeric_roles and _parse_float(token) is None:
-                ok = False
-                break
-        if ok:
-            kept.append(i)
-
-    # Second pass: decide which feature columns are numeric (every kept,
-    # non-missing value parses), then drop rows with missing numeric values.
-    numeric_features = {}
-    for col in feature_cols:
-        j = col_index[col]
-        numeric = True
-        for i in kept:
-            token = data_rows[i][j].strip()
-            if token not in _MISSING and not _is_numeric_token(token):
-                numeric = False
-                break
-        numeric_features[col] = numeric
-
-    final = []
-    for i in kept:
-        ok = True
-        for col in feature_cols:
-            token = data_rows[i][col_index[col]].strip()
-            if token in _MISSING:
-                ok = False
-                break
-            if numeric_features[col] and _parse_float(token) is None:
-                ok = False  # non-finite numeric value
-                break
-        if ok:
-            final.append(i)
-    if not final:
+    # A feature column is numeric when every token on a row kept so far
+    # parses or is missing; rows dropped by other features do not count.
+    final = keep.copy()
+    parsed = []
+    for col in list(columns):
+        values = _floats(columns[col], rows=keep)
+        if values is None:
+            values, present = _labels(columns[col])
+        else:
+            present = np.isfinite(values)
+        del columns[col]
+        final &= present
+        parsed.append((col, values))
+    rows = np.flatnonzero(final)
+    if rows.size == 0:
         raise DataError(f"{path}: zero usable rows")
 
-    n = len(final)
-    target = np.array(
-        [_parse_float(data_rows[i][col_index[roles.target]]) for i in final])
-
-    columns = []
+    blocks = []
     names = []
-    for col in feature_cols:
-        j = col_index[col]
-        values = [data_rows[i][j].strip() for i in final]
-        if numeric_features[col]:
-            columns.append(np.array([_parse_float(v) for v in values]))
+    for col, values in parsed:
+        values = values[rows]
+        if values.dtype == object:
+            cats = sorted(set(values))
+            code = {cat: k for k, cat in enumerate(cats)}
+            blocks.append(np.eye(len(cats))[[code[v] for v in values]])
+            names.extend(f"{col}={cat}" for cat in cats)
+        else:
+            blocks.append(values)
             names.append(col)
-        else:
-            for cat in sorted(set(values)):
-                columns.append(np.array(
-                    [1.0 if v == cat else 0.0 for v in values]))
-                names.append(f"{col}={cat}")
-    features = (np.column_stack(columns) if columns
-                else np.empty((n, 0)))
+    features = np.column_stack([np.empty((rows.size, 0)), *blocks])
 
-    aux = {}
-    for name in ROLE_NAMES:
-        col = getattr(roles, name)
-        if col is None:
-            continue
-        j = col_index[col]
-        values = [data_rows[i][j].strip() for i in final]
-        if col in numeric_roles:
-            aux[name] = np.array([_parse_float(v) for v in values])
-        else:
-            aux[name] = np.array(values, dtype=object)
+    aux = {name: role_values[getattr(roles, name)][rows]
+           for name in ROLE_NAMES if getattr(roles, name) is not None}
     if roles.context:
-        ctx = np.column_stack(
-            [[_parse_float(data_rows[i][col_index[c]].strip()) for i in final]
-             for c in roles.context])
-        aux["context"] = ctx
+        aux["context"] = np.column_stack(
+            [role_values[c][rows] for c in roles.context])
 
     return Dataset(
         features=features,
-        target=target,
+        target=target[rows],
         column_names=tuple(names),
         roles=roles,
         aux=aux,
-        n_dropped=len(data_rows) - n,
-        kept_rows=tuple(final),
+        n_dropped=n_rows - rows.size,
+        kept_rows=tuple(np.delete(np.arange(n_rows), ragged)[rows].tolist()),
     )
 
 

@@ -1,8 +1,10 @@
+import csv
 import json
 
 import numpy as np
 import pytest
 
+from ytx import core
 from ytx.cli import main
 
 
@@ -48,6 +50,12 @@ class TestDiagnoseCommand:
         assert main(["diagnose", "--input", skewed_csv, "--roles", ROLES,
                      "--threshold", "skew_gamma=abc"]) == 2
 
+    def test_repeated_header_is_data_error(self, tmp_path, capsys):
+        path = tmp_path / "dup.csv"
+        path.write_text("x,x,y\n1,2,3\n4,5,6\n")
+        assert main(["diagnose", "--input", str(path), "--roles", ROLES]) == 3
+        assert "repeated column names ['x']" in capsys.readouterr().err
+
     def test_json_roundtrips(self, skewed_csv, tmp_path):
         out = tmp_path / "report.json"
         main(["diagnose", "--input", skewed_csv, "--roles", ROLES,
@@ -77,6 +85,44 @@ class TestTransformCommand:
         written = [float(line.split(",")[1])
                    for line in out_csv.read_text().splitlines()[1:]]
         assert written == original
+
+    def test_writes_header_and_kept_rows_in_order(self, tmp_path):
+        path = tmp_path / "messy.csv"
+        path.write_text('id,y,note\n'
+                        ' a , 2 ,plain\n'     # space-padded tokens: kept
+                        'b,3\n'               # ragged: dropped
+                        'c,,gone\n'           # missing target: dropped
+                        'd,8,"x, y"\n'        # quoted comma: kept
+                        'e,10,last\n')
+        out_csv = tmp_path / "out.csv"
+        out_json = tmp_path / "params.json"
+        assert main(["transform", "--input", str(path), "--roles", ROLES,
+                     "--transform", "log-offset", "--out-csv", str(out_csv),
+                     "--out-json", str(out_json)]) == 0
+        fitted = core.FittedTransform.from_json(out_json.read_text())
+        z = core.forward(fitted, np.array([2.0, 8.0, 10.0]))
+        with open(out_csv, newline="") as handle:
+            rows = list(csv.reader(handle))
+        assert rows == [["id", "y", "note"],
+                        [" a ", repr(float(z[0])), "plain"],
+                        ["d", repr(float(z[1])), "x, y"],
+                        ["e", repr(float(z[2])), "last"]]
+
+    def test_bom_input_with_target_first(self, tmp_path):
+        path = tmp_path / "bom.csv"
+        path.write_bytes(b"\xef\xbb\xbfy,x\n1.5,2\n2.5,4\n3.5,5\n")
+        out_csv = tmp_path / "out.csv"
+        assert main(["transform", "--input", str(path), "--roles", ROLES,
+                     "--transform", "identity",
+                     "--out-csv", str(out_csv)]) == 0
+        assert out_csv.read_bytes() == b"y,x\r\n1.5,2\r\n2.5,4\r\n3.5,5\r\n"
+
+    def test_output_over_input_is_config_error(self, skewed_csv):
+        before = open(skewed_csv, "rb").read()
+        assert main(["transform", "--input", skewed_csv, "--roles", ROLES,
+                     "--transform", "identity",
+                     "--out-csv", skewed_csv]) == 2
+        assert open(skewed_csv, "rb").read() == before
 
     def test_sqrt_on_negative_target_is_domain_error(self, tmp_path):
         path = tmp_path / "neg.csv"
