@@ -179,6 +179,20 @@ def _labels(tokens):
     return np.array(values, dtype=object), np.array(present, dtype=bool)
 
 
+def _not_utf8(path):
+    """DataError naming the file offset of the first byte that is not UTF-8.
+
+    The text reader decodes in chunks, so its error's offset is relative to
+    a chunk; decoding the raw bytes again gives the offset in the file.
+    """
+    with open(path, "rb") as handle:
+        try:
+            handle.read().decode("utf-8")
+        except UnicodeDecodeError as exc:
+            return DataError(f"{path}: not UTF-8 text at byte {exc.start}")
+    return DataError(f"{path}: not UTF-8 text")
+
+
 def load_csv(path, roles):
     """Load a headered CSV into a :class:`Dataset`.
 
@@ -196,6 +210,8 @@ def load_csv(path, roles):
             columns, ragged, n_rows = _read_columns(reader, len(header))
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError:
+        raise _not_utf8(path) from None
     if len(set(header)) != len(header):
         repeated = sorted({c for c in header if header.count(c) > 1})
         raise DataError(f"{path}: repeated column names {repeated}")

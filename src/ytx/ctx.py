@@ -21,8 +21,34 @@ from .core import FittedTransform, register_kind, target_range
 from .errors import DataError, TransformDomainError
 
 
-def _as_keys(keys):
-    return np.array([str(k) for k in keys], dtype=object)
+def _factorize(keys):
+    """Group rows by ``str(key)`` in one dict pass.
+
+    Returns the distinct keys in sorted order (the order ``np.unique``
+    gives), each row's code into them, a stable argsort of the codes and
+    the group bounds in it: ``order[bounds[g]:bounds[g + 1]]`` are group
+    g's rows in row order.
+    """
+    index = {}
+    first_seen = [index.setdefault(str(k), len(index)) for k in keys]
+    distinct = sorted(index)
+    # Codes of the narrowest unsigned type: numpy's stable sort of 8- and
+    # 16-bit integers is a radix sort, ten times faster than that of intp.
+    rank = np.empty(len(distinct), dtype=np.min_scalar_type(len(distinct)))
+    rank[[index[k] for k in distinct]] = np.arange(len(distinct))
+    codes = rank[np.fromiter(first_seen, np.intp, len(first_seen))]
+    order = np.argsort(codes, kind="stable")
+    bounds = np.zeros(len(distinct) + 1, dtype=np.intp)
+    np.cumsum(np.bincount(codes, minlength=len(distinct)), out=bounds[1:])
+    return distinct, codes, order, bounds
+
+
+def _require_known(keys, codes, table, message):
+    """Raise ``message`` naming the key of the first row not in ``table``."""
+    missing = np.array([k not in table for k in keys], dtype=bool)
+    if missing.any():
+        row = np.argmax(missing[codes])
+        raise DataError(f"{message} {keys[codes[row]]!r}")
 
 
 # --------------------------------------------------------------------------
@@ -30,14 +56,17 @@ def _as_keys(keys):
 
 def fit_subject_center(y, subject):
     y = np.asarray(y, dtype=float)
-    keys = _as_keys(subject)
+    keys, codes, order, bounds = _factorize(subject)
     if y.shape[0] == 0:
         raise DataError("empty dataset")
-    if keys.shape[0] != y.shape[0]:
+    if codes.shape[0] != y.shape[0]:
         raise DataError("subject vector length mismatch")
-    means = {}
-    for key in np.unique(keys):
-        means[key] = float(np.mean(y[keys == key]))
+    # A group's slice holds y[keys == key] in row order, so each mean is
+    # bit-identical to np.mean(y[keys == key]).
+    grouped = y[order]
+    bounds = bounds.tolist()
+    means = {key: float(np.mean(grouped[lo:hi]))
+             for key, lo, hi in zip(keys, bounds, bounds[1:])}
     return FittedTransform(
         "subject-center",
         {"means": means, "global_mean": float(np.mean(y))},
@@ -45,9 +74,10 @@ def fit_subject_center(y, subject):
 
 
 def _subject_means_for(params, keys):
+    keys, codes, _, _ = _factorize(keys)
     means = params["means"]
     fallback = params["global_mean"]
-    return np.array([means.get(str(k), fallback) for k in keys])
+    return np.array([means.get(k, fallback) for k in keys])[codes]
 
 
 register_kind(
@@ -61,13 +91,16 @@ register_kind(
 
 def fit_trial_minmax(y, trial):
     y = np.asarray(y, dtype=float)
-    keys = _as_keys(trial)
-    if keys.shape[0] != y.shape[0]:
+    keys, codes, order, bounds = _factorize(trial)
+    if codes.shape[0] != y.shape[0]:
         raise DataError("trial vector length mismatch")
+    if y.shape[0] == 0:
+        raise DataError("empty dataset")
+    grouped = y[order]
+    lows = np.minimum.reduceat(grouped, bounds[:-1]).tolist()
+    highs = np.maximum.reduceat(grouped, bounds[:-1]).tolist()
     ranges = {}
-    for key in np.unique(keys):
-        values = y[keys == key]
-        lo, hi = float(np.min(values)), float(np.max(values))
+    for key, lo, hi in zip(keys, lows, highs):
         if hi <= lo:
             raise DataError(f"constant trial {key!r}")
         ranges[key] = [lo, hi]
@@ -76,15 +109,11 @@ def fit_trial_minmax(y, trial):
 
 
 def _trial_bounds(params, keys):
+    keys, codes, _, _ = _factorize(keys)
     ranges = params["ranges"]
-    lo = np.empty(len(keys))
-    hi = np.empty(len(keys))
-    for i, key in enumerate(keys):
-        key = str(key)
-        if key not in ranges:
-            raise DataError(f"unseen trial {key!r}")
-        lo[i], hi[i] = ranges[key]
-    return lo, hi
+    _require_known(keys, codes, ranges, "unseen trial")
+    bounds = np.array([ranges[k] for k in keys], dtype=float).reshape(-1, 2)
+    return bounds[codes, 0], bounds[codes, 1]
 
 
 def _trial_forward(params, y, aux):
@@ -184,12 +213,12 @@ def _time_sort_key(key):
 
 def fit_deflate(y, time, index):
     y = np.asarray(y, dtype=float)
-    keys = _as_keys(time)
-    if keys.shape[0] != y.shape[0]:
+    keys, codes, _, _ = _factorize(time)
+    if codes.shape[0] != y.shape[0]:
         raise DataError("time vector length mismatch")
-    for key in keys:
-        if key not in index.series:
-            raise DataError(f"unknown time key {key!r}")
+    if y.shape[0] == 0:
+        raise DataError("empty dataset")
+    _require_known(keys, codes, index.series, "unknown time key")
     return FittedTransform(
         "deflate",
         {"series": dict(index.series), "base_time": index.base_time},
@@ -197,15 +226,11 @@ def fit_deflate(y, time, index):
 
 
 def _deflate_factors(params, keys):
+    keys, codes, _, _ = _factorize(keys)
     series = params["series"]
     base = series[params["base_time"]]
-    factors = np.empty(len(keys))
-    for i, key in enumerate(keys):
-        key = str(key)
-        if key not in series:
-            raise DataError(f"unknown time key {key!r}")
-        factors[i] = base / series[key]
-    return factors
+    _require_known(keys, codes, series, "unknown time key")
+    return np.array([base / series[k] for k in keys], dtype=float)[codes]
 
 
 register_kind(

@@ -12,7 +12,7 @@ import warnings
 from dataclasses import dataclass, field, asdict
 
 import numpy as np
-from scipy import stats
+from scipy import special
 
 from .errors import DataError
 
@@ -77,9 +77,17 @@ class DiagnosticReport:
 
 def detect_subjective(y, subject, thresholds=Thresholds()):
     """One-way ANOVA across subject groups."""
+    from .ctx import _factorize
+
     y = np.asarray(y, dtype=float)
-    keys = np.array([str(k) for k in subject], dtype=object)
-    groups = [y[keys == key] for key in np.unique(keys)]
+    _, codes, order, bounds = _factorize(subject)
+    if codes.shape[0] != y.shape[0]:
+        raise DataError("subject vector length mismatch")
+    # Groups in sorted-key order, each in row order, so the sums below add
+    # the same terms in the same order as over y[keys == key] per key.
+    grouped = y[order]
+    bounds = bounds.tolist()
+    groups = [grouped[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
     if len(groups) < 2:
         raise DataError("need at least 2 subjects")
     if any(len(g) < 2 for g in groups):
@@ -96,7 +104,7 @@ def detect_subjective(y, subject, thresholds=Thresholds()):
         f_stat, p = float("inf"), 0.0
     else:
         f_stat = (ssb / df_b) / (ssw / df_w)
-        p = float(stats.f.sf(f_stat, df_b, df_w))
+        p = float(special.fdtrc(df_b, df_w, f_stat))
     return Verdict(flagged=p < thresholds.subjective_p,
                    statistic=float(f_stat), p_value=p)
 
@@ -135,7 +143,18 @@ def _time_order_ranks(time):
 
 
 def _average_ranks(values):
-    return stats.rankdata(values, method="average")
+    """1-based ranks, ties sharing their mean rank (rankdata "average")."""
+    values = np.asarray(values, dtype=float)
+    if np.isnan(values).any():
+        return np.full(values.shape[0], np.nan)
+    order = np.argsort(values, kind="mergesort")
+    ordered = values[order]
+    new = np.ones(values.shape[0], dtype=bool)
+    new[1:] = ordered[1:] != ordered[:-1]
+    dense = np.empty(values.shape[0], dtype=np.intp)
+    dense[order] = np.cumsum(new)
+    count = np.append(np.flatnonzero(new), values.shape[0])
+    return 0.5 * (count[dense] + count[dense - 1] + 1)
 
 
 def detect_trend(y, time, thresholds=Thresholds()):
@@ -198,7 +217,7 @@ def breusch_pagan(y, X):
     if r2 is None:
         return 0.0, 1.0
     lm = y.shape[0] * max(r2, 0.0)
-    return float(lm), float(stats.chi2.sf(lm, X.shape[1]))
+    return float(lm), float(special.chdtrc(X.shape[1], lm))
 
 
 def detect_distribution(y, features, thresholds=Thresholds()):

@@ -244,7 +244,7 @@ def _aux_slice(kind, dataset, idx):
             "regression-norm": "context"}[kind]
     if role not in dataset.aux:
         raise ConfigError(f"{kind} requires the {role!r} role")
-    return dataset.aux[role][list(idx)]
+    return dataset.aux[role][np.asarray(idx, dtype=np.intp)]
 
 
 def fit_transform_kind(kind, y, dataset=None, idx=None):
@@ -273,11 +273,11 @@ def fit_transform_kind(kind, y, dataset=None, idx=None):
     if kind == "deflate":
         if "price_index" not in dataset.aux:
             raise ConfigError("deflate requires the price_index role")
-        times = dataset.aux["time"][list(idx)]
-        prices = dataset.aux["price_index"][list(idx)]
-        series = {}
-        for t, p in zip(times, prices):
-            series.setdefault(str(t), float(p))
+        prices = dataset.aux["price_index"][np.asarray(idx, dtype=np.intp)]
+        # Each period's first price, periods in order of first appearance.
+        _, _, order, bounds = ctx._factorize(aux)
+        series = {str(aux[i]): float(prices[i])
+                  for i in np.sort(order[bounds[:-1]])}
         base = sorted(series, key=ctx._time_sort_key)[0]
         index = ctx.DeflationIndex(series=series, base_time=base)
         return ctx.fit_deflate(y, aux, index)
@@ -367,8 +367,8 @@ def _evaluate_fold(dataset, plan, fold_index, model_kinds, transforms, alpha):
     train_idx, test_idx = plan.folds[fold_index]
     X = dataset.features
     y = dataset.target
-    tr = list(train_idx)
-    te = list(test_idx)
+    tr = np.asarray(train_idx, dtype=np.intp)
+    te = np.asarray(test_idx, dtype=np.intp)
     X_train, y_train = X[tr], y[tr]
     X_test, y_test = X[te], y[te]
     design = _design(X_train)
@@ -376,9 +376,9 @@ def _evaluate_fold(dataset, plan, fold_index, model_kinds, transforms, alpha):
     out = {}
     fitted = {}
     for kind in transforms:
-        t = fit_transform_kind(kind, y_train, dataset, train_idx)
-        aux_tr = _aux_slice(kind, dataset, train_idx)
-        aux_te = _aux_slice(kind, dataset, test_idx)
+        t = fit_transform_kind(kind, y_train, dataset, tr)
+        aux_tr = _aux_slice(kind, dataset, tr)
+        aux_te = _aux_slice(kind, dataset, te)
         fitted[kind] = (t, core.forward(t, y_train, aux_tr), aux_te)
     for model_kind in model_kinds:
         fitter = _MODEL_FITTERS[model_kind]

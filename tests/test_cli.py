@@ -56,6 +56,12 @@ class TestDiagnoseCommand:
         assert main(["diagnose", "--input", str(path), "--roles", ROLES]) == 3
         assert "repeated column names ['x']" in capsys.readouterr().err
 
+    def test_non_utf8_input_is_data_error(self, tmp_path, capsys):
+        path = tmp_path / "latin1.csv"
+        path.write_bytes(b"a,y\n1,2\n\xff,3\n")
+        assert main(["diagnose", "--input", str(path), "--roles", ROLES]) == 3
+        assert "not UTF-8 text at byte 8" in capsys.readouterr().err
+
     def test_json_roundtrips(self, skewed_csv, tmp_path):
         out = tmp_path / "report.json"
         main(["diagnose", "--input", skewed_csv, "--roles", ROLES,

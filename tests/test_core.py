@@ -91,6 +91,16 @@ class TestLoadCsvHeader:
                            match=r"repeated column names \['x', 'z'\]"):
             ytx.load_csv(path, ytx.ColumnRoles(target="y"))
 
+    @pytest.mark.parametrize("rows", [1, 5000])
+    def test_non_utf8_byte_is_data_error_with_offset(self, tmp_path, rows):
+        # 5000 rows put the bad byte past the text reader's first chunk.
+        head = b"a,y\n" + b"1,2\n" * rows
+        path = tmp_path / "latin1.csv"
+        path.write_bytes(head + b"\xff,3\n")
+        with pytest.raises(DataError,
+                           match=f"not UTF-8 text at byte {len(head)}$"):
+            ytx.load_csv(str(path), ytx.ColumnRoles(target="y"))
+
 
 # The row-by-row loader that column-wise ingestion replaced, kept verbatim as
 # the oracle of TestLoadCsvEquivalence.

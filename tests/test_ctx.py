@@ -1,8 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from scipy import stats
 
 import ytx
-from ytx import ctx
+from ytx import ctx, diagnostics as dg
+from ytx.core import FittedTransform, target_range
+from ytx.diagnostics import Thresholds, Verdict
 from ytx.errors import DataError, TransformDomainError
 
 
@@ -53,6 +57,10 @@ class TestTrialMinmax:
     def test_constant_trial_rejected(self):
         with pytest.raises(DataError, match="constant trial"):
             ytx.fit_trial_minmax([3.0, 3.0], ["T", "T"])
+
+    def test_empty_dataset(self):
+        with pytest.raises(DataError, match="empty dataset"):
+            ytx.fit_trial_minmax([], [])
 
     def test_unseen_trial_rejected(self):
         t = ytx.fit_trial_minmax([1.0, 2.0], ["a", "a"])
@@ -109,6 +117,10 @@ class TestDeflate:
     def test_unknown_time_key(self):
         with pytest.raises(DataError, match="2077"):
             ytx.fit_deflate([1.0], ["2077"], self.index())
+
+    def test_empty_dataset(self):
+        with pytest.raises(DataError, match="empty dataset"):
+            ytx.fit_deflate([], [], self.index())
 
     def test_index_from_csv(self, tmp_path):
         path = tmp_path / "cpi.csv"
@@ -213,3 +225,236 @@ class TestRoundTrips:
             err = np.max(np.abs(back - target)
                          / np.maximum(1.0, np.abs(target)))
             assert err <= 1e-9, t.kind
+
+
+# The per-group-mask and per-row code that key factorization replaced, kept
+# verbatim (names prefixed) as the oracle of TestGroupedEquivalence.
+def _reference_as_keys(keys):
+    return np.array([str(k) for k in keys], dtype=object)
+
+
+def _reference_fit_subject_center(y, subject):
+    y = np.asarray(y, dtype=float)
+    keys = _reference_as_keys(subject)
+    if y.shape[0] == 0:
+        raise DataError("empty dataset")
+    if keys.shape[0] != y.shape[0]:
+        raise DataError("subject vector length mismatch")
+    means = {}
+    for key in np.unique(keys):
+        means[key] = float(np.mean(y[keys == key]))
+    return FittedTransform(
+        "subject-center",
+        {"means": means, "global_mean": float(np.mean(y))},
+        target_range(y))
+
+
+def _reference_subject_means_for(params, keys):
+    means = params["means"]
+    fallback = params["global_mean"]
+    return np.array([means.get(str(k), fallback) for k in keys])
+
+
+def _reference_fit_trial_minmax(y, trial):
+    y = np.asarray(y, dtype=float)
+    keys = _reference_as_keys(trial)
+    if keys.shape[0] != y.shape[0]:
+        raise DataError("trial vector length mismatch")
+    ranges = {}
+    for key in np.unique(keys):
+        values = y[keys == key]
+        lo, hi = float(np.min(values)), float(np.max(values))
+        if hi <= lo:
+            raise DataError(f"constant trial {key!r}")
+        ranges[key] = [lo, hi]
+    return FittedTransform("trial-minmax", {"ranges": ranges},
+                           target_range(y))
+
+
+def _reference_trial_bounds(params, keys):
+    ranges = params["ranges"]
+    lo = np.empty(len(keys))
+    hi = np.empty(len(keys))
+    for i, key in enumerate(keys):
+        key = str(key)
+        if key not in ranges:
+            raise DataError(f"unseen trial {key!r}")
+        lo[i], hi[i] = ranges[key]
+    return lo, hi
+
+
+def _reference_fit_deflate(y, time, index):
+    y = np.asarray(y, dtype=float)
+    keys = _reference_as_keys(time)
+    if keys.shape[0] != y.shape[0]:
+        raise DataError("time vector length mismatch")
+    for key in keys:
+        if key not in index.series:
+            raise DataError(f"unknown time key {key!r}")
+    return FittedTransform(
+        "deflate",
+        {"series": dict(index.series), "base_time": index.base_time},
+        target_range(y))
+
+
+def _reference_deflate_factors(params, keys):
+    series = params["series"]
+    base = series[params["base_time"]]
+    factors = np.empty(len(keys))
+    for i, key in enumerate(keys):
+        key = str(key)
+        if key not in series:
+            raise DataError(f"unknown time key {key!r}")
+        factors[i] = base / series[key]
+    return factors
+
+
+def _reference_detect_subjective(y, subject, thresholds=Thresholds()):
+    """One-way ANOVA across subject groups."""
+    y = np.asarray(y, dtype=float)
+    keys = np.array([str(k) for k in subject], dtype=object)
+    groups = [y[keys == key] for key in np.unique(keys)]
+    if len(groups) < 2:
+        raise DataError("need at least 2 subjects")
+    if any(len(g) < 2 for g in groups):
+        raise DataError("every subject needs at least 2 samples")
+    grand = y.mean()
+    ssb = sum(len(g) * (g.mean() - grand) ** 2 for g in groups)
+    ssw = sum(float(np.sum((g - g.mean()) ** 2)) for g in groups)
+    df_b = len(groups) - 1
+    df_w = y.shape[0] - len(groups)
+    scale = max(float(np.sum((y - grand) ** 2)), 1.0)
+    if ssb <= 1e-12 * scale:
+        f_stat, p = 0.0, 1.0
+    elif ssw <= 1e-12 * scale:
+        f_stat, p = float("inf"), 0.0
+    else:
+        f_stat = (ssb / df_b) / (ssw / df_w)
+        p = float(stats.f.sf(f_stat, df_b, df_w))
+    return Verdict(flagged=p < thresholds.subjective_p,
+                   statistic=float(f_stat), p_value=p)
+
+
+def _reference_maps(kind, params, aux):
+    """The reference forward and inverse maps of a contextual kind."""
+    if kind == "subject-center":
+        shift = _reference_subject_means_for(params, aux)
+        return (lambda y: y - shift), (lambda z: z + shift)
+    if kind == "trial-minmax":
+        lo, hi = _reference_trial_bounds(params, aux)
+        return (lambda y: (y - lo) / (hi - lo)), (lambda z: z * (hi - lo) + lo)
+    factors = _reference_deflate_factors(params, aux)
+    return (lambda y: y * factors), (lambda z: z / factors)
+
+
+# 1 and "1" are one group under str(); "B" has no price, and "z" and 7
+# never occur in training.
+_KEYS = (1, "1", 2, "2", "a", "b", "10", "A", "B")
+_UNSEEN = ("z", 7)
+_TARGETS = (0.0, -0.0, 1.0, 2.5, -3.0, 1e300, -1e-300)
+_INDEX = ytx.DeflationIndex(
+    series={"1": 1.0, "2": 1.25, "a": 0.8, "b": 3.0, "10": 1e-3, "A": 7.0},
+    base_time="2")
+
+
+def _outcome(fn, *args):
+    """``fn(*args)``, or the text of the DataError it raises."""
+    try:
+        return fn(*args)
+    except DataError as exc:
+        return f"DataError: {exc}"
+
+
+@st.composite
+def _grouped_case(draw):
+    """Training keys and tied targets, and apply-time keys and values."""
+    groups = draw(st.lists(st.sampled_from(_KEYS), min_size=1, max_size=5,
+                           unique=True))
+    levels = draw(st.lists(st.one_of(st.sampled_from(_TARGETS),
+                                     st.floats(-1e6, 1e6, allow_nan=False)),
+                           min_size=1, max_size=6))
+    n = draw(st.integers(1, 30))
+    keys = draw(st.lists(st.sampled_from(groups), min_size=n, max_size=n))
+    y = draw(st.lists(st.sampled_from(levels), min_size=n, max_size=n))
+    m = draw(st.integers(0, 8))
+    seen = st.sampled_from(keys)
+    pool = (st.one_of(seen, st.sampled_from(_UNSEEN))
+            if draw(st.booleans()) else seen)
+    apply_keys = draw(st.lists(pool, min_size=m, max_size=m))
+    values = draw(st.lists(st.sampled_from(levels), min_size=m, max_size=m))
+    if draw(st.booleans()):
+        keys = np.array(keys, dtype=object)
+    if draw(st.integers(1, 16)) == 16:
+        keys = list(keys)[:-1]
+    return np.array(y), keys, apply_keys, np.array(values)
+
+
+class TestGroupedEquivalence:
+    """Factorized grouping gives the per-group-mask code's results."""
+
+    @given(case=_grouped_case())
+    @settings(max_examples=500, derandomize=True, deadline=None)
+    def test_matches_reference(self, case):
+        y, keys, apply_keys, values = case
+        fits = [
+            ("subject-center", ctx.fit_subject_center,
+             _reference_fit_subject_center, ()),
+            ("trial-minmax", ctx.fit_trial_minmax,
+             _reference_fit_trial_minmax, ()),
+            ("deflate", ctx.fit_deflate, _reference_fit_deflate, (_INDEX,)),
+        ]
+        with np.errstate(all="ignore"):
+            for kind, fit, reference_fit, extra in fits:
+                got = _outcome(fit, y, keys, *extra)
+                want = _outcome(reference_fit, y, keys, *extra)
+                if isinstance(want, str) or isinstance(got, str):
+                    assert got == want, kind
+                    continue
+                assert got.kind == want.kind
+                assert repr(got.params) == repr(want.params), kind
+                assert (repr(got.training_target_range)
+                        == repr(want.training_target_range))
+                for aux, v in ((keys, y), (apply_keys, values)):
+                    forward = _outcome(ytx.forward, got, v, aux)
+                    inverse = _outcome(ytx.inverse, got, v, aux)
+                    maps = _outcome(_reference_maps, kind, want.params, aux)
+                    if isinstance(maps, str) or isinstance(forward, str):
+                        assert forward == inverse == maps, kind
+                        continue
+                    assert forward.tobytes() == maps[0](v).tobytes(), kind
+                    assert inverse.tobytes() == maps[1](v).tobytes(), kind
+
+            got = _outcome(dg.detect_subjective, y, keys)
+            if len(keys) != len(y):
+                # The mask code raised IndexError here.
+                assert got == "DataError: subject vector length mismatch"
+                return
+            want = _outcome(_reference_detect_subjective, y, keys)
+            assert repr(got) == repr(want)
+
+    def test_codes_wider_than_a_byte(self):
+        # 300 groups take 16-bit codes, 70000 take 32-bit ones.
+        rng = np.random.default_rng(9)
+        keys = rng.permutation([f"k{i}" for i in range(300)] * 2)
+        y = rng.normal(size=600)
+        for fit, reference_fit in (
+                (ctx.fit_subject_center, _reference_fit_subject_center),
+                (ctx.fit_trial_minmax, _reference_fit_trial_minmax)):
+            got, want = fit(y, keys), reference_fit(y, keys)
+            assert repr(got.params) == repr(want.params)
+            assert (ytx.forward(got, y, aux=keys).tobytes()
+                    == _reference_maps(got.kind, want.params, keys)[0](y)
+                    .tobytes())
+        keys = [str(i) for i in range(70000)][::-1]
+        y = np.arange(70000.0)
+        t = ctx.fit_subject_center(y, keys)
+        assert t.params["means"] == dict(zip(keys, y.tolist()))
+        assert not ytx.forward(t, y, aux=keys).any()
+
+    def test_first_unseen_row_is_named(self):
+        t = ytx.fit_trial_minmax([1.0, 2.0, 3.0, 5.0], ["b", "b", "a", "a"])
+        with pytest.raises(DataError, match="unseen trial 'z'$"):
+            ytx.forward(t, np.zeros(4), aux=["a", "z", "y", "b"])
+        d = ytx.fit_deflate([1.0], ["2"], _INDEX)
+        with pytest.raises(DataError, match="unknown time key '9'$"):
+            ytx.inverse(d, np.zeros(3), aux=["1", 9, "0"])

@@ -125,6 +125,55 @@ class TestDistribution:
             dg.detect_distribution(np.full(30, 2.0), np.zeros((30, 0)))
 
 
+class TestScipyParity:
+    """The scipy.special calls and numpy ranks match scipy.stats exactly."""
+
+    @pytest.mark.parametrize("values", [
+        [3.0, 1.0, 3.0, 2.0, 1.0, 3.0],
+        [np.inf, -np.inf, 0.0, np.inf, -np.inf, -0.0, 5.0],
+        [2.0] * 7,
+        [1.5],
+        [],
+        [1.0, np.nan, 2.0],
+        np.round(np.random.default_rng(8).normal(size=500), 1),
+    ])
+    def test_average_ranks_match_rankdata(self, values):
+        from scipy import stats
+
+        got = dg._average_ranks(values)
+        want = stats.rankdata(values, method="average")
+        assert got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_p_values_match_scipy_stats(self, seed):
+        from scipy import stats
+
+        rng = np.random.default_rng(seed)
+        keys = np.repeat(list("abcde"), 8)
+        y = rng.normal(size=40) + 0.3 * seed * (keys == "a")
+        verdict = dg.detect_subjective(y, keys)
+        assert verdict.p_value == float(
+            stats.f.sf(verdict.statistic, 4, 35))
+        X = rng.uniform(1, 3, size=(40, 2))
+        lm, p = dg.breusch_pagan(X[:, 0] * y, X)
+        assert 0.0 < p < 1.0
+        assert p == float(stats.chi2.sf(lm, 2))
+
+    def test_import_leaves_scipy_stats_unloaded(self):
+        import os
+        import subprocess
+        import sys
+
+        src = os.path.dirname(os.path.dirname(ytx.__file__))
+        code = ("import sys, ytx, ytx.cli; "
+                "print('scipy.stats' in sys.modules)")
+        out = subprocess.run([sys.executable, "-c", code], check=True,
+                             capture_output=True, text=True,
+                             env=dict(os.environ, PYTHONPATH=src))
+        assert out.stdout.strip() == "False"
+
+
 def make_report(**flags):
     def verdict(name):
         if name in ("skew", "gap", "hetero"):

@@ -303,6 +303,27 @@ def toy_dataset(n=60, seed=0):
         roles=ytx.ColumnRoles(target="y"))
 
 
+class TestFitTransformKind:
+    def test_deflate_keeps_first_price_of_each_period(self):
+        # "1.0" and "1" tie under the time sort key, so the base period is
+        # the one seen first; a later price in a period is ignored.
+        time = np.array(["1.0", "2", "1", "1.0", "2"], dtype=object)
+        price = np.array([2.0, 3.0, 1.0, 9.0, 4.0])
+        ds = ytx.Dataset(
+            features=np.zeros((5, 0)), target=np.arange(1.0, 6.0),
+            column_names=(),
+            roles=ytx.ColumnRoles(target="y", time="t", price_index="p"),
+            aux={"time": time, "price_index": price})
+        t = ev.fit_transform_kind("deflate", ds.target, ds, (0, 1, 2, 3, 4))
+        assert list(t.params["series"].items()) == [
+            ("1.0", 2.0), ("2", 3.0), ("1", 1.0)]
+        assert t.params["base_time"] == "1.0"
+        t = ev.fit_transform_kind("deflate", ds.target[[2, 3, 4]], ds,
+                                  np.array([2, 3, 4]))
+        assert t.params["series"] == {"1": 1.0, "1.0": 9.0, "2": 4.0}
+        assert t.params["base_time"] == "1"
+
+
 class TestBenchmark:
     def test_identity_matches_direct_run(self):
         ds = toy_dataset()
