@@ -11,7 +11,6 @@ import csv
 import json
 import os
 import sys
-from dataclasses import asdict
 
 from . import core, diagnostics, evaluation
 from .errors import ConfigError, DataError, TransformDomainError
@@ -98,10 +97,9 @@ def cmd_transform(args):
         raise ConfigError("transform does not support 'auto'; name a kind")
     roles = _load_roles(args.roles)
     dataset = core.load_csv(args.input, roles)
-    fitted = evaluation.fit_transform_kind(
-        kind, dataset.target, dataset, tuple(range(dataset.n)))
-    aux = evaluation._aux_slice(kind, dataset, tuple(range(dataset.n)))
-    transformed = core.forward(fitted, dataset.target, aux)
+    fitted = evaluation.fit_transform_kind(kind, dataset.target, dataset)
+    transformed = core.forward(fitted, dataset.target,
+                               evaluation.aux_column(kind, dataset))
 
     # One pass over the input writes the header and the kept rows, with the
     # target replaced; load_csv has already validated the header.
@@ -172,9 +170,13 @@ def cmd_report(args):
         raise DataError(f"cannot read {args.in_json}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise DataError(f"{args.in_json}: invalid JSON: {exc}") from exc
-    report = evaluation.BenchmarkReport.from_dict(obj)
-    markdown = (report.to_markdown("rse") + "\n"
-                + report.to_markdown("smape"))
+    try:
+        report = evaluation.BenchmarkReport.from_dict(obj)
+        markdown = (report.to_markdown("rse") + "\n"
+                    + report.to_markdown("smape"))
+    except KeyError as exc:
+        raise DataError(
+            f"{args.in_json}: report lacks key {exc.args[0]!r}") from None
     if args.out_md:
         _write(args.out_md, markdown + "\n")
     print(markdown)
@@ -188,42 +190,41 @@ def build_parser():
                     "benchmark.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, needs_input=True):
-        if needs_input:
-            p.add_argument("--input", required=True,
-                           help="input CSV with a header row")
-            p.add_argument("--roles", required=True,
-                           help="roles JSON (inline or a file path)")
+    def data_input(p):
+        p.add_argument("--input", required=True,
+                       help="input CSV with a header row")
+        p.add_argument("--roles", required=True,
+                       help="roles JSON (inline or a file path)")
         p.add_argument("--transform", action="append",
                        help="transform kind (repeatable); 'auto' derives "
                             "kinds from the diagnostics")
-        p.add_argument("--model", action="append",
-                       choices=["ridge", "lasso"])
-        p.add_argument("--alpha", type=float, default=1.0)
-        p.add_argument("--seed", type=int, default=42)
         p.add_argument("--out-json")
-        p.add_argument("--out-md")
-        p.add_argument("--threshold", action="append", metavar="KEY=VALUE")
 
     p = sub.add_parser("diagnose", help="run the heuristics and recommend "
                                         "transforms")
-    common(p)
+    data_input(p)
+    p.add_argument("--threshold", action="append", metavar="KEY=VALUE")
     p.set_defaults(func=cmd_diagnose)
 
     p = sub.add_parser("transform", help="apply one fitted transform to the "
                                          "target column")
-    common(p)
+    data_input(p)
     p.add_argument("--out-csv", help="path for the transformed CSV")
     p.set_defaults(func=cmd_transform)
 
     p = sub.add_parser("benchmark", help="5x2cv comparison of baseline vs. "
                                          "transformed targets")
-    common(p)
+    data_input(p)
+    p.add_argument("--threshold", action="append", metavar="KEY=VALUE")
+    p.add_argument("--model", action="append", choices=["ridge", "lasso"])
+    p.add_argument("--alpha", type=float, default=1.0)
+    p.add_argument("--seed", type=int, default=42)
+    p.add_argument("--out-md")
     p.set_defaults(func=cmd_benchmark)
 
     p = sub.add_parser("report", help="render a benchmark JSON as markdown")
-    common(p, needs_input=False)
     p.add_argument("--in-json", required=True)
+    p.add_argument("--out-md")
     p.set_defaults(func=cmd_report)
 
     return parser

@@ -1,9 +1,9 @@
 """Data model, CSV ingestion and the fitted-transform abstraction.
 
-A :class:`FittedTransform` is a plain record (kind + parameter bag); the
-actual forward/inverse maps live in a registry that the transform modules
-populate at import time.  This keeps fitted objects trivially serializable
-for the CLI sidecar files.
+A :class:`FittedTransform` is a plain record (kind + parameter bag); each
+kind's fit, forward/inverse maps and the roles it reads are declared once,
+by a :func:`register_kind` call next to its code in ``dist``/``ctx``.  This
+keeps fitted objects trivially serializable for the CLI sidecar files.
 """
 
 from __future__ import annotations
@@ -11,7 +11,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -37,9 +37,7 @@ class ColumnRoles:
 
     def __post_init__(self):
         object.__setattr__(self, "context", tuple(self.context))
-        others = [self.subject, self.time, self.frame, self.trial,
-                  self.price_index, *self.context]
-        if self.target in [c for c in others if c is not None]:
+        if self.target in self.role_columns():
             raise ConfigError(
                 f"target column {self.target!r} cannot carry another role")
 
@@ -61,31 +59,13 @@ class ColumnRoles:
             raise ConfigError(f"invalid roles JSON: {exc}") from exc
         if not isinstance(obj, dict) or "target" not in obj:
             raise ConfigError('roles JSON must be an object with a "target" key')
-        known = {"target", "subject", "time", "frame", "trial", "context",
-                 "price_index"}
-        unknown = set(obj) - known
+        unknown = set(obj) - {f.name for f in fields(cls)}
         if unknown:
             raise ConfigError(f"unknown role keys: {sorted(unknown)}")
-        return cls(
-            target=obj["target"],
-            subject=obj.get("subject"),
-            time=obj.get("time"),
-            frame=obj.get("frame"),
-            trial=obj.get("trial"),
-            context=tuple(obj.get("context") or ()),
-            price_index=obj.get("price_index"),
-        )
+        return cls(**{**obj, "context": obj.get("context") or ()})
 
     def to_json(self):
-        return json.dumps({
-            "target": self.target,
-            "subject": self.subject,
-            "time": self.time,
-            "frame": self.frame,
-            "trial": self.trial,
-            "context": list(self.context),
-            "price_index": self.price_index,
-        }, sort_keys=True)
+        return json.dumps(asdict(self), sort_keys=True)
 
 
 @dataclass(frozen=True)
@@ -116,11 +96,6 @@ class Dataset:
     @property
     def d(self):
         return self.features.shape[1]
-
-    def context_matrix(self):
-        if not self.roles.context:
-            raise DataError("dataset has no context columns")
-        return self.aux["context"]
 
 
 def _read_columns(reader, width):
@@ -294,10 +269,6 @@ KNOWN_KINDS = (
     "expectation-norm", "regression-norm",
 )
 
-#: kinds whose forward/inverse need a per-row auxiliary argument
-AUX_KINDS = frozenset({"subject-center", "trial-minmax", "frame", "deflate",
-                       "expectation-norm", "regression-norm"})
-
 
 @dataclass(frozen=True)
 class FittedTransform:
@@ -321,17 +292,42 @@ class FittedTransform:
                    training_target_range=tuple(obj["training_target_range"]))
 
 
+#: kind -> (forward, inverse, inverse_range), filled by register_kind
 _REGISTRY = {}
+#: kind -> (fit, roles), filled by register_kind
+_FITS = {}
+#: the kinds that read a role column, filled by register_kind
+AUX_KINDS = set()
 
 
-def register_kind(kind, forward_fn, inverse_fn, inverse_range_fn=None):
+def register_kind(kind, fit, forward_fn, inverse_fn, inverse_range_fn=None,
+                  roles=()):
+    """Declare a transform kind: its fit, its maps and the roles it reads.
+
+    ``fit(y, *columns)`` gets the training targets and the columns of
+    ``roles``, in that order; a lambda over a module function looks that
+    function up at call time, so a wrapper set on the module is honoured.
+    ``forward_fn(params, y, aux)`` and ``inverse_fn(params, z, aux)`` get
+    the first role's column as ``aux`` (None without roles).
+    ``inverse_range_fn(params)`` gives the open interval the inverse
+    accepts; without it the inverse is total.  A new kind also needs its
+    entry in :data:`KNOWN_KINDS`.
+    """
     _REGISTRY[kind] = (forward_fn, inverse_fn, inverse_range_fn)
+    _FITS[kind] = (fit, tuple(roles))
+    if roles:
+        AUX_KINDS.add(kind)
 
 
-def _entry(t):
-    if t.kind not in _REGISTRY:
-        raise ConfigError(f"unknown transform kind {t.kind!r}")
-    return _REGISTRY[t.kind]
+def _lookup(table, kind):
+    if kind not in table:
+        raise ConfigError(f"unknown transform kind {kind!r}")
+    return table[kind]
+
+
+def kind_fit(kind):
+    """A registered kind's ``(fit, roles)``."""
+    return _lookup(_FITS, kind)
 
 
 def _check_aux(t, aux, n):
@@ -347,14 +343,14 @@ def forward(t, y, aux=None):
     """Apply the fitted forward map elementwise."""
     y = np.asarray(y, dtype=float)
     _check_aux(t, aux, y.shape[0])
-    return _entry(t)[0](t.params, y, aux)
+    return _lookup(_REGISTRY, t.kind)[0](t.params, y, aux)
 
 
 def inverse(t, z, aux=None):
     """Apply the fitted inverse map elementwise."""
     z = np.asarray(z, dtype=float)
     _check_aux(t, aux, z.shape[0])
-    return _entry(t)[1](t.params, z, aux)
+    return _lookup(_REGISTRY, t.kind)[1](t.params, z, aux)
 
 
 def inverse_range(t):
@@ -362,7 +358,7 @@ def inverse_range(t):
 
     Returns ``(-inf, inf)`` for kinds whose inverse is total.
     """
-    fn = _entry(t)[2]
+    fn = _lookup(_REGISTRY, t.kind)[2]
     if fn is None:
         return (-math.inf, math.inf)
     return fn(t.params)
@@ -390,6 +386,6 @@ def identity_transform(y):
     return FittedTransform("identity", {}, target_range(y))
 
 
-register_kind("identity",
+register_kind("identity", identity_transform,
               lambda p, y, aux: y.copy(),
               lambda p, z, aux: z.copy())

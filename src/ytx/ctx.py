@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import FittedTransform, register_kind, target_range
+from .core import FittedTransform, _not_utf8, register_kind, target_range
 from .errors import DataError, TransformDomainError
 
 
@@ -81,9 +81,10 @@ def _subject_means_for(params, keys):
 
 
 register_kind(
-    "subject-center",
+    "subject-center", lambda y, subject: fit_subject_center(y, subject),
     lambda p, y, aux: y - _subject_means_for(p, aux),
-    lambda p, z, aux: z + _subject_means_for(p, aux))
+    lambda p, z, aux: z + _subject_means_for(p, aux),
+    roles=("subject",))
 
 
 # --------------------------------------------------------------------------
@@ -126,7 +127,8 @@ def _trial_inverse(params, z, aux):
     return z * (hi - lo) + lo
 
 
-register_kind("trial-minmax", _trial_forward, _trial_inverse)
+register_kind("trial-minmax", lambda y, trial: fit_trial_minmax(y, trial),
+              _trial_forward, _trial_inverse, roles=("trial",))
 
 
 # --------------------------------------------------------------------------
@@ -161,7 +163,8 @@ def _frame_inverse(params, z, aux):
     return z * aux
 
 
-register_kind("frame", _frame_forward, _frame_inverse)
+register_kind("frame", lambda y, frame: fit_frame_normalize(y, frame),
+              _frame_forward, _frame_inverse, roles=("frame",))
 
 
 # --------------------------------------------------------------------------
@@ -186,8 +189,13 @@ class DeflationIndex:
     @classmethod
     def from_csv(cls, path, base_time=None):
         """Load a two-column (time_key, index_value) CSV, header optional."""
-        with open(path, newline="") as handle:
-            rows = [r for r in csv.reader(handle) if r]
+        try:
+            with open(path, newline="", encoding="utf-8-sig") as handle:
+                rows = [r for r in csv.reader(handle) if r]
+        except OSError as exc:
+            raise DataError(f"cannot read {path}: {exc}") from exc
+        except UnicodeDecodeError:
+            raise _not_utf8(path) from None
         series = {}
         for row in rows:
             if len(row) < 2:
@@ -233,10 +241,22 @@ def _deflate_factors(params, keys):
     return np.array([base / series[k] for k in keys], dtype=float)[codes]
 
 
+def _fit_deflate_rows(y, time, prices):
+    """Deflate by each period's first price on the rows, to the earliest
+    period; periods go in order of first appearance, so the base among
+    tied sort keys ("1"/"1.0") is the one seen first."""
+    _, _, order, bounds = _factorize(time)
+    series = {str(time[i]): float(prices[i])
+              for i in np.sort(order[bounds[:-1]])}
+    base = sorted(series, key=_time_sort_key)[0]
+    return fit_deflate(y, time, DeflationIndex(series=series, base_time=base))
+
+
 register_kind(
-    "deflate",
+    "deflate", _fit_deflate_rows,
     lambda p, y, aux: y * _deflate_factors(p, aux),
-    lambda p, z, aux: z / _deflate_factors(p, aux))
+    lambda p, z, aux: z / _deflate_factors(p, aux),
+    roles=("time", "price_index"))
 
 
 # --------------------------------------------------------------------------
@@ -300,7 +320,9 @@ def _en_inverse(params, z, aux):
     return z * sigma + mu
 
 
-register_kind("expectation-norm", _en_forward, _en_inverse)
+register_kind("expectation-norm",
+              lambda y, context: fit_expectation_normalize(y, context),
+              _en_forward, _en_inverse, roles=("context",))
 
 
 def fit_regression_normalize(y, context):
@@ -335,5 +357,7 @@ def _rn_denominator(params, context):
 
 register_kind(
     "regression-norm",
+    lambda y, context: fit_regression_normalize(y, context),
     lambda p, y, aux: y / _rn_denominator(p, aux),
-    lambda p, z, aux: z * _rn_denominator(p, aux))
+    lambda p, z, aux: z * _rn_denominator(p, aux),
+    roles=("context",))

@@ -9,7 +9,7 @@ order), contextual dependence (R-squared), and distribution problems
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field, asdict
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 from scipy import special
@@ -299,6 +299,4 @@ def diagnose(dataset, thresholds=Thresholds()):
     report = DiagnosticReport(
         subjective=subjective, frame=frame, trend=trend, context=context,
         distribution=distribution)
-    return DiagnosticReport(
-        subjective=subjective, frame=frame, trend=trend, context=context,
-        distribution=distribution, recommendations=recommend(report))
+    return replace(report, recommendations=recommend(report))

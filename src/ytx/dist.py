@@ -82,7 +82,7 @@ def _log_forward(params, y, aux):
     return np.log(shifted)
 
 
-register_kind("log-offset", _log_forward,
+register_kind("log-offset", lambda y: fit_log_offset(y), _log_forward,
               lambda p, z, aux: np.exp(z) - p["offset"])
 
 
@@ -106,7 +106,7 @@ def _sqrt_forward(params, y, aux):
     return np.sqrt(y)
 
 
-register_kind("sqrt", _sqrt_forward,
+register_kind("sqrt", lambda y: fit_sqrt(y), _sqrt_forward,
               lambda p, z, aux: np.square(z),
               lambda p: (0.0, math.inf))
 
@@ -209,7 +209,8 @@ def _bc_inverse_range(params):
     return (-math.inf, -1.0 / lam)
 
 
-register_kind("box-cox", _bc_forward, _bc_inverse, _bc_inverse_range)
+register_kind("box-cox", lambda y: fit_box_cox(y),
+              _bc_forward, _bc_inverse, _bc_inverse_range)
 
 
 def yeo_johnson_transform(y, lam):
@@ -281,7 +282,7 @@ def _yj_inverse_range(params):
     return (lo, hi)
 
 
-register_kind("yeo-johnson",
+register_kind("yeo-johnson", lambda y: fit_yeo_johnson(y),
               lambda p, y, aux: yeo_johnson_transform(y, p["lambda"]),
               _yj_inverse, _yj_inverse_range)
 
@@ -340,5 +341,7 @@ def _q_inverse_range(params):
     return (float(special.ndtri(eps)), float(special.ndtri(1.0 - eps)))
 
 
-register_kind("quantile-normal", _q_forward, _q_inverse, _q_inverse_range)
-register_kind("quantile-uniform", _q_forward, _q_inverse, _q_inverse_range)
+register_kind("quantile-normal", lambda y: fit_quantile(y, "normal"),
+              _q_forward, _q_inverse, _q_inverse_range)
+register_kind("quantile-uniform", lambda y: fit_quantile(y, "uniform"),
+              _q_forward, _q_inverse, _q_inverse_range)

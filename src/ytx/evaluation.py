@@ -8,13 +8,12 @@ scores against the untransformed test targets with RSE and SMAPE.
 from __future__ import annotations
 
 import json
-import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import core, ctx, dist
+from . import core
 from .errors import ConfigError, DataError
 
 #: model identifiers the report schema accepts; only the first two are
@@ -235,57 +234,30 @@ def make_fold_plan(n, seed):
 # --------------------------------------------------------------------------
 # Transform fitting inside the harness
 
-def _aux_slice(kind, dataset, idx):
-    if kind not in core.AUX_KINDS:
-        return None
-    role = {"subject-center": "subject", "trial-minmax": "trial",
-            "frame": "frame", "deflate": "time",
-            "expectation-norm": "context",
-            "regression-norm": "context"}[kind]
-    if role not in dataset.aux:
-        raise ConfigError(f"{kind} requires the {role!r} role")
-    return dataset.aux[role][np.asarray(idx, dtype=np.intp)]
+def _role_columns(kind, roles, dataset, idx):
+    """``dataset``'s columns of ``roles`` at rows ``idx`` (all if None)."""
+    for role in roles:
+        if dataset is None or role not in dataset.aux:
+            raise ConfigError(f"{kind} requires the {role!r} role")
+    rows = slice(None) if idx is None else np.asarray(idx, dtype=np.intp)
+    return [dataset.aux[role][rows] for role in roles]
+
+
+def aux_column(kind, dataset, idx=None):
+    """The column a kind's forward and inverse read (its first role), or
+    None for a kind without roles; rows ``idx``, all if None."""
+    columns = _role_columns(kind, core.kind_fit(kind)[1][:1], dataset, idx)
+    return columns[0] if columns else None
 
 
 def fit_transform_kind(kind, y, dataset=None, idx=None):
-    """Fit a transform of the given kind on training targets only."""
-    if kind == "identity":
-        return core.identity_transform(y)
-    if kind == "log-offset":
-        return dist.fit_log_offset(y)
-    if kind == "sqrt":
-        return dist.fit_sqrt(y)
-    if kind == "box-cox":
-        return dist.fit_box_cox(y)
-    if kind == "yeo-johnson":
-        return dist.fit_yeo_johnson(y)
-    if kind == "quantile-normal":
-        return dist.fit_quantile(y, "normal")
-    if kind == "quantile-uniform":
-        return dist.fit_quantile(y, "uniform")
-    aux = _aux_slice(kind, dataset, idx)
-    if kind == "subject-center":
-        return ctx.fit_subject_center(y, aux)
-    if kind == "trial-minmax":
-        return ctx.fit_trial_minmax(y, aux)
-    if kind == "frame":
-        return ctx.fit_frame_normalize(y, aux)
-    if kind == "deflate":
-        if "price_index" not in dataset.aux:
-            raise ConfigError("deflate requires the price_index role")
-        prices = dataset.aux["price_index"][np.asarray(idx, dtype=np.intp)]
-        # Each period's first price, periods in order of first appearance.
-        _, _, order, bounds = ctx._factorize(aux)
-        series = {str(aux[i]): float(prices[i])
-                  for i in np.sort(order[bounds[:-1]])}
-        base = sorted(series, key=ctx._time_sort_key)[0]
-        index = ctx.DeflationIndex(series=series, base_time=base)
-        return ctx.fit_deflate(y, aux, index)
-    if kind == "expectation-norm":
-        return ctx.fit_expectation_normalize(y, aux)
-    if kind == "regression-norm":
-        return ctx.fit_regression_normalize(y, aux)
-    raise ConfigError(f"unknown transform kind {kind!r}")
+    """Fit a transform of the given kind on training targets only.
+
+    ``y`` holds the targets of ``dataset``'s rows ``idx`` (every row if
+    None); the kind's role columns are sliced to the same rows.
+    """
+    fit, roles = core.kind_fit(kind)
+    return fit(y, *_role_columns(kind, roles, dataset, idx))
 
 
 # --------------------------------------------------------------------------
@@ -377,9 +349,8 @@ def _evaluate_fold(dataset, plan, fold_index, model_kinds, transforms, alpha):
     fitted = {}
     for kind in transforms:
         t = fit_transform_kind(kind, y_train, dataset, tr)
-        aux_tr = _aux_slice(kind, dataset, tr)
-        aux_te = _aux_slice(kind, dataset, te)
-        fitted[kind] = (t, core.forward(t, y_train, aux_tr), aux_te)
+        z_train = core.forward(t, y_train, aux_column(kind, dataset, tr))
+        fitted[kind] = (t, z_train, aux_column(kind, dataset, te))
     for model_kind in model_kinds:
         fitter = _MODEL_FITTERS[model_kind]
         for kind in transforms:

@@ -201,3 +201,41 @@ class TestReportCommand:
         path = tmp_path / "bad.json"
         path.write_text("{not json")
         assert main(["report", "--in-json", str(path)]) == 3
+
+    def test_report_without_results_is_data_error(self, tmp_path, capsys):
+        path = tmp_path / "empty.json"
+        path.write_text("{}")
+        assert main(["report", "--in-json", str(path)]) == 3
+        assert "report lacks key 'results'" in capsys.readouterr().err
+
+    def test_cell_without_smape_is_data_error(self, skewed_csv, tmp_path,
+                                              capsys):
+        bench = tmp_path / "bench.json"
+        main(["benchmark", "--input", skewed_csv, "--roles", ROLES,
+              "--model", "ridge", "--out-json", str(bench)])
+        doc = json.loads(bench.read_text())
+        del doc["results"]["ridge"]["identity"]["smape"]
+        bench.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main(["report", "--in-json", str(bench)]) == 3
+        assert "report lacks key 'smape'" in capsys.readouterr().err
+
+
+class TestSubcommandFlags:
+    """Each subcommand accepts only the flags it reads."""
+
+    @pytest.mark.parametrize("argv", [
+        ["report", "--in-json", "b.json", "--alpha", "1"],
+        ["report", "--in-json", "b.json", "--input", "x.csv"],
+        ["diagnose", "--input", "x.csv", "--roles", ROLES, "--model", "ridge"],
+        ["diagnose", "--input", "x.csv", "--roles", ROLES, "--out-md", "m"],
+        ["transform", "--input", "x.csv", "--roles", ROLES, "--seed", "1"],
+        ["transform", "--input", "x.csv", "--roles", ROLES,
+         "--threshold", "skew_gamma=1"],
+    ], ids=["report-alpha", "report-input", "diagnose-model",
+            "diagnose-out-md", "transform-seed", "transform-threshold"])
+    def test_flags_it_does_not_read_are_usage_errors(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err

@@ -72,6 +72,17 @@ class TestLoadCsv:
         again = ytx.ColumnRoles.from_json(roles.to_json())
         assert again == roles
 
+    def test_roles_json_text_and_null_context(self):
+        roles = ytx.ColumnRoles(target="y", trial="t", context=("a", "b"))
+        assert roles.to_json() == (
+            '{"context": ["a", "b"], "frame": null, "price_index": null, '
+            '"subject": null, "target": "y", "time": null, "trial": "t"}')
+        again = ytx.ColumnRoles.from_json('{"target": "y", "context": null}')
+        assert again == ytx.ColumnRoles(target="y")
+        assert again.context == ()
+        with pytest.raises(ConfigError, match=r"unknown role keys: \['sub'\]"):
+            ytx.ColumnRoles.from_json('{"target": "y", "sub": "s"}')
+
     def test_target_cannot_hold_two_roles(self):
         with pytest.raises(ConfigError):
             ytx.ColumnRoles(target="y", frame="y")

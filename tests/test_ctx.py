@@ -129,6 +129,22 @@ class TestDeflate:
         assert index.base_time == "2019"
         assert index.series["2020"] == 1.1
 
+    def test_index_from_csv_not_utf8_is_data_error(self, tmp_path):
+        path = tmp_path / "cpi.csv"
+        path.write_bytes(b"2019,1.0\n2020,1.\xff1\n")
+        with pytest.raises(DataError, match="not UTF-8 text at byte 16"):
+            ytx.DeflationIndex.from_csv(str(path))
+
+    def test_index_from_csv_missing_file_is_data_error(self, tmp_path):
+        with pytest.raises(DataError, match="cannot read"):
+            ytx.DeflationIndex.from_csv(str(tmp_path / "absent.csv"))
+
+    def test_index_from_csv_ignores_bom(self, tmp_path):
+        path = tmp_path / "cpi.csv"
+        path.write_bytes(b"\xef\xbb\xbf2019,1.0\n2020,1.1\n")
+        assert ytx.DeflationIndex.from_csv(str(path)).series == {
+            "2019": 1.0, "2020": 1.1}
+
     def test_forward_linear_in_y(self):
         t = ytx.fit_deflate([110.0, 55.0], ["2020", "2019"], self.index())
         aux = ["2020", "2019"]

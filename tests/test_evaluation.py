@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import ytx
-from ytx import core, evaluation as ev
+from ytx import core, ctx, dist, evaluation as ev
 from ytx.errors import ConfigError, DataError
 
 
@@ -301,6 +301,161 @@ def toy_dataset(n=60, seed=0):
     return ytx.Dataset(
         features=X, target=y, column_names=("a", "b", "c"),
         roles=ytx.ColumnRoles(target="y"))
+
+
+def _reference_aux_slice(kind, dataset, idx):
+    """The role map the harness used before the kinds declared their roles."""
+    if kind not in core.AUX_KINDS:
+        return None
+    role = {"subject-center": "subject", "trial-minmax": "trial",
+            "frame": "frame", "deflate": "time",
+            "expectation-norm": "context",
+            "regression-norm": "context"}[kind]
+    if role not in dataset.aux:
+        raise ConfigError(f"{kind} requires the {role!r} role")
+    return dataset.aux[role][np.asarray(idx, dtype=np.intp)]
+
+
+def _reference_fit_transform_kind(kind, y, dataset=None, idx=None):
+    """The if-chain ``fit_transform_kind`` was before the registry held
+    each kind's fit."""
+    if kind == "identity":
+        return core.identity_transform(y)
+    if kind == "log-offset":
+        return dist.fit_log_offset(y)
+    if kind == "sqrt":
+        return dist.fit_sqrt(y)
+    if kind == "box-cox":
+        return dist.fit_box_cox(y)
+    if kind == "yeo-johnson":
+        return dist.fit_yeo_johnson(y)
+    if kind == "quantile-normal":
+        return dist.fit_quantile(y, "normal")
+    if kind == "quantile-uniform":
+        return dist.fit_quantile(y, "uniform")
+    aux = _reference_aux_slice(kind, dataset, idx)
+    if kind == "subject-center":
+        return ctx.fit_subject_center(y, aux)
+    if kind == "trial-minmax":
+        return ctx.fit_trial_minmax(y, aux)
+    if kind == "frame":
+        return ctx.fit_frame_normalize(y, aux)
+    if kind == "deflate":
+        if "price_index" not in dataset.aux:
+            raise ConfigError("deflate requires the price_index role")
+        prices = dataset.aux["price_index"][np.asarray(idx, dtype=np.intp)]
+        _, _, order, bounds = ctx._factorize(aux)
+        series = {str(aux[i]): float(prices[i])
+                  for i in np.sort(order[bounds[:-1]])}
+        base = sorted(series, key=ctx._time_sort_key)[0]
+        index = ctx.DeflationIndex(series=series, base_time=base)
+        return ctx.fit_deflate(y, aux, index)
+    if kind == "expectation-norm":
+        return ctx.fit_expectation_normalize(y, aux)
+    if kind == "regression-norm":
+        return ctx.fit_regression_normalize(y, aux)
+    raise ConfigError(f"unknown transform kind {kind!r}")
+
+
+def panel_dataset(n=120, seed=0):
+    """A dataset with every role; prices vary within a period."""
+    rng = np.random.default_rng(seed)
+    context = rng.normal(size=(n, 2))
+    y = np.exp(1.0 + 0.3 * context[:, 0] + rng.normal(scale=0.3, size=n))
+    time = rng.integers(2000, 2010, size=n)
+    return ytx.Dataset(
+        features=rng.normal(size=(n, 2)), target=y, column_names=("a", "b"),
+        roles=ytx.ColumnRoles(target="y", subject="s", time="t", frame="f",
+                              trial="r", context=("c1", "c2"),
+                              price_index="p"),
+        aux={"subject": np.array([f"s{k}" for k in rng.integers(0, 9, n)],
+                                 dtype=object),
+             "time": np.array([str(t) for t in time], dtype=object),
+             "frame": rng.uniform(0.5, 3.0, size=n),
+             "trial": np.array([str(k) for k in rng.integers(0, 4, n)],
+                               dtype=object),
+             "price_index": (time - 1990) * rng.uniform(0.9, 1.1, size=n),
+             "context": context})
+
+
+class TestRegistry:
+    def test_every_known_kind_is_registered(self):
+        assert set(core._REGISTRY) == set(core.KNOWN_KINDS)
+        assert set(core._FITS) == set(core.KNOWN_KINDS)
+        assert len(core.KNOWN_KINDS) == len(set(core.KNOWN_KINDS)) == 13
+
+    def test_aux_kinds_are_the_kinds_with_roles(self):
+        with_roles = {k for k in core.KNOWN_KINDS if core.kind_fit(k)[1]}
+        assert set(core.AUX_KINDS) == with_roles == {
+            "subject-center", "trial-minmax", "frame", "deflate",
+            "expectation-norm", "regression-norm"}
+        assert core.kind_fit("deflate")[1] == ("time", "price_index")
+
+    def test_missing_role_is_config_error(self):
+        y = np.arange(1.0, 6.0)
+        with pytest.raises(ConfigError) as exc:
+            ev.fit_transform_kind("subject-center", y)
+        assert str(exc.value) == "subject-center requires the 'subject' role"
+        ds = panel_dataset()
+        no_prices = ytx.Dataset(
+            features=ds.features, target=ds.target,
+            column_names=ds.column_names, roles=ds.roles,
+            aux={k: v for k, v in ds.aux.items() if k != "price_index"})
+        with pytest.raises(ConfigError,
+                           match="deflate requires the 'price_index' role"):
+            ev.fit_transform_kind("deflate", ds.target, no_prices)
+
+    def test_unknown_kind_is_config_error(self):
+        with pytest.raises(ConfigError, match="unknown transform kind 'nope'"):
+            ev.fit_transform_kind("nope", np.arange(5.0))
+        with pytest.raises(ConfigError, match="unknown transform kind 'nope'"):
+            ev.aux_column("nope", panel_dataset())
+
+    @pytest.mark.parametrize("kind", core.KNOWN_KINDS)
+    def test_matches_reference_if_chain(self, kind):
+        ds = panel_dataset()
+        every = tuple(range(ds.n))
+        assert (ev.fit_transform_kind(kind, ds.target, ds).to_json()
+                == _reference_fit_transform_kind(
+                    kind, ds.target, ds, every).to_json())
+        for idx in (tuple(range(0, ds.n, 2)), np.arange(5, 95)):
+            y = ds.target[np.asarray(idx)]
+            assert (ev.fit_transform_kind(kind, y, ds, idx).to_json()
+                    == _reference_fit_transform_kind(
+                        kind, y, ds, idx).to_json())
+            new = ev.aux_column(kind, ds, idx)
+            old = _reference_aux_slice(kind, ds, idx)
+            assert (new is None) == (old is None)
+            if new is not None:
+                assert new.tolist() == old.tolist()
+
+    @pytest.mark.parametrize("kind, module, name", [
+        ("log-offset", dist, "fit_log_offset"),
+        ("sqrt", dist, "fit_sqrt"),
+        ("box-cox", dist, "fit_box_cox"),
+        ("yeo-johnson", dist, "fit_yeo_johnson"),
+        ("quantile-normal", dist, "fit_quantile"),
+        ("quantile-uniform", dist, "fit_quantile"),
+        ("subject-center", ctx, "fit_subject_center"),
+        ("trial-minmax", ctx, "fit_trial_minmax"),
+        ("frame", ctx, "fit_frame_normalize"),
+        ("deflate", ctx, "fit_deflate"),
+        ("expectation-norm", ctx, "fit_expectation_normalize"),
+        ("regression-norm", ctx, "fit_regression_normalize"),
+    ])
+    def test_fit_looks_up_public_function_at_call_time(
+            self, kind, module, name, monkeypatch):
+        calls = []
+        original = getattr(module, name)
+
+        def wrapped(*args, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapped)
+        ds = panel_dataset()
+        ev.fit_transform_kind(kind, ds.target, ds)
+        assert calls == [name]
 
 
 class TestFitTransformKind:
