@@ -248,6 +248,8 @@ def _fit_deflate_rows(y, time, prices):
     _, _, order, bounds = _factorize(time)
     series = {str(time[i]): float(prices[i])
               for i in np.sort(order[bounds[:-1]])}
+    if not series:
+        raise DataError("empty dataset")
     base = sorted(series, key=_time_sort_key)[0]
     return fit_deflate(y, time, DeflationIndex(series=series, base_time=base))
 

@@ -141,18 +141,32 @@ def _maximize_unimodal(fn, lo, hi, coarse=101, tol=1e-9):
 def _box_cox_transform(x, lam):
     if abs(lam) < 1e-12:
         return np.log(x)
-    return (np.power(x, lam) - 1.0) / lam
+    z = np.power(x, lam)
+    z -= 1.0
+    z /= lam
+    return z
 
 
-def box_cox_log_likelihood(y_shifted, lam):
-    """Profile log-likelihood of the Box-Cox model at ``lam``."""
+def _box_cox_parts(y_shifted):
+    """The Box-Cox likelihood's terms that do not depend on lambda:
+    ``log(y_shifted)`` and its sum."""
+    log_y = np.log(y_shifted)
+    return log_y, np.sum(log_y)
+
+
+def box_cox_log_likelihood(y_shifted, lam, parts=None):
+    """Profile log-likelihood of the Box-Cox model at ``lam``.
+
+    ``parts`` is ``_box_cox_parts(y_shifted)``, which a fit computes once
+    for all the lambdas it tries; it is computed here when omitted.
+    """
+    log_y, log_sum = _box_cox_parts(y_shifted) if parts is None else parts
     n = y_shifted.shape[0]
-    z = _box_cox_transform(y_shifted, lam)
+    z = log_y if abs(lam) < 1e-12 else _box_cox_transform(y_shifted, lam)
     var = np.var(z)
     if var <= 0.0 or not np.isfinite(var):
         return -math.inf
-    return float((lam - 1.0) * np.sum(np.log(y_shifted))
-                 - 0.5 * n * math.log(var))
+    return float((lam - 1.0) * log_sum - 0.5 * n * math.log(var))
 
 
 def fit_box_cox(y):
@@ -167,9 +181,10 @@ def fit_box_cox(y):
     if np.min(y) < floor:
         shift = floor - float(np.min(y))
     shifted = y + shift
+    parts = _box_cox_parts(shifted)
     lam = _maximize_unimodal(
-        lambda l: box_cox_log_likelihood(shifted, l), *LAMBDA_BOUNDS)
-    ll = box_cox_log_likelihood(shifted, lam)
+        lambda l: box_cox_log_likelihood(shifted, l, parts), *LAMBDA_BOUNDS)
+    ll = box_cox_log_likelihood(shifted, lam, parts)
     return FittedTransform(
         "box-cox",
         {"lambda": float(lam), "shift": float(shift),
@@ -213,39 +228,84 @@ register_kind("box-cox", lambda y: fit_box_cox(y),
               _bc_forward, _bc_inverse, _bc_inverse_range)
 
 
-def yeo_johnson_transform(y, lam):
-    """Four-branch Yeo-Johnson forward map."""
-    y = np.asarray(y, dtype=float)
+def _yj_split(y):
+    """``y``, flattened, as ``(y, pos, neg, up, down)``: ``pos`` and ``neg``
+    index its values ``>= 0`` and the others, ``up = y[pos] + 1`` and
+    ``down = 1 - y[neg]``.  When every value is on one side of zero, both
+    index arrays are None, that side's array holds the whole sample and
+    the other side's array is None."""
+    y = y.reshape(-1)
+    nonneg = y >= 0.0
+    n_pos = np.count_nonzero(nonneg)
+    if n_pos == y.shape[0]:
+        return y, None, None, y + 1.0, None
+    if n_pos == 0:
+        return y, None, None, None, 1.0 - y
+    pos, neg = np.flatnonzero(nonneg), np.flatnonzero(~nonneg)
+    return y, pos, neg, y[pos] + 1.0, 1.0 - y[neg]
+
+
+def _yj_map(split, lam):
+    """Four-branch Yeo-Johnson map of a ``_yj_split`` sample at ``lam``."""
+    y, pos, neg, up, down = split
+    if up is not None:
+        if abs(lam) < 1e-12:
+            z_up = np.log1p(y if pos is None else y[pos])
+        else:
+            z_up = np.power(up, lam)
+            z_up -= 1.0
+            z_up /= lam
+    if down is not None:
+        if abs(lam - 2.0) < 1e-12:
+            z_down = -np.log1p(-(y if neg is None else y[neg]))
+        else:
+            z_down = np.power(down, 2.0 - lam)
+            z_down -= 1.0
+            np.negative(z_down, out=z_down)
+            z_down /= 2.0 - lam
+    if pos is None:
+        return z_down if up is None else z_up
     out = np.empty_like(y)
-    pos = y >= 0.0
-    if abs(lam) < 1e-12:
-        out[pos] = np.log1p(y[pos])
-    else:
-        out[pos] = (np.power(y[pos] + 1.0, lam) - 1.0) / lam
-    if abs(lam - 2.0) < 1e-12:
-        out[~pos] = -np.log1p(-y[~pos])
-    else:
-        out[~pos] = -(np.power(1.0 - y[~pos], 2.0 - lam) - 1.0) / (2.0 - lam)
+    out[pos] = z_up
+    out[neg] = z_down
     return out
 
 
-def yeo_johnson_log_likelihood(y, lam):
+def yeo_johnson_transform(y, lam):
+    """Four-branch Yeo-Johnson forward map."""
+    y = np.asarray(y, dtype=float)
+    return _yj_map(_yj_split(y), lam).reshape(y.shape)
+
+
+def _yj_parts(y):
+    """The Yeo-Johnson likelihood's terms that do not depend on lambda:
+    the split sample and the Jacobian sum of ``sign(y) log1p|y|``."""
+    return _yj_split(y), np.sum(np.sign(y) * np.log1p(np.abs(y)))
+
+
+def yeo_johnson_log_likelihood(y, lam, parts=None):
+    """Profile log-likelihood of the Yeo-Johnson model at ``lam``.
+
+    ``parts`` is ``_yj_parts(y)``, which a fit computes once for all the
+    lambdas it tries; it is computed here when omitted.
+    """
+    split, jacobian = _yj_parts(y) if parts is None else parts
     n = y.shape[0]
-    z = yeo_johnson_transform(y, lam)
+    z = _yj_map(split, lam)
     var = np.var(z)
     if var <= 0.0 or not np.isfinite(var):
         return -math.inf
-    return float((lam - 1.0) * np.sum(np.sign(y) * np.log1p(np.abs(y)))
-                 - 0.5 * n * math.log(var))
+    return float((lam - 1.0) * jacobian - 0.5 * n * math.log(var))
 
 
 def fit_yeo_johnson(y):
     y = np.asarray(y, dtype=float)
     if y.shape[0] < 2 or np.max(y) == np.min(y):
         raise DataError("degenerate target")
+    parts = _yj_parts(y)
     lam = _maximize_unimodal(
-        lambda l: yeo_johnson_log_likelihood(y, l), *LAMBDA_BOUNDS)
-    ll = yeo_johnson_log_likelihood(y, lam)
+        lambda l: yeo_johnson_log_likelihood(y, l, parts), *LAMBDA_BOUNDS)
+    ll = yeo_johnson_log_likelihood(y, lam, parts)
     return FittedTransform(
         "yeo-johnson",
         {"lambda": float(lam), "shift": 0.0, "log_likelihood": float(ll)},

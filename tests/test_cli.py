@@ -220,6 +220,21 @@ class TestReportCommand:
         assert main(["report", "--in-json", str(bench)]) == 3
         assert "report lacks key 'smape'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("doc, problem", [
+        ([], "report is not a JSON object"),
+        ({"results": []}, "report 'results' is not a JSON object"),
+        ({"results": {"ridge": []}},
+         "results for 'ridge' is not a JSON object"),
+        ({"results": {"ridge": {"identity": 1.0}}},
+         "results for 'ridge', 'identity' is not a JSON object"),
+    ], ids=["top-level-list", "results-list", "model-list", "cell-number"])
+    def test_report_of_wrong_shape_is_data_error(self, doc, problem,
+                                                 tmp_path, capsys):
+        path = tmp_path / "bench.json"
+        path.write_text(json.dumps(doc))
+        assert main(["report", "--in-json", str(path)]) == 3
+        assert problem in capsys.readouterr().err
+
 
 class TestSubcommandFlags:
     """Each subcommand accepts only the flags it reads."""

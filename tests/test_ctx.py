@@ -122,6 +122,17 @@ class TestDeflate:
         with pytest.raises(DataError, match="empty dataset"):
             ytx.fit_deflate([], [], self.index())
 
+    def test_zero_training_rows_from_price_column(self):
+        ds = ytx.Dataset(
+            features=np.zeros((2, 0)), target=np.array([1.0, 2.0]),
+            column_names=(),
+            roles=ytx.ColumnRoles(target="y", time="t", price_index="p"),
+            aux={"time": np.array(["2019", "2020"], dtype=object),
+                 "price_index": np.array([1.0, 1.1])})
+        with pytest.raises(DataError, match="empty dataset"):
+            ytx.evaluation.fit_transform_kind(
+                "deflate", np.array([]), ds, np.array([], dtype=int))
+
     def test_index_from_csv(self, tmp_path):
         path = tmp_path / "cpi.csv"
         path.write_text("year,cpi\n2019,1.0\n2020,1.1\n")

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -129,6 +130,160 @@ class TestYeoJohnson:
         t = ytx.fit_yeo_johnson(y)
         back = ytx.inverse(t, ytx.forward(t, y))
         assert np.allclose(back, y, rtol=1e-9, atol=1e-12)
+
+
+# The power-transform fits as they were before each fit computed its
+# lambda-free likelihood terms once; the fits must match them bit for bit.
+
+def _reference_box_cox_transform(x, lam):
+    if abs(lam) < 1e-12:
+        return np.log(x)
+    return (np.power(x, lam) - 1.0) / lam
+
+
+def _reference_box_cox_log_likelihood(y_shifted, lam):
+    n = y_shifted.shape[0]
+    z = _reference_box_cox_transform(y_shifted, lam)
+    var = np.var(z)
+    if var <= 0.0 or not np.isfinite(var):
+        return -math.inf
+    return float((lam - 1.0) * np.sum(np.log(y_shifted))
+                 - 0.5 * n * math.log(var))
+
+
+def _reference_fit_box_cox(y):
+    y = np.asarray(y, dtype=float)
+    span = float(np.max(y) - np.min(y))
+    floor = 1e-6 * span
+    shift = 0.0
+    if np.min(y) < floor:
+        shift = floor - float(np.min(y))
+    shifted = y + shift
+    lam = dist._maximize_unimodal(
+        lambda l: _reference_box_cox_log_likelihood(shifted, l),
+        *dist.LAMBDA_BOUNDS)
+    ll = _reference_box_cox_log_likelihood(shifted, lam)
+    return {"lambda": float(lam), "shift": float(shift),
+            "log_likelihood": float(ll)}
+
+
+def _reference_yeo_johnson_transform(y, lam):
+    y = np.asarray(y, dtype=float)
+    out = np.empty_like(y)
+    pos = y >= 0.0
+    if abs(lam) < 1e-12:
+        out[pos] = np.log1p(y[pos])
+    else:
+        out[pos] = (np.power(y[pos] + 1.0, lam) - 1.0) / lam
+    if abs(lam - 2.0) < 1e-12:
+        out[~pos] = -np.log1p(-y[~pos])
+    else:
+        out[~pos] = -(np.power(1.0 - y[~pos], 2.0 - lam) - 1.0) / (2.0 - lam)
+    return out
+
+
+def _reference_yeo_johnson_log_likelihood(y, lam):
+    n = y.shape[0]
+    z = _reference_yeo_johnson_transform(y, lam)
+    var = np.var(z)
+    if var <= 0.0 or not np.isfinite(var):
+        return -math.inf
+    return float((lam - 1.0) * np.sum(np.sign(y) * np.log1p(np.abs(y)))
+                 - 0.5 * n * math.log(var))
+
+
+def _reference_fit_yeo_johnson(y):
+    y = np.asarray(y, dtype=float)
+    lam = dist._maximize_unimodal(
+        lambda l: _reference_yeo_johnson_log_likelihood(y, l),
+        *dist.LAMBDA_BOUNDS)
+    ll = _reference_yeo_johnson_log_likelihood(y, lam)
+    return {"lambda": float(lam), "shift": 0.0, "log_likelihood": float(ll)}
+
+
+def power_target(sign, n, seed):
+    """A seeded skewed target: all positive, mixed in sign, all negative,
+    or holding zeros (which gives Box-Cox a shift > 0)."""
+    rng = np.random.default_rng(seed)
+    y = np.exp(rng.normal(scale=rng.uniform(0.2, 2.0), size=n))
+    if sign == "mixed":
+        y -= np.median(y)
+    elif sign == "negative":
+        y = -y
+    elif sign == "zeros":
+        y[::3] = 0.0
+        y -= rng.integers(0, 2)      # zeros, or -1s with mixed signs
+    return y
+
+
+def count_calls(mp, owner, name):
+    calls = []
+    original = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    mp.setattr(owner, name, counted)
+    return calls
+
+
+class TestPowerFitsMatchReference:
+    """The fits compute their lambda-free terms once and still give the
+    reference's lambda, shift, log-likelihood and forward bytes, with the
+    same number of likelihood evaluations."""
+
+    @given(st.sampled_from(["positive", "mixed", "negative", "zeros"]),
+           st.integers(2, 400), st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    def test_fits_are_bit_equal(self, sign, n, seed):
+        y = power_target(sign, n, seed)
+        module = sys.modules[__name__]
+        with pytest.MonkeyPatch.context() as mp:
+            bc_new = count_calls(mp, dist, "box_cox_log_likelihood")
+            yj_new = count_calls(mp, dist, "yeo_johnson_log_likelihood")
+            bc_ref = count_calls(mp, module,
+                                 "_reference_box_cox_log_likelihood")
+            yj_ref = count_calls(mp, module,
+                                 "_reference_yeo_johnson_log_likelihood")
+            fits = {"box-cox": (ytx.fit_box_cox(y),
+                                _reference_fit_box_cox(y)),
+                    "yeo-johnson": (ytx.fit_yeo_johnson(y),
+                                    _reference_fit_yeo_johnson(y))}
+        assert len(bc_new) == len(bc_ref) > 100
+        assert len(yj_new) == len(yj_ref) > 100
+        for kind, (fitted, ref) in fits.items():
+            assert fitted.params == ref, kind
+            lam, shift = ref["lambda"], ref["shift"]
+            if kind == "box-cox":
+                expected = _reference_box_cox_transform(y + shift, lam)
+            else:
+                expected = _reference_yeo_johnson_transform(y, lam)
+            assert ytx.forward(fitted, y).tobytes() == expected.tobytes()
+
+    @given(st.sampled_from(["positive", "mixed", "negative", "zeros"]),
+           st.integers(2, 200), st.integers(0, 2 ** 32 - 1),
+           st.sampled_from([0.0, 5e-13, -5e-13, 2.0, 2.0 + 5e-13,
+                            2.0 - 5e-13, 1.0, -4.5, 0.37, 4.9]))
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    def test_branch_lambdas_are_bit_equal(self, sign, n, seed, lam):
+        y = power_target(sign, n, seed)
+        assert (dist.yeo_johnson_transform(y, lam).tobytes()
+                == _reference_yeo_johnson_transform(y, lam).tobytes())
+        assert (dist.yeo_johnson_log_likelihood(y, lam)
+                == _reference_yeo_johnson_log_likelihood(y, lam))
+        shifted = y - np.min(y) + 0.5
+        assert (dist.box_cox_log_likelihood(shifted, lam)
+                == _reference_box_cox_log_likelihood(shifted, lam))
+
+    def test_transform_keeps_shape_of_scalars_and_matrices(self):
+        y = np.array([[-1.5, 0.0], [2.0, 3.5]])
+        for lam in (0.0, 0.5, 2.0):
+            got = dist.yeo_johnson_transform(y, lam)
+            assert got.shape == (2, 2)
+            assert got.tobytes() == _reference_yeo_johnson_transform(
+                y, lam).tobytes()
+            assert dist.yeo_johnson_transform(-0.5, lam).shape == ()
 
 
 class TestQuantile:

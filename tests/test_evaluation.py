@@ -249,6 +249,16 @@ class TestLassoKernel:
         model = self.assert_matches_reference(X, y, 1e-3)
         assert model.n_sweeps >= 200
 
+    def test_harness_fit_skips_only_the_objective_history(self):
+        X, y = factor_design(n=300, d=12, factors=4, seed=4)
+        public = ytx.fit_lasso(X, y, 0.05)
+        harness = ev._MODEL_FITTERS["lasso"](ev._design(X), y, 0.05)
+        assert harness.objective_history == ()
+        assert len(public.objective_history) == public.n_sweeps
+        assert harness.coefficients.tobytes() == public.coefficients.tobytes()
+        assert (harness.n_sweeps, harness.converged) == (
+            public.n_sweeps, public.converged)
+
 
 class TestStandardize:
     def test_inexact_constant_column_gets_no_weight(self):
