@@ -162,24 +162,6 @@ def cmd_benchmark(args):
     return 0
 
 
-def _check_report_objects(obj, path):
-    """Raise DataError unless the report, its ``results`` and each of their
-    entries are JSON objects; a missing key is reported by ``cmd_report``."""
-    if not isinstance(obj, dict):
-        raise DataError(f"{path}: report is not a JSON object")
-    results = obj.get("results", {})
-    if not isinstance(results, dict):
-        raise DataError(f"{path}: report 'results' is not a JSON object")
-    for model, cells in results.items():
-        if not isinstance(cells, dict):
-            raise DataError(
-                f"{path}: results for {model!r} is not a JSON object")
-        for transform, cell in cells.items():
-            if not isinstance(cell, dict):
-                raise DataError(f"{path}: results for {model!r}, "
-                                f"{transform!r} is not a JSON object")
-
-
 def cmd_report(args):
     try:
         with open(args.in_json) as handle:
@@ -188,14 +170,11 @@ def cmd_report(args):
         raise DataError(f"cannot read {args.in_json}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise DataError(f"{args.in_json}: invalid JSON: {exc}") from exc
-    _check_report_objects(obj, args.in_json)
     try:
         report = evaluation.BenchmarkReport.from_dict(obj)
-        markdown = (report.to_markdown("rse") + "\n"
-                    + report.to_markdown("smape"))
-    except KeyError as exc:
-        raise DataError(
-            f"{args.in_json}: report lacks key {exc.args[0]!r}") from None
+    except DataError as exc:
+        raise DataError(f"{args.in_json}: {exc}") from None
+    markdown = report.to_markdown("rse") + "\n" + report.to_markdown("smape")
     if args.out_md:
         _write(args.out_md, markdown + "\n")
     print(markdown)

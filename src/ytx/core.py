@@ -15,7 +15,7 @@ from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, TransformDomainError
 
 # Tokens treated as missing values during ingestion.
 _MISSING = {"", "?", "NA", "N/A", "NaN", "nan", "null", "None"}
@@ -374,6 +374,15 @@ def clamp_to_inverse_range(t, z):
         hi = hi - 1e-9 * max(1.0, abs(hi))
     clamped = np.clip(z, lo, hi)
     return clamped, int(np.sum(clamped != z))
+
+
+def _raise_first_bad(bad, message):
+    """Raise TransformDomainError for the first row where ``bad`` holds,
+    with ``message`` formatted on that row's ``index``."""
+    rows = np.flatnonzero(bad)
+    if rows.size:
+        raise TransformDomainError(message.format(index=rows[0]),
+                                   index=int(rows[0]))
 
 
 def target_range(y):

@@ -17,8 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import FittedTransform, _not_utf8, register_kind, target_range
-from .errors import DataError, TransformDomainError
+from .core import (FittedTransform, _not_utf8, _raise_first_bad, register_kind,
+                   target_range)
+from .errors import DataError
 
 
 def _factorize(keys):
@@ -139,32 +140,21 @@ def fit_frame_normalize(y, frame):
     frame = np.asarray(frame, dtype=float)
     if frame.shape[0] != y.shape[0]:
         raise DataError("frame vector length mismatch")
-    _check_frame(frame)
+    _checked_frame(frame)
     return FittedTransform("frame", {}, target_range(y))
 
 
-def _check_frame(frame):
-    bad = np.flatnonzero(np.asarray(frame, dtype=float) <= 0.0)
-    if bad.size:
-        raise TransformDomainError(
-            f"frame: non-positive frame value at index {bad[0]}",
-            index=int(bad[0]))
-
-
-def _frame_forward(params, y, aux):
-    aux = np.asarray(aux, dtype=float)
-    _check_frame(aux)
-    return y / aux
-
-
-def _frame_inverse(params, z, aux):
-    aux = np.asarray(aux, dtype=float)
-    _check_frame(aux)
-    return z * aux
+def _checked_frame(frame):
+    """``frame`` as floats; TransformDomainError at its first value <= 0."""
+    frame = np.asarray(frame, dtype=float)
+    _raise_first_bad(frame <= 0.0,
+                     "frame: non-positive frame value at index {index}")
+    return frame
 
 
 register_kind("frame", lambda y, frame: fit_frame_normalize(y, frame),
-              _frame_forward, _frame_inverse, roles=("frame",))
+              lambda p, y, aux: y / _checked_frame(aux),
+              lambda p, z, aux: z * _checked_frame(aux), roles=("frame",))
 
 
 # --------------------------------------------------------------------------
@@ -265,16 +255,29 @@ register_kind(
 # Context-model normalizations
 
 def _design(context):
-    context = np.atleast_2d(np.asarray(context, dtype=float))
-    if context.ndim != 2:
+    """The intercept column followed by the context columns; a 1-D context
+    is one column."""
+    context = np.asarray(context, dtype=float)
+    if context.ndim not in (1, 2):
         raise DataError("context must be a 2-D matrix")
     return np.column_stack([np.ones(context.shape[0]), context])
 
 
+def _lstsq(X, y):
+    """Least-squares coefficients of ``y`` on ``X``, or None when ``X`` has
+    fewer independent columns than columns.  The rank is the one ``lstsq``
+    finds: singular values <= eps * max(n, k) * sigma_max count as zero, the
+    rule ``np.linalg.matrix_rank`` uses."""
+    beta, _, rank, _ = np.linalg.lstsq(X, y, rcond=None)
+    return beta if rank == X.shape[1] else None
+
+
 def _ols(X, y):
-    if np.linalg.matrix_rank(X) < X.shape[1]:
+    if X.shape[0] <= X.shape[1]:
+        raise DataError("too few rows for the context model")
+    beta = _lstsq(X, y)
+    if beta is None:
         raise DataError("collinear context")
-    beta, *_ = np.linalg.lstsq(X, y, rcond=None)
     return beta
 
 
@@ -287,9 +290,6 @@ def fit_expectation_normalize(y, context):
     """
     y = np.asarray(y, dtype=float)
     X = _design(context)
-    n, k1 = X.shape
-    if n <= k1:
-        raise DataError("too few rows for the context model")
     beta_mean = _ols(X, y)
     resid = y - X @ beta_mean
     # Regressing |residual| estimates the conditional mean absolute
@@ -331,8 +331,6 @@ def fit_regression_normalize(y, context):
     """Divide by the prediction of a linear model on the context columns."""
     y = np.asarray(y, dtype=float)
     X = _design(context)
-    if X.shape[0] <= X.shape[1]:
-        raise DataError("too few rows for the context model")
     beta = _ols(X, y)
     floor = 1e-6 * max(float(np.max(np.abs(y))), 1.0)
     denom = X @ beta

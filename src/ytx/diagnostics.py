@@ -14,6 +14,8 @@ from dataclasses import asdict, dataclass, field, replace
 import numpy as np
 from scipy import special
 
+from .ctx import _design, _factorize, _lstsq
+from .dist import skewness
 from .errors import DataError
 
 
@@ -77,8 +79,6 @@ class DiagnosticReport:
 
 def detect_subjective(y, subject, thresholds=Thresholds()):
     """One-way ANOVA across subject groups."""
-    from .ctx import _factorize
-
     y = np.asarray(y, dtype=float)
     _, codes, order, bounds = _factorize(subject)
     if codes.shape[0] != y.shape[0]:
@@ -167,25 +167,23 @@ def detect_trend(y, time, thresholds=Thresholds()):
                    statistic=abs(rho), details={"rho": rho})
 
 
-def _ols_r2(y, X):
-    design = np.column_stack([np.ones(X.shape[0]), X])
-    if np.linalg.matrix_rank(design) < design.shape[1]:
-        return None
-    beta, *_ = np.linalg.lstsq(design, y, rcond=None)
-    resid = y - design @ beta
+def _r2(y, design):
+    """R-squared of ``y`` on ``design``; None when the design is
+    rank-deficient or ``y`` is constant."""
+    beta = _lstsq(design, y)
     total = float(np.sum((y - y.mean()) ** 2))
-    if total <= 0.0:
+    if beta is None or total <= 0.0:
         return None
-    return 1.0 - float(np.sum(resid ** 2)) / total
+    return 1.0 - float(np.sum((y - design @ beta) ** 2)) / total
 
 
 def detect_context(y, context, thresholds=Thresholds()):
     """R-squared of the target on the context columns."""
     y = np.asarray(y, dtype=float)
-    context = np.atleast_2d(np.asarray(context, dtype=float))
-    if context.shape[1] < 1:
+    design = _design(context)
+    if design.shape[1] < 2:
         raise DataError("need at least one context column")
-    r2 = _ols_r2(y, context)
+    r2 = _r2(y, design)
     if r2 is None:
         warnings.warn("context detector: singular design, reporting 0",
                       RuntimeWarning, stacklevel=2)
@@ -205,25 +203,21 @@ def gap_score(y):
 def breusch_pagan(y, X):
     """Breusch-Pagan LM test of squared OLS residuals on the features.
 
-    Returns (lm_statistic, p_value); (0.0, 1.0) when the auxiliary
-    regression is degenerate.
+    Returns (lm_statistic, p_value); (0.0, 1.0) when there are no features
+    or the regressions are degenerate.
     """
     y = np.asarray(y, dtype=float)
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    design = np.column_stack([np.ones(X.shape[0]), X])
-    beta, *_ = np.linalg.lstsq(design, y, rcond=None)
-    resid = y - design @ beta
-    r2 = _ols_r2(resid ** 2, X)
-    if r2 is None:
+    design = _design(X)
+    beta = _lstsq(design, y)
+    r2 = None if beta is None else _r2((y - design @ beta) ** 2, design)
+    if r2 is None or design.shape[1] < 2:
         return 0.0, 1.0
     lm = y.shape[0] * max(r2, 0.0)
-    return float(lm), float(special.chdtrc(X.shape[1], lm))
+    return float(lm), float(special.chdtrc(design.shape[1] - 1, lm))
 
 
 def detect_distribution(y, features, thresholds=Thresholds()):
     """Skewness, gap and heteroscedasticity checks on the target."""
-    from .dist import skewness
-
     y = np.asarray(y, dtype=float)
     if y.shape[0] < 20:
         raise DataError("distribution detector needs at least 20 samples")
@@ -231,11 +225,7 @@ def detect_distribution(y, features, thresholds=Thresholds()):
         raise DataError("constant target")
     gamma = skewness(y)
     gap = gap_score(y)
-    features = np.atleast_2d(np.asarray(features, dtype=float))
-    if features.shape[1] > 0:
-        _, het_p = breusch_pagan(y, features)
-    else:
-        het_p = 1.0
+    _, het_p = breusch_pagan(y, features)
     skewed = abs(gamma) > thresholds.skew_gamma
     gapped = gap > thresholds.gap_score
     hetero = het_p < thresholds.hetero_p

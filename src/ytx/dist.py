@@ -12,7 +12,8 @@ import math
 import numpy as np
 from scipy import special
 
-from .core import FittedTransform, register_kind, target_range
+from .core import (FittedTransform, _raise_first_bad, register_kind,
+                   target_range)
 from .errors import DataError, TransformDomainError
 
 LAMBDA_BOUNDS = (-5.0, 5.0)
@@ -74,11 +75,9 @@ def fit_log_offset(y):
 
 def _log_forward(params, y, aux):
     shifted = y + params["offset"]
-    bad = np.flatnonzero(shifted <= 0.0)
-    if bad.size:
-        raise TransformDomainError(
-            f"log-offset: value at index {bad[0]} gives non-positive argument",
-            index=int(bad[0]))
+    _raise_first_bad(
+        shifted <= 0.0,
+        "log-offset: value at index {index} gives non-positive argument")
     return np.log(shifted)
 
 
@@ -91,18 +90,12 @@ register_kind("log-offset", lambda y: fit_log_offset(y), _log_forward,
 
 def fit_sqrt(y):
     y = np.asarray(y, dtype=float)
-    bad = np.flatnonzero(y < 0.0)
-    if bad.size:
-        raise TransformDomainError(
-            f"sqrt: negative value at index {bad[0]}", index=int(bad[0]))
+    _raise_first_bad(y < 0.0, "sqrt: negative value at index {index}")
     return FittedTransform("sqrt", {}, target_range(y))
 
 
 def _sqrt_forward(params, y, aux):
-    bad = np.flatnonzero(y < 0.0)
-    if bad.size:
-        raise TransformDomainError(
-            f"sqrt: negative value at index {bad[0]}", index=int(bad[0]))
+    _raise_first_bad(y < 0.0, "sqrt: negative value at index {index}")
     return np.sqrt(y)
 
 
@@ -194,11 +187,8 @@ def fit_box_cox(y):
 
 def _bc_forward(params, y, aux):
     shifted = y + params["shift"]
-    bad = np.flatnonzero(shifted <= 0.0)
-    if bad.size:
-        raise TransformDomainError(
-            f"box-cox: non-positive shifted value at index {bad[0]}",
-            index=int(bad[0]))
+    _raise_first_bad(shifted <= 0.0,
+                     "box-cox: non-positive shifted value at index {index}")
     return _box_cox_transform(shifted, params["lambda"])
 
 
@@ -207,11 +197,8 @@ def _bc_inverse(params, z, aux):
     if abs(lam) < 1e-12:
         return np.exp(z) - shift
     base = lam * z + 1.0
-    bad = np.flatnonzero(base <= 0.0)
-    if bad.size:
-        raise TransformDomainError(
-            f"box-cox: value at index {bad[0]} outside inverse domain",
-            index=int(bad[0]))
+    _raise_first_bad(base <= 0.0,
+                     "box-cox: value at index {index} outside inverse domain")
     return np.power(base, 1.0 / lam) - shift
 
 

@@ -7,6 +7,7 @@ scores against the untransformed test targets with RSE and SMAPE.
 
 from __future__ import annotations
 
+import itertools
 import json
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -265,6 +266,24 @@ def fit_transform_kind(kind, y, dataset=None, idx=None):
 # --------------------------------------------------------------------------
 # Benchmark
 
+def _report_key(obj, key, where=None):
+    """``obj[key]`` of a report being read, which with ``where`` must be a
+    JSON object; a DataError names a missing key or ``where``."""
+    if key not in obj:
+        raise DataError(f"report lacks key {key!r}")
+    if where is not None and not isinstance(obj[key], dict):
+        raise DataError(f"{where} is not a JSON object")
+    return obj[key]
+
+
+def _report_list(value, items, where):
+    if not (isinstance(value, list)
+            and all(isinstance(v, items) for v in value)):
+        what = "strings" if items is str else "numbers"
+        raise DataError(f"{where} is not a list of {what}")
+    return list(value)
+
+
 @dataclass(frozen=True)
 class BenchmarkReport:
     dataset_name: str
@@ -307,18 +326,35 @@ class BenchmarkReport:
 
     @classmethod
     def from_dict(cls, obj):
+        """Read the layout :meth:`to_dict` writes; a DataError names the
+        first entry that is missing or of the wrong JSON type."""
+        if not isinstance(obj, dict):
+            raise DataError("report is not a JSON object")
+        results = _report_key(obj, "results", "report 'results'")
         cells = {}
-        for model, per_transform in obj["results"].items():
-            for transform, entry in per_transform.items():
-                cells[(model, transform)] = {
-                    "rse": list(entry["rse"]["folds"]),
-                    "smape": list(entry["smape"]["folds"]),
-                    "clamped": entry["clamped"],
-                    "converged": entry["converged"],
-                }
-        return cls(dataset_name=obj["dataset"], seed=obj["seed"],
-                   models=tuple(obj["models"]),
-                   transforms=tuple(obj["transforms"]), cells=cells)
+        for model in results:
+            per_model = _report_key(results, model, f"results for {model!r}")
+            for transform in per_model:
+                where = f"results for {model!r}, {transform!r}"
+                entry = _report_key(per_model, transform, where)
+                cell = {}
+                for metric in ("rse", "smape"):
+                    stats = _report_key(entry, metric, f"{where}, {metric!r}")
+                    cell[metric] = _report_list(
+                        _report_key(stats, "folds"), (int, float),
+                        f"{where}, {metric!r} folds")
+                for key in ("clamped", "converged"):
+                    cell[key] = _report_key(entry, key)
+                cells[(model, transform)] = cell
+        name, seed = _report_key(obj, "dataset"), _report_key(obj, "seed")
+        models, transforms = (
+            tuple(_report_list(_report_key(obj, key), str, f"report {key!r}"))
+            for key in ("models", "transforms"))
+        for pair in itertools.product(models, transforms):
+            if pair not in cells:
+                raise DataError("report lacks results for %r, %r" % pair)
+        return cls(dataset_name=name, seed=seed, models=models,
+                   transforms=transforms, cells=cells)
 
     def to_markdown(self, metric="rse"):
         """One table per model: rows = dataset, columns = transforms."""

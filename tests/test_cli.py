@@ -236,6 +236,31 @@ class TestReportCommand:
         assert problem in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize("edit, problem", [
+        (lambda doc: doc["results"]["ridge"]["identity"].update(rse=[1.0]),
+         "results for 'ridge', 'identity', 'rse' is not a JSON object"),
+        (lambda doc: doc["results"]["ridge"]["identity"]["smape"].update(
+            folds=["a", "b"]),
+         "results for 'ridge', 'identity', 'smape' folds is not a list "
+         "of numbers"),
+        (lambda doc: doc.update(models="ridge"),
+         "report 'models' is not a list of strings"),
+        (lambda doc: doc.update(transforms=["identity", "sqrt"]),
+         "report lacks results for 'ridge', 'sqrt'"),
+    ], ids=["rse-list", "string-folds", "models-string", "missing-cell"])
+    def test_malformed_entry_is_named(self, edit, problem, skewed_csv,
+                                      tmp_path, capsys):
+        bench = tmp_path / "bench.json"
+        main(["benchmark", "--input", skewed_csv, "--roles", ROLES,
+              "--model", "ridge", "--out-json", str(bench)])
+        doc = json.loads(bench.read_text())
+        edit(doc)
+        bench.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main(["report", "--in-json", str(bench)]) == 3
+        assert f"{bench}: {problem}" in capsys.readouterr().err
+
+
 class TestSubcommandFlags:
     """Each subcommand accepts only the flags it reads."""
 

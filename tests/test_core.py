@@ -395,6 +395,38 @@ class TestTransformContract:
             ytx.forward(t, np.array([-2.0]))
         assert err.value.index == 0
 
+    @pytest.mark.parametrize("call, message, index", [
+        (lambda: ytx.forward(ytx.fit_log_offset([0.5, 2.0]), [1.0, -2.0]),
+         "log-offset: value at index 1 gives non-positive argument", 1),
+        (lambda: ytx.fit_sqrt([1.0, 2.0, -1.0]),
+         "sqrt: negative value at index 2", 2),
+        (lambda: ytx.forward(ytx.fit_sqrt([1.0]), [-3.0, 4.0, -1.0]),
+         "sqrt: negative value at index 0", 0),
+        (lambda: ytx.forward(core.FittedTransform(
+            "box-cox", {"lambda": 0.5, "shift": 0.0}, (1.0, 2.0)),
+            [1.0, 2.0, 0.0]),
+         "box-cox: non-positive shifted value at index 2", 2),
+        (lambda: ytx.inverse(core.FittedTransform(
+            "box-cox", {"lambda": 0.5, "shift": 0.0}, (1.0, 2.0)),
+            [0.0, -3.0, -4.0]),
+         "box-cox: value at index 1 outside inverse domain", 1),
+        (lambda: ytx.fit_frame_normalize([1.0, 2.0, 3.0], [1.0, 0.0, 2.0]),
+         "frame: non-positive frame value at index 1", 1),
+        (lambda: ytx.forward(ytx.fit_frame_normalize([1.0], [1.0]),
+                             [1.0, 2.0, 3.0], aux=[1.0, 2.0, -1.0]),
+         "frame: non-positive frame value at index 2", 2),
+        (lambda: ytx.inverse(ytx.fit_frame_normalize([1.0], [1.0]),
+                             [1.0, 2.0], aux=[0.0, 2.0]),
+         "frame: non-positive frame value at index 0", 0),
+    ], ids=["log-offset-forward", "sqrt-fit", "sqrt-forward",
+            "box-cox-forward", "box-cox-inverse", "frame-fit",
+            "frame-forward", "frame-inverse"])
+    def test_domain_error_names_first_bad_index(self, call, message, index):
+        with pytest.raises(TransformDomainError) as err:
+            call()
+        assert str(err.value) == message
+        assert err.value.index == index
+
     def test_log_offset_inverse_of_zero(self):
         t = ytx.fit_log_offset(np.array([0.5, 2.0]))
         assert ytx.inverse(t, np.array([0.0]))[0] == pytest.approx(0.0)

@@ -226,6 +226,23 @@ class TestRegressionNormalize:
             ytx.forward(t, np.array([1.0]), aux=np.array([[root]]))
 
 
+class TestOneDimensionalContext:
+    """A 1-D context vector is one column, not one row."""
+
+    @pytest.mark.parametrize("fit", [ytx.fit_expectation_normalize,
+                                     ytx.fit_regression_normalize])
+    def test_fit_and_maps_match_one_column(self, fit):
+        rng = np.random.default_rng(11)
+        c = rng.uniform(1.0, 3.0, size=50)
+        y = 5.0 + 2.0 * c + rng.normal(scale=0.3, size=50)
+        t = fit(y, c)
+        assert t == fit(y, c[:, None])
+        z = ytx.forward(t, y, aux=c)
+        assert np.array_equal(z, ytx.forward(t, y, aux=c[:, None]))
+        assert np.array_equal(ytx.inverse(t, z, aux=c),
+                              ytx.inverse(t, z, aux=c[:, None]))
+
+
 class TestRoundTrips:
     def test_all_contextual_kinds(self):
         rng = np.random.default_rng(7)

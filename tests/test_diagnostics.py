@@ -1,8 +1,11 @@
+import warnings
+
 import numpy as np
 import pytest
+from scipy import special
 
 import ytx
-from ytx import diagnostics as dg
+from ytx import ctx, diagnostics as dg
 from ytx.errors import DataError
 
 
@@ -94,6 +97,165 @@ class TestContext:
         with pytest.warns(RuntimeWarning):
             verdict = dg.detect_context(np.arange(10.0), np.ones((10, 1)))
         assert verdict.statistic == 0.0
+
+
+class TestOneDimensionalInput:
+    """A 1-D context or feature vector is one column, not one row."""
+
+    def sample(self):
+        rng = np.random.default_rng(12)
+        x = rng.uniform(1.0, 10.0, size=50)
+        return x, 2.0 * x + x * rng.normal(size=50)
+
+    def test_detect_context(self):
+        x, y = self.sample()
+        verdict = dg.detect_context(y, x)
+        assert verdict == dg.detect_context(y, x[:, None])
+        assert verdict.flagged
+
+    def test_breusch_pagan(self):
+        x, y = self.sample()
+        assert dg.breusch_pagan(y, x) == dg.breusch_pagan(y, x[:, None])
+
+    def test_detect_distribution(self):
+        x, y = self.sample()
+        assert (dg.detect_distribution(y, x)
+                == dg.detect_distribution(y, x[:, None]))
+
+
+# The least-squares code before ctx and diagnostics shared one solve: a
+# rank SVD (matrix_rank) and then lstsq on the same design.
+
+def _reference_ols(X, y):
+    if np.linalg.matrix_rank(X) < X.shape[1]:
+        raise DataError("collinear context")
+    beta, *_ = np.linalg.lstsq(X, y, rcond=None)
+    return beta
+
+
+def _reference_ols_r2(y, X):
+    design = np.column_stack([np.ones(X.shape[0]), X])
+    if np.linalg.matrix_rank(design) < design.shape[1]:
+        return None
+    beta, *_ = np.linalg.lstsq(design, y, rcond=None)
+    resid = y - design @ beta
+    total = float(np.sum((y - y.mean()) ** 2))
+    if total <= 0.0:
+        return None
+    return 1.0 - float(np.sum(resid ** 2)) / total
+
+
+def _reference_detect_context(y, context, thresholds=dg.Thresholds()):
+    y = np.asarray(y, dtype=float)
+    context = np.atleast_2d(np.asarray(context, dtype=float))
+    if context.shape[1] < 1:
+        raise DataError("need at least one context column")
+    r2 = _reference_ols_r2(y, context)
+    if r2 is None:
+        warnings.warn("context detector: singular design, reporting 0",
+                      RuntimeWarning, stacklevel=2)
+        return dg.Verdict(flagged=False, statistic=0.0)
+    return dg.Verdict(flagged=r2 > thresholds.context_r2, statistic=r2)
+
+
+def _reference_breusch_pagan(y, X):
+    y = np.asarray(y, dtype=float)
+    X = np.atleast_2d(np.asarray(X, dtype=float))
+    design = np.column_stack([np.ones(X.shape[0]), X])
+    beta, *_ = np.linalg.lstsq(design, y, rcond=None)
+    resid = y - design @ beta
+    r2 = _reference_ols_r2(resid ** 2, X)
+    if r2 is None:
+        return 0.0, 1.0
+    lm = y.shape[0] * max(r2, 0.0)
+    return float(lm), float(special.chdtrc(X.shape[1], lm))
+
+
+def _outcome(fn, *args):
+    """``fn(*args)`` as plain values, or its DataError text, and the
+    warnings it gave."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            value = fn(*args)
+        except DataError as exc:
+            value = ("DataError", str(exc))
+    if isinstance(value, np.ndarray):
+        value = value.tolist()
+    return value, [(w.category, str(w.message)) for w in caught]
+
+
+def _least_squares_case(name):
+    rng = np.random.default_rng(13)
+    n = 3 if name == "n<=k" else 60
+    X = rng.normal(size=(n, 3))
+    if name == "one-hot":
+        # a full dummy set sums to the intercept column
+        X = np.eye(3)[rng.integers(0, 3, size=n)]
+    elif name == "collinear":
+        X = rng.integers(-5, 5, size=(n, 3)).astype(float)
+        X[:, 2] = X[:, 0] + X[:, 1]
+    y = 1.0 + X @ [0.5, -1.0, 2.0] + rng.normal(size=n) * (1 + X[:, 0] ** 2)
+    if name == "constant-target":
+        y = np.full(n, 2.5)
+    return X, y
+
+
+LEAST_SQUARES_CASES = ["full-rank", "one-hot", "collinear",
+                       "constant-target", "n<=k"]
+
+
+class TestSharedLeastSquares:
+    """One rank-checked lstsq gives the results of matrix_rank + lstsq."""
+
+    @pytest.mark.parametrize("name", LEAST_SQUARES_CASES)
+    def test_ols_matches_reference(self, name):
+        X, y = _least_squares_case(name)
+        design = ctx._design(X)
+        if design.shape[0] <= design.shape[1]:
+            # the fits reject these before any solve, as before
+            for fit in (ytx.fit_expectation_normalize,
+                        ytx.fit_regression_normalize):
+                with pytest.raises(DataError,
+                                   match="too few rows for the context"):
+                    fit(y, X)
+            return
+        assert (_outcome(ctx._ols, design, y)
+                == _outcome(_reference_ols, design, y))
+
+    @pytest.mark.parametrize("name", LEAST_SQUARES_CASES)
+    def test_r2_matches_reference(self, name):
+        X, y = _least_squares_case(name)
+        assert (dg._r2(y, ctx._design(X))
+                == _reference_ols_r2(y, X))
+
+    @pytest.mark.parametrize("name", LEAST_SQUARES_CASES)
+    def test_detect_context_matches_reference(self, name):
+        X, y = _least_squares_case(name)
+        assert (_outcome(dg.detect_context, y, X)
+                == _outcome(_reference_detect_context, y, X))
+
+    @pytest.mark.parametrize("name", LEAST_SQUARES_CASES)
+    def test_breusch_pagan_matches_reference(self, name):
+        X, y = _least_squares_case(name)
+        assert (_outcome(dg.breusch_pagan, y, X)
+                == _outcome(_reference_breusch_pagan, y, X))
+
+    def test_no_rank_svd(self, monkeypatch):
+        def no_matrix_rank(*args, **kwargs):
+            raise AssertionError("np.linalg.matrix_rank called")
+
+        monkeypatch.setattr(np.linalg, "matrix_rank", no_matrix_rank)
+        X, y = _least_squares_case("full-rank")
+        context = X[:, :2]
+        y = y - y.min() + 1.0
+        ds = ytx.Dataset(
+            features=X, target=y, column_names=("a", "b", "c"),
+            roles=ytx.ColumnRoles(target="y", context=("p", "q")),
+            aux={"context": context})
+        assert ytx.diagnose(ds).context is not None
+        ytx.fit_expectation_normalize(y, context)
+        ytx.fit_regression_normalize(y, context)
 
 
 class TestDistribution:
