@@ -21,15 +21,12 @@ EXIT_DOMAIN = 4
 
 
 def _load_roles(spec):
-    if spec is None:
-        raise ConfigError("--roles is required")
     text = spec
     if not spec.lstrip().startswith("{"):
         try:
-            with open(spec) as handle:
-                text = handle.read()
-        except OSError as exc:
-            raise ConfigError(f"cannot read roles file {spec}: {exc}") from exc
+            text = "".join(core.read_lines(spec))
+        except DataError as exc:
+            raise ConfigError(f"roles file: {exc}") from None
     return core.ColumnRoles.from_json(text)
 
 
@@ -57,7 +54,7 @@ def _validate_transforms(kinds):
 
 
 def _write(path, text):
-    with open(path, "w") as handle:
+    with open(path, "w", encoding="utf-8") as handle:
         handle.write(text)
 
 
@@ -108,9 +105,8 @@ def cmd_transform(args):
         raise ConfigError("--out-csv must not be the input file")
     kept = set(dataset.kept_rows)
     values = iter(transformed)
-    with open(args.input, newline="", encoding="utf-8-sig") as src, \
-            open(out_csv, "w", newline="", encoding="utf-8") as dst:
-        reader = csv.reader(src)
+    with open(out_csv, "w", newline="", encoding="utf-8") as dst:
+        reader = csv.reader(core.read_lines(args.input))
         writer = csv.writer(dst)
         header = next(reader)
         writer.writerow(header)
@@ -164,10 +160,7 @@ def cmd_benchmark(args):
 
 def cmd_report(args):
     try:
-        with open(args.in_json) as handle:
-            obj = json.load(handle)
-    except OSError as exc:
-        raise DataError(f"cannot read {args.in_json}: {exc}") from exc
+        obj = json.loads("".join(core.read_lines(args.in_json)))
     except json.JSONDecodeError as exc:
         raise DataError(f"{args.in_json}: invalid JSON: {exc}") from exc
     try:

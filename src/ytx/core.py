@@ -168,25 +168,33 @@ def _not_utf8(path):
     return DataError(f"{path}: not UTF-8 text")
 
 
+def read_lines(path):
+    """Yield the lines of a UTF-8 text file, ends kept, split as ``csv``
+    reads them (``newline=""``); a leading byte order mark is dropped.  A
+    file that cannot be read or is not UTF-8 is a DataError."""
+    try:
+        with open(path, newline="", encoding="utf-8-sig") as handle:
+            yield from handle
+    except OSError as exc:
+        raise DataError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError:
+        raise _not_utf8(path) from None
+
+
 def load_csv(path, roles):
     """Load a headered CSV into a :class:`Dataset`.
 
     Rows whose target, role, or numeric feature values are missing or
     unparseable are dropped and counted.  Non-numeric feature columns are
-    one-hot encoded with categories in lexicographic order.  A UTF-8 byte
-    order mark is ignored; repeated header names are a :class:`DataError`.
+    one-hot encoded with categories in lexicographic order.  The file is
+    read by :func:`read_lines`; repeated header names are a
+    :class:`DataError`.
     """
-    try:
-        with open(path, newline="", encoding="utf-8-sig") as handle:
-            reader = csv.reader(handle)
-            header = next(reader, None)
-            if header is None:
-                raise DataError(f"{path}: empty file")
-            columns, ragged, n_rows = _read_columns(reader, len(header))
-    except OSError as exc:
-        raise DataError(f"cannot read {path}: {exc}") from exc
-    except UnicodeDecodeError:
-        raise _not_utf8(path) from None
+    reader = csv.reader(read_lines(path))
+    header = next(reader, None)
+    if header is None:
+        raise DataError(f"{path}: empty file")
+    columns, ragged, n_rows = _read_columns(reader, len(header))
     if len(set(header)) != len(header):
         repeated = sorted({c for c in header if header.count(c) > 1})
         raise DataError(f"{path}: repeated column names {repeated}")
@@ -376,13 +384,14 @@ def clamp_to_inverse_range(t, z):
     return clamped, int(np.sum(clamped != z))
 
 
-def _raise_first_bad(bad, message):
+def _raise_first_bad(bad, message, rows=None):
     """Raise TransformDomainError for the first row where ``bad`` holds,
-    with ``message`` formatted on that row's ``index``."""
-    rows = np.flatnonzero(bad)
-    if rows.size:
-        raise TransformDomainError(message.format(index=rows[0]),
-                                   index=int(rows[0]))
+    with ``message`` formatted on that row's ``index``: its position in
+    ``bad``, or its entry of ``rows`` when ``bad`` covers only those rows."""
+    found = np.flatnonzero(bad)
+    if found.size:
+        index = int(found[0] if rows is None else rows[found[0]])
+        raise TransformDomainError(message.format(index=index), index=index)
 
 
 def target_range(y):

@@ -17,8 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (FittedTransform, _not_utf8, _raise_first_bad, register_kind,
-                   target_range)
+from .core import (FittedTransform, _raise_first_bad, read_lines,
+                   register_kind, target_range)
 from .errors import DataError
 
 
@@ -44,6 +44,12 @@ def _factorize(keys):
     return distinct, codes, order, bounds
 
 
+def _check_length(values, y, name):
+    """DataError unless ``values`` has one entry per target row."""
+    if values.shape[0] != y.shape[0]:
+        raise DataError(f"{name} length mismatch")
+
+
 def _require_known(keys, codes, table, message):
     """Raise ``message`` naming the key of the first row not in ``table``."""
     missing = np.array([k not in table for k in keys], dtype=bool)
@@ -60,8 +66,7 @@ def fit_subject_center(y, subject):
     keys, codes, order, bounds = _factorize(subject)
     if y.shape[0] == 0:
         raise DataError("empty dataset")
-    if codes.shape[0] != y.shape[0]:
-        raise DataError("subject vector length mismatch")
+    _check_length(codes, y, "subject vector")
     # A group's slice holds y[keys == key] in row order, so each mean is
     # bit-identical to np.mean(y[keys == key]).
     grouped = y[order]
@@ -94,8 +99,7 @@ register_kind(
 def fit_trial_minmax(y, trial):
     y = np.asarray(y, dtype=float)
     keys, codes, order, bounds = _factorize(trial)
-    if codes.shape[0] != y.shape[0]:
-        raise DataError("trial vector length mismatch")
+    _check_length(codes, y, "trial vector")
     if y.shape[0] == 0:
         raise DataError("empty dataset")
     grouped = y[order]
@@ -138,8 +142,7 @@ register_kind("trial-minmax", lambda y, trial: fit_trial_minmax(y, trial),
 def fit_frame_normalize(y, frame):
     y = np.asarray(y, dtype=float)
     frame = np.asarray(frame, dtype=float)
-    if frame.shape[0] != y.shape[0]:
-        raise DataError("frame vector length mismatch")
+    _check_length(frame, y, "frame vector")
     _checked_frame(frame)
     return FittedTransform("frame", {}, target_range(y))
 
@@ -179,15 +182,8 @@ class DeflationIndex:
     @classmethod
     def from_csv(cls, path, base_time=None):
         """Load a two-column (time_key, index_value) CSV, header optional."""
-        try:
-            with open(path, newline="", encoding="utf-8-sig") as handle:
-                rows = [r for r in csv.reader(handle) if r]
-        except OSError as exc:
-            raise DataError(f"cannot read {path}: {exc}") from exc
-        except UnicodeDecodeError:
-            raise _not_utf8(path) from None
         series = {}
-        for row in rows:
+        for row in filter(None, csv.reader(read_lines(path))):
             if len(row) < 2:
                 raise DataError(f"{path}: malformed index row {row!r}")
             try:
@@ -203,17 +199,19 @@ class DeflationIndex:
 
 
 def _time_sort_key(key):
+    """Numeric keys by value, then the others as strings; a key that parses
+    as NaN, which no order ranks, is one of the others."""
     try:
-        return (0, float(key), "")
+        value = float(key)
     except ValueError:
-        return (1, 0.0, key)
+        value = math.nan
+    return (1, 0.0, key) if math.isnan(value) else (0, value, "")
 
 
 def fit_deflate(y, time, index):
     y = np.asarray(y, dtype=float)
     keys, codes, _, _ = _factorize(time)
-    if codes.shape[0] != y.shape[0]:
-        raise DataError("time vector length mismatch")
+    _check_length(codes, y, "time vector")
     if y.shape[0] == 0:
         raise DataError("empty dataset")
     _require_known(keys, codes, index.series, "unknown time key")
@@ -273,6 +271,7 @@ def _lstsq(X, y):
 
 
 def _ols(X, y):
+    _check_length(X, y, "context matrix")
     if X.shape[0] <= X.shape[1]:
         raise DataError("too few rows for the context model")
     beta = _lstsq(X, y)

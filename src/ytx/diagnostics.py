@@ -14,7 +14,8 @@ from dataclasses import asdict, dataclass, field, replace
 import numpy as np
 from scipy import special
 
-from .ctx import _design, _factorize, _lstsq
+from .ctx import (_check_length, _design, _factorize, _lstsq,
+                  _time_sort_key)
 from .dist import skewness
 from .errors import DataError
 
@@ -81,8 +82,7 @@ def detect_subjective(y, subject, thresholds=Thresholds()):
     """One-way ANOVA across subject groups."""
     y = np.asarray(y, dtype=float)
     _, codes, order, bounds = _factorize(subject)
-    if codes.shape[0] != y.shape[0]:
-        raise DataError("subject vector length mismatch")
+    _check_length(codes, y, "subject vector")
     # Groups in sorted-key order, each in row order, so the sums below add
     # the same terms in the same order as over y[keys == key] per key.
     grouped = y[order]
@@ -122,24 +122,12 @@ def detect_frame(y, frame, thresholds=Thresholds()):
     """Pearson correlation between the target and the frame size."""
     y = np.asarray(y, dtype=float)
     frame = np.asarray(frame, dtype=float)
+    _check_length(frame, y, "frame vector")
     r = _pearson(y, frame)
     if r is None:
         return Verdict(flagged=False, statistic=0.0)
     return Verdict(flagged=abs(r) > thresholds.frame_r, statistic=abs(r),
                    details={"r": r})
-
-
-def _time_order_ranks(time):
-    """Ranks of the time keys; ties broken by stable input order."""
-    keys = list(time)
-    try:
-        values = np.array([float(k) for k in keys])
-    except (TypeError, ValueError):
-        values = np.array([str(k) for k in keys], dtype=object)
-    order = np.argsort(values, kind="stable")
-    ranks = np.empty(len(keys))
-    ranks[order] = np.arange(len(keys))
-    return ranks
 
 
 def _average_ranks(values):
@@ -158,9 +146,16 @@ def _average_ranks(values):
 
 
 def detect_trend(y, time, thresholds=Thresholds()):
-    """Spearman correlation between the target and the time order."""
+    """Spearman correlation between the target and the time order: periods
+    in ``deflate``'s order (numeric keys by value, then the others), the
+    rows of one period sharing their average rank."""
     y = np.asarray(y, dtype=float)
-    rho = _pearson(_average_ranks(y), _time_order_ranks(time))
+    keys, codes, _, _ = _factorize(time)
+    _check_length(codes, y, "time vector")
+    sort_keys = [_time_sort_key(k) for k in keys]
+    position = {k: i for i, k in enumerate(sorted(set(sort_keys)))}
+    periods = np.array([position[k] for k in sort_keys], dtype=float)
+    rho = _pearson(_average_ranks(y), _average_ranks(periods[codes]))
     if rho is None:
         return Verdict(flagged=False, statistic=0.0)
     return Verdict(flagged=abs(rho) > thresholds.trend_rho,
@@ -181,6 +176,7 @@ def detect_context(y, context, thresholds=Thresholds()):
     """R-squared of the target on the context columns."""
     y = np.asarray(y, dtype=float)
     design = _design(context)
+    _check_length(design, y, "context matrix")
     if design.shape[1] < 2:
         raise DataError("need at least one context column")
     r2 = _r2(y, design)
@@ -194,10 +190,9 @@ def detect_context(y, context, thresholds=Thresholds()):
 def gap_score(y):
     """Largest gap between consecutive sorted unique targets, over the range."""
     values = np.unique(np.asarray(y, dtype=float))
-    span = values[-1] - values[0]
-    if values.shape[0] < 2 or span <= 0.0:
+    if values.shape[0] < 2:
         return 0.0
-    return float(np.max(np.diff(values)) / span)
+    return float(np.max(np.diff(values)) / (values[-1] - values[0]))
 
 
 def breusch_pagan(y, X):
@@ -208,6 +203,7 @@ def breusch_pagan(y, X):
     """
     y = np.asarray(y, dtype=float)
     design = _design(X)
+    _check_length(design, y, "feature matrix")
     beta = _lstsq(design, y)
     r2 = None if beta is None else _r2((y - design @ beta) ** 2, design)
     if r2 is None or design.shape[1] < 2:

@@ -131,13 +131,45 @@ def _maximize_unimodal(fn, lo, hi, coarse=101, tol=1e-9):
     return max(candidates)[1]
 
 
-def _box_cox_transform(x, lam):
+def _box_cox_map(x, lam, log_branch):
+    """The Box-Cox map ``(x**lam - 1) / lam``, computed in place; within
+    1e-12 of lam = 0, its limit ``log x`` as ``log_branch()`` gives it."""
     if abs(lam) < 1e-12:
-        return np.log(x)
+        return log_branch()
     z = np.power(x, lam)
     z -= 1.0
     z /= lam
     return z
+
+
+def _box_cox_root(z, lam, offset, exp_branch, kind, rows=None):
+    """The map's inverse less ``offset``, ``(lam * z + 1)**(1 / lam) -
+    offset``, or ``exp_branch(z)`` within 1e-12 of lam = 0; a base <= 0 is
+    a TransformDomainError naming its row (its entry of ``rows``, if any)."""
+    if abs(lam) < 1e-12:
+        return exp_branch(z)
+    base = lam * z + 1.0
+    _raise_first_bad(base <= 0.0,
+                     kind + ": value at index {index} outside inverse domain",
+                     rows)
+    return np.power(base, 1.0 / lam) - offset
+
+
+def _profile_log_likelihood(z, lam, jacobian, n):
+    """``(lam - 1) * jacobian - n/2 * log var(z)``; -inf unless var(z) is
+    positive and finite."""
+    var = np.var(z)
+    if var <= 0.0 or not np.isfinite(var):
+        return -math.inf
+    return float((lam - 1.0) * jacobian - 0.5 * n * math.log(var))
+
+
+def _fit_power(kind, shift, y, log_likelihood):
+    """``kind`` at the lambda in LAMBDA_BOUNDS maximizing the likelihood."""
+    lam = _maximize_unimodal(log_likelihood, *LAMBDA_BOUNDS)
+    params = {"lambda": float(lam), "shift": float(shift),
+              "log_likelihood": float(log_likelihood(lam))}
+    return FittedTransform(kind, params, target_range(y))
 
 
 def _box_cox_parts(y_shifted):
@@ -154,12 +186,8 @@ def box_cox_log_likelihood(y_shifted, lam, parts=None):
     for all the lambdas it tries; it is computed here when omitted.
     """
     log_y, log_sum = _box_cox_parts(y_shifted) if parts is None else parts
-    n = y_shifted.shape[0]
-    z = log_y if abs(lam) < 1e-12 else _box_cox_transform(y_shifted, lam)
-    var = np.var(z)
-    if var <= 0.0 or not np.isfinite(var):
-        return -math.inf
-    return float((lam - 1.0) * log_sum - 0.5 * n * math.log(var))
+    z = _box_cox_map(y_shifted, lam, lambda: log_y)
+    return _profile_log_likelihood(z, lam, log_sum, y_shifted.shape[0])
 
 
 def fit_box_cox(y):
@@ -175,31 +203,21 @@ def fit_box_cox(y):
         shift = floor - float(np.min(y))
     shifted = y + shift
     parts = _box_cox_parts(shifted)
-    lam = _maximize_unimodal(
-        lambda l: box_cox_log_likelihood(shifted, l, parts), *LAMBDA_BOUNDS)
-    ll = box_cox_log_likelihood(shifted, lam, parts)
-    return FittedTransform(
-        "box-cox",
-        {"lambda": float(lam), "shift": float(shift),
-         "log_likelihood": float(ll)},
-        target_range(y))
+    return _fit_power("box-cox", shift, y,
+                      lambda l: box_cox_log_likelihood(shifted, l, parts))
 
 
 def _bc_forward(params, y, aux):
     shifted = y + params["shift"]
     _raise_first_bad(shifted <= 0.0,
                      "box-cox: non-positive shifted value at index {index}")
-    return _box_cox_transform(shifted, params["lambda"])
+    return _box_cox_map(shifted, params["lambda"], lambda: np.log(shifted))
 
 
 def _bc_inverse(params, z, aux):
-    lam, shift = params["lambda"], params["shift"]
-    if abs(lam) < 1e-12:
-        return np.exp(z) - shift
-    base = lam * z + 1.0
-    _raise_first_bad(base <= 0.0,
-                     "box-cox: value at index {index} outside inverse domain")
-    return np.power(base, 1.0 / lam) - shift
+    shift = params["shift"]
+    return _box_cox_root(z, params["lambda"], shift,
+                         lambda v: np.exp(v) - shift, "box-cox")
 
 
 def _bc_inverse_range(params):
@@ -215,47 +233,46 @@ register_kind("box-cox", lambda y: fit_box_cox(y),
               _bc_forward, _bc_inverse, _bc_inverse_range)
 
 
-def _yj_split(y):
+def _yj_split(y, shift=1.0):
     """``y``, flattened, as ``(y, pos, neg, up, down)``: ``pos`` and ``neg``
-    index its values ``>= 0`` and the others, ``up = y[pos] + 1`` and
-    ``down = 1 - y[neg]``.  When every value is on one side of zero, both
-    index arrays are None, that side's array holds the whole sample and
-    the other side's array is None."""
+    index its values ``>= 0`` and the others, ``up = y[pos] + shift`` and
+    ``down = shift - y[neg]``.  When every value is on one side of zero,
+    both index arrays are None, that side's array holds the whole sample
+    and the other side's array is None."""
     y = y.reshape(-1)
     nonneg = y >= 0.0
     n_pos = np.count_nonzero(nonneg)
     if n_pos == y.shape[0]:
-        return y, None, None, y + 1.0, None
+        return y, None, None, y + shift, None
     if n_pos == 0:
-        return y, None, None, None, 1.0 - y
+        return y, None, None, None, shift - y
     pos, neg = np.flatnonzero(nonneg), np.flatnonzero(~nonneg)
-    return y, pos, neg, y[pos] + 1.0, 1.0 - y[neg]
+    return y, pos, neg, y[pos] + shift, shift - y[neg]
+
+
+def _yj_join(y, pos, neg, up, down):
+    """The halves a ``_yj_split`` of ``y`` gave, back in row order."""
+    if pos is None:
+        return down if up is None else up
+    out = np.empty_like(y)
+    out[pos] = up
+    out[neg] = down
+    return out
 
 
 def _yj_map(split, lam):
-    """Four-branch Yeo-Johnson map of a ``_yj_split`` sample at ``lam``."""
+    """Yeo-Johnson map of a ``_yj_split`` sample: the Box-Cox map of
+    ``y + 1`` at ``lam`` where y >= 0, minus that of ``1 - y`` at
+    ``2 - lam`` elsewhere."""
     y, pos, neg, up, down = split
     if up is not None:
-        if abs(lam) < 1e-12:
-            z_up = np.log1p(y if pos is None else y[pos])
-        else:
-            z_up = np.power(up, lam)
-            z_up -= 1.0
-            z_up /= lam
+        up = _box_cox_map(up, lam,
+                          lambda: np.log1p(y if pos is None else y[pos]))
     if down is not None:
-        if abs(lam - 2.0) < 1e-12:
-            z_down = -np.log1p(-(y if neg is None else y[neg]))
-        else:
-            z_down = np.power(down, 2.0 - lam)
-            z_down -= 1.0
-            np.negative(z_down, out=z_down)
-            z_down /= 2.0 - lam
-    if pos is None:
-        return z_down if up is None else z_up
-    out = np.empty_like(y)
-    out[pos] = z_up
-    out[neg] = z_down
-    return out
+        down = _box_cox_map(
+            down, 2.0 - lam, lambda: np.log1p(-(y if neg is None else y[neg])))
+        np.negative(down, out=down)
+    return _yj_join(y, pos, neg, up, down)
 
 
 def yeo_johnson_transform(y, lam):
@@ -277,12 +294,8 @@ def yeo_johnson_log_likelihood(y, lam, parts=None):
     lambdas it tries; it is computed here when omitted.
     """
     split, jacobian = _yj_parts(y) if parts is None else parts
-    n = y.shape[0]
-    z = _yj_map(split, lam)
-    var = np.var(z)
-    if var <= 0.0 or not np.isfinite(var):
-        return -math.inf
-    return float((lam - 1.0) * jacobian - 0.5 * n * math.log(var))
+    return _profile_log_likelihood(_yj_map(split, lam), lam, jacobian,
+                                   y.shape[0])
 
 
 def fit_yeo_johnson(y):
@@ -290,36 +303,21 @@ def fit_yeo_johnson(y):
     if y.shape[0] < 2 or np.max(y) == np.min(y):
         raise DataError("degenerate target")
     parts = _yj_parts(y)
-    lam = _maximize_unimodal(
-        lambda l: yeo_johnson_log_likelihood(y, l, parts), *LAMBDA_BOUNDS)
-    ll = yeo_johnson_log_likelihood(y, lam, parts)
-    return FittedTransform(
-        "yeo-johnson",
-        {"lambda": float(lam), "shift": 0.0, "log_likelihood": float(ll)},
-        target_range(y))
+    return _fit_power("yeo-johnson", 0.0, y,
+                      lambda l: yeo_johnson_log_likelihood(y, l, parts))
 
 
 def _yj_inverse(params, z, aux):
     lam = params["lambda"]
-    out = np.empty_like(z)
-    pos = z >= 0.0
-    if abs(lam) < 1e-12:
-        out[pos] = np.expm1(z[pos])
-    else:
-        base = lam * z[pos] + 1.0
-        if np.any(base <= 0.0):
-            raise TransformDomainError(
-                "yeo-johnson: value outside inverse domain")
-        out[pos] = np.power(base, 1.0 / lam) - 1.0
-    if abs(lam - 2.0) < 1e-12:
-        out[~pos] = -np.expm1(-z[~pos])
-    else:
-        base = 1.0 - (2.0 - lam) * z[~pos]
-        if np.any(base <= 0.0):
-            raise TransformDomainError(
-                "yeo-johnson: value outside inverse domain")
-        out[~pos] = 1.0 - np.power(base, 1.0 / (2.0 - lam))
-    return out
+    # A shift of -0.0 makes up = z[pos] and down = -z[neg] bit for bit.
+    flat, pos, neg, up, down = _yj_split(z, -0.0)
+    if up is not None:
+        up = _box_cox_root(up, lam, 1.0, np.expm1, "yeo-johnson", pos)
+    if down is not None:
+        # 1 - x as 0 - (x - 1): the same bits, +0.0 at x = 1 included.
+        down = 0.0 - _box_cox_root(down, 2.0 - lam, 1.0, np.expm1,
+                                   "yeo-johnson", neg)
+    return _yj_join(flat, pos, neg, up, down).reshape(z.shape)
 
 
 def _yj_inverse_range(params):

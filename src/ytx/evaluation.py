@@ -340,9 +340,11 @@ class BenchmarkReport:
                 cell = {}
                 for metric in ("rse", "smape"):
                     stats = _report_key(entry, metric, f"{where}, {metric!r}")
+                    folds = f"{where}, {metric!r} folds"
                     cell[metric] = _report_list(
-                        _report_key(stats, "folds"), (int, float),
-                        f"{where}, {metric!r} folds")
+                        _report_key(stats, "folds"), (int, float), folds)
+                    if len(cell[metric]) < 2:  # mean_std's std has ddof=1
+                        raise DataError(f"{folds} has fewer than 2 values")
                 for key in ("clamped", "converged"):
                     cell[key] = _report_key(entry, key)
                 cells[(model, transform)] = cell

@@ -1,9 +1,13 @@
 import csv
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import ytx
 from ytx import core
 from ytx.cli import main
 
@@ -259,6 +263,65 @@ class TestReportCommand:
         capsys.readouterr()
         assert main(["report", "--in-json", str(bench)]) == 3
         assert f"{bench}: {problem}" in capsys.readouterr().err
+
+
+class TestTextFiles:
+    """Roles files and report JSON are read as UTF-8, a BOM ignored; the
+    markdown is written as UTF-8 whatever the locale."""
+
+    def test_non_utf8_report_is_data_error(self, tmp_path, capsys):
+        path = tmp_path / "bench.json"
+        path.write_bytes(b'{"dataset": "\xe9"}')
+        assert main(["report", "--in-json", str(path)]) == 3
+        assert f"{path}: not UTF-8 text at byte 13" in capsys.readouterr().err
+
+    def test_non_utf8_roles_file_is_config_error(self, skewed_csv, tmp_path,
+                                                 capsys):
+        path = tmp_path / "roles.json"
+        path.write_bytes(b'{"target": "\xff"}')
+        assert main(["diagnose", "--input", skewed_csv,
+                     "--roles", str(path)]) == 2
+        assert "not UTF-8 text at byte 12" in capsys.readouterr().err
+
+    def test_missing_roles_file_is_config_error(self, skewed_csv, tmp_path,
+                                                capsys):
+        path = tmp_path / "absent.json"
+        assert main(["diagnose", "--input", skewed_csv,
+                     "--roles", str(path)]) == 2
+        assert f"cannot read {path}" in capsys.readouterr().err
+
+    def test_roles_file_with_bom(self, skewed_csv, tmp_path):
+        path = tmp_path / "roles.json"
+        path.write_bytes(b"\xef\xbb\xbf" + ROLES.encode())
+        assert main(["diagnose", "--input", skewed_csv,
+                     "--roles", str(path)]) == 0
+
+    def test_markdown_is_utf8_under_ascii_locale(self, skewed_csv, tmp_path):
+        out_md = tmp_path / "bench.md"
+        src = os.path.dirname(os.path.dirname(ytx.__file__))
+        env = {**os.environ, "LC_ALL": "C", "PYTHONUTF8": "0",
+               "PYTHONIOENCODING": "utf-8", "PYTHONPATH": src}
+        run = subprocess.run(
+            [sys.executable, "-m", "ytx.cli", "benchmark", "--input",
+             skewed_csv, "--roles", ROLES, "--model", "ridge",
+             "--out-md", str(out_md)],
+            env=env, capture_output=True, text=True, encoding="utf-8")
+        assert run.returncode == 0, run.stderr
+        assert "±" in out_md.read_text(encoding="utf-8")
+
+    @pytest.mark.parametrize("folds", [[], [1.0]], ids=["none", "one"])
+    def test_fewer_than_two_folds_is_data_error(self, folds, skewed_csv,
+                                                tmp_path, capsys):
+        bench = tmp_path / "bench.json"
+        main(["benchmark", "--input", skewed_csv, "--roles", ROLES,
+              "--model", "ridge", "--out-json", str(bench)])
+        doc = json.loads(bench.read_text())
+        doc["results"]["ridge"]["identity"]["rse"]["folds"] = folds
+        bench.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main(["report", "--in-json", str(bench)]) == 3
+        assert (f"{bench}: results for 'ridge', 'identity', 'rse' folds has "
+                "fewer than 2 values") in capsys.readouterr().err
 
 
 class TestSubcommandFlags:

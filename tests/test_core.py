@@ -410,6 +410,18 @@ class TestTransformContract:
             "box-cox", {"lambda": 0.5, "shift": 0.0}, (1.0, 2.0)),
             [0.0, -3.0, -4.0]),
          "box-cox: value at index 1 outside inverse domain", 1),
+        (lambda: ytx.inverse(core.FittedTransform(
+            "yeo-johnson", {"lambda": -0.5, "shift": 0.0}, (1.0, 2.0)),
+            [0.1, 0.2, 5.0]),
+         "yeo-johnson: value at index 2 outside inverse domain", 2),
+        (lambda: ytx.inverse(core.FittedTransform(
+            "yeo-johnson", {"lambda": -0.5, "shift": 0.0}, (1.0, 2.0)),
+            [-1.0, 0.1, -2.0, 5.0, 9.0]),
+         "yeo-johnson: value at index 3 outside inverse domain", 3),
+        (lambda: ytx.inverse(core.FittedTransform(
+            "yeo-johnson", {"lambda": 3.0, "shift": 0.0}, (1.0, 2.0)),
+            [0.5, -0.2, 4.0, -3.0, -5.0]),
+         "yeo-johnson: value at index 3 outside inverse domain", 3),
         (lambda: ytx.fit_frame_normalize([1.0, 2.0, 3.0], [1.0, 0.0, 2.0]),
          "frame: non-positive frame value at index 1", 1),
         (lambda: ytx.forward(ytx.fit_frame_normalize([1.0], [1.0]),
@@ -419,7 +431,9 @@ class TestTransformContract:
                              [1.0, 2.0], aux=[0.0, 2.0]),
          "frame: non-positive frame value at index 0", 0),
     ], ids=["log-offset-forward", "sqrt-fit", "sqrt-forward",
-            "box-cox-forward", "box-cox-inverse", "frame-fit",
+            "box-cox-forward", "box-cox-inverse", "yeo-johnson-inverse",
+            "yeo-johnson-inverse-mixed-signs",
+            "yeo-johnson-inverse-negative-half", "frame-fit",
             "frame-forward", "frame-inverse"])
     def test_domain_error_names_first_bad_index(self, call, message, index):
         with pytest.raises(TransformDomainError) as err:

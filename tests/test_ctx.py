@@ -156,6 +156,16 @@ class TestDeflate:
         assert ytx.DeflationIndex.from_csv(str(path)).series == {
             "2019": 1.0, "2020": 1.1}
 
+    @pytest.mark.parametrize("text", [
+        b"2019,1.0\r2020,1.1\r", b"2019,1.0\r\n2020,1.1",
+        b"\n2019,1.0\n\n2020,1.1\n", b'"2019",1.0\n"2020",1.1\n',
+    ], ids=["cr", "crlf", "blank-lines", "quoted"])
+    def test_index_from_csv_line_ends(self, tmp_path, text):
+        path = tmp_path / "cpi.csv"
+        path.write_bytes(text)
+        assert ytx.DeflationIndex.from_csv(str(path)).series == {
+            "2019": 1.0, "2020": 1.1}
+
     def test_forward_linear_in_y(self):
         t = ytx.fit_deflate([110.0, 55.0], ["2020", "2019"], self.index())
         aux = ["2020", "2019"]
@@ -241,6 +251,15 @@ class TestOneDimensionalContext:
         assert np.array_equal(z, ytx.forward(t, y, aux=c[:, None]))
         assert np.array_equal(ytx.inverse(t, z, aux=c),
                               ytx.inverse(t, z, aux=c[:, None]))
+
+
+class TestContextLength:
+    @pytest.mark.parametrize("fit", [ytx.fit_expectation_normalize,
+                                     ytx.fit_regression_normalize])
+    def test_length_mismatch_is_data_error(self, fit):
+        rng = np.random.default_rng(15)
+        with pytest.raises(DataError, match="context matrix length mismatch"):
+            fit(rng.uniform(1.0, 2.0, size=50), rng.normal(size=(40, 2)))
 
 
 class TestRoundTrips:

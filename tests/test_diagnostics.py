@@ -78,6 +78,114 @@ class TestTrend:
         assert verdict.details["rho"] == pytest.approx(1.0)
 
 
+def _reference_time_order_ranks(time):
+    """The trend detector's time ranks before periods shared an average
+    rank: ties broken by row order, all keys compared as strings when one
+    is not a float."""
+    keys = list(time)
+    try:
+        values = np.array([float(k) for k in keys])
+    except (TypeError, ValueError):
+        values = np.array([str(k) for k in keys], dtype=object)
+    order = np.argsort(values, kind="stable")
+    ranks = np.empty(len(keys))
+    ranks[order] = np.arange(len(keys))
+    return ranks
+
+
+class TestTrendTies:
+    """Rows of one period share their average time rank, so rho is
+    Spearman's and does not depend on the row order."""
+
+    def tied_sample(self):
+        # 2 periods x 200 rows, sorted by y within each period: breaking
+        # the time ties by row order made this look like a trend.
+        rng = np.random.default_rng(13)
+        y = rng.normal(size=400)
+        time = np.repeat(["2001", "2002"], 200)
+        y[:200].sort()
+        y[200:].sort()
+        return y, time
+
+    def test_ties_match_scipy_spearman(self):
+        from scipy import stats
+        y, time = self.tied_sample()
+        verdict = dg.detect_trend(y, time)
+        expected = stats.spearmanr(y, time.astype(float))[0]
+        assert abs(verdict.details["rho"] - expected) <= 1e-12
+        assert not verdict.flagged
+
+    def test_row_permutation_invariant_with_ties(self):
+        y, time = self.tied_sample()
+        rho = dg.detect_trend(y, time).details["rho"]
+        rng = np.random.default_rng(14)
+        for _ in range(5):
+            perm = rng.permutation(y.shape[0])
+            got = dg.detect_trend(y[perm], time[perm]).details["rho"]
+            assert got == pytest.approx(rho, abs=1e-12)
+
+    def test_mixed_keys_in_deflate_order(self):
+        # deflate's order: numeric keys by value, then the others.
+        time = ["a", "10", "9", "b", "2.5"]
+        y = np.array([4.0, 2.0, 1.0, 5.0, 0.0])
+        assert sorted(time, key=ctx._time_sort_key) == [
+            "2.5", "9", "10", "a", "b"]
+        assert dg.detect_trend(y, time).details["rho"] == pytest.approx(1.0)
+
+    def test_nan_key_sorts_among_strings(self):
+        # "-nan" is no missing token but parses as NaN, which no order
+        # ranks: compared as a float it made the order depend on the rows.
+        keys = ["3", "-nan", "1", "2", "b"]
+        assert sorted(keys, key=ctx._time_sort_key) == [
+            "1", "2", "3", "-nan", "b"]
+        y = np.array([3.0, 4.0, 1.0, 2.0, 5.0])
+        rng = np.random.default_rng(16)
+        for _ in range(5):
+            perm = rng.permutation(5)
+            verdict = dg.detect_trend(y[perm], np.array(keys)[perm])
+            assert verdict.details["rho"] == pytest.approx(1.0)
+
+    def test_equal_numeric_keys_tie(self):
+        y = np.array([1.0, 2.0, 3.0, 4.0])
+        assert (dg.detect_trend(y, ["1", "1.0", "2", "2.0"]).details["rho"]
+                == dg.detect_trend(y, ["1", "1", "2", "2"]).details["rho"])
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_distinct_keys_match_reference(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(3, 300))
+        y = rng.normal(size=n)
+        if seed % 2:
+            time = rng.permutation(n) * 1.5 - 7.0
+        else:
+            time = np.array([f"k{v:05d}" for v in rng.permutation(n)])
+        expected = dg._pearson(dg._average_ranks(y),
+                               _reference_time_order_ranks(time))
+        assert dg.detect_trend(y, time).details["rho"] == expected
+
+
+class TestDetectorInputs:
+    """Inputs of different lengths are data errors naming the input."""
+
+    @pytest.mark.parametrize("call, message", [
+        (lambda: dg.detect_frame(np.arange(5.0), np.arange(1.0, 5.0)),
+         "frame vector length mismatch"),
+        (lambda: dg.detect_trend(np.arange(5.0), ["1", "2", "3"]),
+         "time vector length mismatch"),
+        (lambda: dg.detect_context(np.arange(5.0), np.ones((4, 2))),
+         "context matrix length mismatch"),
+        (lambda: dg.breusch_pagan(np.arange(5.0), np.ones((6, 2))),
+         "feature matrix length mismatch"),
+    ], ids=["frame", "trend", "context", "breusch-pagan"])
+    def test_length_mismatch_is_data_error(self, call, message):
+        with pytest.raises(DataError, match=message):
+            call()
+
+    @pytest.mark.parametrize("y", [[], [3.0], [2.0, 2.0]])
+    def test_gap_score_of_fewer_than_two_values(self, y):
+        assert dg.gap_score(y) == 0.0
+
+
 class TestContext:
     def test_exact_linear_flagged(self):
         rng = np.random.default_rng(4)

@@ -286,6 +286,108 @@ class TestPowerFitsMatchReference:
             assert dist.yeo_johnson_transform(-0.5, lam).shape == ()
 
 
+# The power transforms' inverses and inverse ranges as they were before
+# Yeo-Johnson's were built from the Box-Cox root; the inverses must match
+# them bit for bit, and the domain errors by type.
+
+def _reference_bc_inverse(params, z):
+    lam, shift = params["lambda"], params["shift"]
+    if abs(lam) < 1e-12:
+        return np.exp(z) - shift
+    base = lam * z + 1.0
+    if np.any(base <= 0.0):
+        raise TransformDomainError("box-cox: outside inverse domain")
+    return np.power(base, 1.0 / lam) - shift
+
+
+def _reference_yj_inverse(params, z):
+    lam = params["lambda"]
+    out = np.empty_like(z)
+    pos = z >= 0.0
+    if abs(lam) < 1e-12:
+        out[pos] = np.expm1(z[pos])
+    else:
+        base = lam * z[pos] + 1.0
+        if np.any(base <= 0.0):
+            raise TransformDomainError(
+                "yeo-johnson: value outside inverse domain")
+        out[pos] = np.power(base, 1.0 / lam) - 1.0
+    if abs(lam - 2.0) < 1e-12:
+        out[~pos] = -np.expm1(-z[~pos])
+    else:
+        base = 1.0 - (2.0 - lam) * z[~pos]
+        if np.any(base <= 0.0):
+            raise TransformDomainError(
+                "yeo-johnson: value outside inverse domain")
+        out[~pos] = 1.0 - np.power(base, 1.0 / (2.0 - lam))
+    return out
+
+
+def _reference_bc_inverse_range(params):
+    lam = params["lambda"]
+    if abs(lam) < 1e-12:
+        return (-math.inf, math.inf)
+    if lam > 0:
+        return (-1.0 / lam, math.inf)
+    return (-math.inf, -1.0 / lam)
+
+
+def _reference_yj_inverse_range(params):
+    lam = params["lambda"]
+    hi = math.inf if lam >= -1e-12 else -1.0 / lam
+    lo = -math.inf if lam <= 2.0 + 1e-12 else -1.0 / (lam - 2.0)
+    return (lo, hi)
+
+
+EDGE_LAMBDAS = [0.0, 1e-12, -1e-12, 5e-13, -5e-13, 1e-11, -1e-11,
+                2.0, 2.0 + 1e-12, 2.0 - 1e-12, 2.0 + 5e-13, 2.0 - 5e-13,
+                1.0, -0.5, -2.0, -4.5, 0.37, 2.5, 3.0, 4.9]
+
+
+def _outcome(fn, *args):
+    """An inverse's bytes, or the type of the error it raised."""
+    try:
+        return fn(*args).tobytes()
+    except TransformDomainError as exc:
+        return type(exc)
+
+
+class TestPowerInversesMatchReference:
+    """Yeo-Johnson's inverse is two Box-Cox roots and still gives the
+    reference's bytes: at the branch edges, on both sides of zero, at
+    signed zeros, tiny values, infinities and NaN, and on a matrix."""
+
+    SAMPLES = [
+        np.array([0.0, -0.0, 1e-300, -1e-300, 5e-17, -5e-17, 1e-16,
+                  -1e-16, np.nan, -np.nan, np.inf, -np.inf]),
+        np.random.default_rng(21).normal(scale=3.0, size=400),
+        -np.abs(np.random.default_rng(22).normal(size=60)),
+        np.abs(np.random.default_rng(23).normal(size=60)),
+        np.linspace(-0.4, 0.4, 81),
+        np.random.default_rng(24).normal(size=(6, 3)),
+    ]
+
+    @pytest.mark.parametrize("lam", EDGE_LAMBDAS)
+    def test_inverses_are_bit_equal(self, lam):
+        with np.errstate(all="ignore"):
+            for z in self.SAMPLES:
+                for shift in (0.0, 0.75):
+                    params = {"lambda": lam, "shift": shift}
+                    assert (_outcome(dist._bc_inverse, params, z, None)
+                            == _outcome(_reference_bc_inverse, params, z))
+                params = {"lambda": lam, "shift": 0.0}
+                assert (_outcome(dist._yj_inverse, params, z, None)
+                        == _outcome(_reference_yj_inverse, params, z))
+
+    @pytest.mark.parametrize("lam", EDGE_LAMBDAS)
+    def test_inverse_ranges_are_equal(self, lam):
+        params = {"lambda": lam}
+        assert dist._bc_inverse_range(params) == (
+            _reference_bc_inverse_range(params))
+        assert dist._yj_inverse_range(params) == (
+            _reference_yj_inverse_range(params))
+
+
 class TestQuantile:
     def test_median_maps_near_zero(self):
         y = np.random.default_rng(8).normal(5.0, 2.0, size=1000)
