@@ -60,7 +60,6 @@ def _write(path, text):
 
 def cmd_diagnose(args):
     thresholds = _thresholds(args.threshold)
-    _validate_transforms(args.transform or ())
     roles = _load_roles(args.roles)
     dataset = core.load_csv(args.input, roles)
     report = diagnostics.diagnose(dataset, thresholds)
@@ -181,19 +180,20 @@ def build_parser():
                     "benchmark.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def data_input(p):
+    def data_input(p, transform=True):
         p.add_argument("--input", required=True,
                        help="input CSV with a header row")
         p.add_argument("--roles", required=True,
                        help="roles JSON (inline or a file path)")
-        p.add_argument("--transform", action="append",
-                       help="transform kind (repeatable); 'auto' derives "
-                            "kinds from the diagnostics")
+        if transform:
+            p.add_argument("--transform", action="append",
+                           help="transform kind (repeatable); 'auto' "
+                                "derives kinds from the diagnostics")
         p.add_argument("--out-json")
 
     p = sub.add_parser("diagnose", help="run the heuristics and recommend "
                                         "transforms")
-    data_input(p)
+    data_input(p, transform=False)
     p.add_argument("--threshold", action="append", metavar="KEY=VALUE")
     p.set_defaults(func=cmd_diagnose)
 

@@ -50,23 +50,45 @@ def _check_length(values, y, name):
         raise DataError(f"{name} length mismatch")
 
 
-def _require_known(keys, codes, table, message):
-    """Raise ``message`` naming the key of the first row not in ``table``."""
-    missing = np.array([k not in table for k in keys], dtype=bool)
-    if missing.any():
-        row = np.argmax(missing[codes])
-        raise DataError(f"{message} {keys[codes[row]]!r}")
+def _groups(y, keys, name):
+    """``y`` as floats and the ``_factorize`` of ``keys``; a DataError if
+    ``keys`` is not one per row (``"<name> length mismatch"``), then if there
+    are no rows."""
+    y = np.asarray(y, dtype=float)
+    groups = _factorize(keys)
+    _check_length(groups[1], y, name)
+    if y.shape[0] == 0:
+        raise DataError("empty dataset")
+    return y, groups
+
+
+def _require_keys(table, groups, missing):
+    """DataError ``f"{missing} {key!r}"`` naming the key of the first row
+    (in row order) of ``groups`` (a ``_factorize``) not in ``table``."""
+    keys, codes, _, _ = groups
+    unseen = [k not in table for k in keys]
+    if any(unseen):
+        row = np.argmax(np.array(unseen)[codes])
+        raise DataError(f"{missing} {keys[codes[row]]!r}")
+
+
+def _per_row(table, groups, missing=None, fallback=None):
+    """Each row's entry of the per-key ``table`` as floats, one lookup per
+    distinct key of ``groups``; a key not in ``table`` takes ``fallback``,
+    or with none is ``_require_keys``'s DataError with ``missing``."""
+    if fallback is None:
+        _require_keys(table, groups, missing)
+    keys, codes, _, _ = groups
+    values = np.array([table.get(k, fallback) for k in keys], dtype=float)
+    # np.take, not values[codes]: ten times faster on a 2-D table's rows.
+    return np.take(values, codes, axis=0)
 
 
 # --------------------------------------------------------------------------
 # Subject centering
 
 def fit_subject_center(y, subject):
-    y = np.asarray(y, dtype=float)
-    keys, codes, order, bounds = _factorize(subject)
-    if y.shape[0] == 0:
-        raise DataError("empty dataset")
-    _check_length(codes, y, "subject vector")
+    y, (keys, _, order, bounds) = _groups(y, subject, "subject vector")
     # A group's slice holds y[keys == key] in row order, so each mean is
     # bit-identical to np.mean(y[keys == key]).
     grouped = y[order]
@@ -79,17 +101,12 @@ def fit_subject_center(y, subject):
         target_range(y))
 
 
-def _subject_means_for(params, keys):
-    keys, codes, _, _ = _factorize(keys)
-    means = params["means"]
-    fallback = params["global_mean"]
-    return np.array([means.get(k, fallback) for k in keys])[codes]
-
-
 register_kind(
     "subject-center", lambda y, subject: fit_subject_center(y, subject),
-    lambda p, y, aux: y - _subject_means_for(p, aux),
-    lambda p, z, aux: z + _subject_means_for(p, aux),
+    lambda p, y, aux: y - _per_row(p["means"], _factorize(aux),
+                                   fallback=p["global_mean"]),
+    lambda p, z, aux: z + _per_row(p["means"], _factorize(aux),
+                                   fallback=p["global_mean"]),
     roles=("subject",))
 
 
@@ -97,11 +114,7 @@ register_kind(
 # Per-trial min-max
 
 def fit_trial_minmax(y, trial):
-    y = np.asarray(y, dtype=float)
-    keys, codes, order, bounds = _factorize(trial)
-    _check_length(codes, y, "trial vector")
-    if y.shape[0] == 0:
-        raise DataError("empty dataset")
+    y, (keys, _, order, bounds) = _groups(y, trial, "trial vector")
     grouped = y[order]
     lows = np.minimum.reduceat(grouped, bounds[:-1]).tolist()
     highs = np.maximum.reduceat(grouped, bounds[:-1]).tolist()
@@ -115,11 +128,9 @@ def fit_trial_minmax(y, trial):
 
 
 def _trial_bounds(params, keys):
-    keys, codes, _, _ = _factorize(keys)
-    ranges = params["ranges"]
-    _require_known(keys, codes, ranges, "unseen trial")
-    bounds = np.array([ranges[k] for k in keys], dtype=float).reshape(-1, 2)
-    return bounds[codes, 0], bounds[codes, 1]
+    bounds = _per_row(params["ranges"], _factorize(keys), "unseen trial")
+    bounds = bounds.reshape(-1, 2)  # no rows give a 1-D empty array
+    return bounds[:, 0], bounds[:, 1]
 
 
 def _trial_forward(params, y, aux):
@@ -209,12 +220,8 @@ def _time_sort_key(key):
 
 
 def fit_deflate(y, time, index):
-    y = np.asarray(y, dtype=float)
-    keys, codes, _, _ = _factorize(time)
-    _check_length(codes, y, "time vector")
-    if y.shape[0] == 0:
-        raise DataError("empty dataset")
-    _require_known(keys, codes, index.series, "unknown time key")
+    y, groups = _groups(y, time, "time vector")
+    _require_keys(index.series, groups, "unknown time key")
     return FittedTransform(
         "deflate",
         {"series": dict(index.series), "base_time": index.base_time},
@@ -222,22 +229,18 @@ def fit_deflate(y, time, index):
 
 
 def _deflate_factors(params, keys):
-    keys, codes, _, _ = _factorize(keys)
     series = params["series"]
-    base = series[params["base_time"]]
-    _require_known(keys, codes, series, "unknown time key")
-    return np.array([base / series[k] for k in keys], dtype=float)[codes]
+    return series[params["base_time"]] / _per_row(
+        series, _factorize(keys), "unknown time key")
 
 
 def _fit_deflate_rows(y, time, prices):
     """Deflate by each period's first price on the rows, to the earliest
     period; periods go in order of first appearance, so the base among
     tied sort keys ("1"/"1.0") is the one seen first."""
-    _, _, order, bounds = _factorize(time)
+    y, (_, _, order, bounds) = _groups(y, time, "time vector")
     series = {str(time[i]): float(prices[i])
               for i in np.sort(order[bounds[:-1]])}
-    if not series:
-        raise DataError("empty dataset")
     base = sorted(series, key=_time_sort_key)[0]
     return fit_deflate(y, time, DeflationIndex(series=series, base_time=base))
 

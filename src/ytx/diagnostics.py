@@ -14,8 +14,7 @@ from dataclasses import asdict, dataclass, field, replace
 import numpy as np
 from scipy import special
 
-from .ctx import (_check_length, _design, _factorize, _lstsq,
-                  _time_sort_key)
+from .ctx import _check_length, _design, _groups, _lstsq, _time_sort_key
 from .dist import skewness
 from .errors import DataError
 
@@ -80,9 +79,7 @@ class DiagnosticReport:
 
 def detect_subjective(y, subject, thresholds=Thresholds()):
     """One-way ANOVA across subject groups."""
-    y = np.asarray(y, dtype=float)
-    _, codes, order, bounds = _factorize(subject)
-    _check_length(codes, y, "subject vector")
+    y, (_, _, order, bounds) = _groups(y, subject, "subject vector")
     # Groups in sorted-key order, each in row order, so the sums below add
     # the same terms in the same order as over y[keys == key] per key.
     grouped = y[order]
@@ -149,9 +146,7 @@ def detect_trend(y, time, thresholds=Thresholds()):
     """Spearman correlation between the target and the time order: periods
     in ``deflate``'s order (numeric keys by value, then the others), the
     rows of one period sharing their average rank."""
-    y = np.asarray(y, dtype=float)
-    keys, codes, _, _ = _factorize(time)
-    _check_length(codes, y, "time vector")
+    y, (keys, codes, _, _) = _groups(y, time, "time vector")
     sort_keys = [_time_sort_key(k) for k in keys]
     position = {k: i for i, k in enumerate(sorted(set(sort_keys)))}
     periods = np.array([position[k] for k in sort_keys], dtype=float)

@@ -321,10 +321,11 @@ def _yj_inverse(params, z, aux):
 
 
 def _yj_inverse_range(params):
+    """The upper ends of the two halves' Box-Cox ranges, the lower half's
+    negated."""
     lam = params["lambda"]
-    hi = math.inf if lam >= -1e-12 else -1.0 / lam
-    lo = -math.inf if lam <= 2.0 + 1e-12 else -1.0 / (lam - 2.0)
-    return (lo, hi)
+    return (-_bc_inverse_range({"lambda": 2.0 - lam})[1],
+            _bc_inverse_range({"lambda": lam})[1])
 
 
 register_kind("yeo-johnson", lambda y: fit_yeo_johnson(y),

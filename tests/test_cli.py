@@ -38,10 +38,6 @@ class TestDiagnoseCommand:
         assert kinds[0] == "log-offset"
         assert "FLAGGED" in capsys.readouterr().out
 
-    def test_unknown_transform_is_config_error(self, skewed_csv):
-        assert main(["diagnose", "--input", skewed_csv, "--roles", ROLES,
-                     "--transform", "nope"]) == 2
-
     def test_missing_file_is_data_error(self):
         assert main(["diagnose", "--input", "/no/such.csv",
                      "--roles", ROLES]) == 3
@@ -332,11 +328,14 @@ class TestSubcommandFlags:
         ["report", "--in-json", "b.json", "--input", "x.csv"],
         ["diagnose", "--input", "x.csv", "--roles", ROLES, "--model", "ridge"],
         ["diagnose", "--input", "x.csv", "--roles", ROLES, "--out-md", "m"],
+        ["diagnose", "--input", "x.csv", "--roles", ROLES,
+         "--transform", "nope"],
         ["transform", "--input", "x.csv", "--roles", ROLES, "--seed", "1"],
         ["transform", "--input", "x.csv", "--roles", ROLES,
          "--threshold", "skew_gamma=1"],
     ], ids=["report-alpha", "report-input", "diagnose-model",
-            "diagnose-out-md", "transform-seed", "transform-threshold"])
+            "diagnose-out-md", "diagnose-transform", "transform-seed",
+            "transform-threshold"])
     def test_flags_it_does_not_read_are_usage_errors(self, argv, capsys):
         with pytest.raises(SystemExit) as exc:
             main(argv)

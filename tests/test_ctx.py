@@ -521,3 +521,65 @@ class TestGroupedEquivalence:
         d = ytx.fit_deflate([1.0], ["2"], _INDEX)
         with pytest.raises(DataError, match="unknown time key '9'$"):
             ytx.inverse(d, np.zeros(3), aux=["1", 9, "0"])
+
+
+class TestKeyedInputChecks:
+    """The keyed fits and detectors check the key length first and
+    emptiness second."""
+
+    @pytest.mark.parametrize("y, keys, message", [
+        ([], [], "empty dataset"),
+        ([], ["a"], "{} length mismatch"),
+        ([1.0], [], "{} length mismatch"),
+    ], ids=["empty", "extra-key", "missing-key"])
+    @pytest.mark.parametrize("call, name", [
+        (ctx.fit_subject_center, "subject vector"),
+        (ctx.fit_trial_minmax, "trial vector"),
+        (lambda y, keys: ctx.fit_deflate(y, keys, _INDEX), "time vector"),
+        (dg.detect_subjective, "subject vector"),
+        (dg.detect_trend, "time vector"),
+    ], ids=["subject-center", "trial-minmax", "deflate", "detect-subjective",
+            "detect-trend"])
+    def test_check_order(self, call, name, y, keys, message):
+        with pytest.raises(DataError, match=f"^{message.format(name)}$"):
+            call(y, keys)
+
+
+class TestUnicodeKeys:
+    """A numpy unicode key array groups as its ``str`` values do: the same
+    results as the keys in an object array or a list."""
+
+    POOL = [str(i) for i in range(11)] + ["é", "a b"]
+
+    def variants(self):
+        rng = np.random.default_rng(11)
+        keys = np.array(self.POOL)[rng.integers(0, len(self.POOL), 300)]
+        assert keys.dtype.kind == "U"
+        y = rng.normal(size=300)
+        return y, [keys, keys.astype(object), keys.tolist()]
+
+    @pytest.mark.parametrize("kind", ["subject-center", "trial-minmax",
+                                      "deflate"])
+    def test_fits_and_maps(self, kind):
+        index = ytx.DeflationIndex(
+            series={k: 1.0 + i / 7 for i, k in enumerate(self.POOL)},
+            base_time="3")
+        fit = {"subject-center": ctx.fit_subject_center,
+               "trial-minmax": ctx.fit_trial_minmax,
+               "deflate": lambda y, keys: ctx.fit_deflate(y, keys, index)}
+        y, variants = self.variants()
+        results = []
+        for keys in variants:
+            t = fit[kind](y, keys)
+            results.append((repr(t.params),
+                            ytx.forward(t, y, aux=keys).tobytes(),
+                            ytx.inverse(t, y, aux=keys).tobytes()))
+        assert results[0] == results[1] == results[2]
+
+    @pytest.mark.parametrize("detect", [dg.detect_subjective,
+                                        dg.detect_trend],
+                             ids=["subjective", "trend"])
+    def test_detectors(self, detect):
+        y, variants = self.variants()
+        got = [repr(detect(y, keys)) for keys in variants]
+        assert got[0] == got[1] == got[2]

@@ -334,8 +334,12 @@ def _reference_bc_inverse_range(params):
 
 def _reference_yj_inverse_range(params):
     lam = params["lambda"]
-    hi = math.inf if lam >= -1e-12 else -1.0 / lam
-    lo = -math.inf if lam <= 2.0 + 1e-12 else -1.0 / (lam - 2.0)
+    # Strict comparisons: the inverse takes its power branch at λ = -1e-12
+    # and 2 + 1e-12, so the range is finite there.  With >= and <= it was
+    # (-inf, inf) at those λ and clamping let the inverse raise (the
+    # CHANGES.md FOUND on _yj_inverse_range).
+    hi = math.inf if lam > -1e-12 else -1.0 / lam
+    lo = -math.inf if lam < 2.0 + 1e-12 else -1.0 / (lam - 2.0)
     return (lo, hi)
 
 
@@ -386,6 +390,16 @@ class TestPowerInversesMatchReference:
             _reference_bc_inverse_range(params))
         assert dist._yj_inverse_range(params) == (
             _reference_yj_inverse_range(params))
+
+    @pytest.mark.parametrize("lam", EDGE_LAMBDAS)
+    @pytest.mark.parametrize("kind", ["box-cox", "yeo-johnson"])
+    def test_clamped_values_invert(self, kind, lam):
+        t = ytx.FittedTransform(kind, {"lambda": lam, "shift": 0.0},
+                                (0.0, 1.0))
+        magnitudes = [1e300, 1e13, 2e12, 1.0, 0.0]
+        z = np.array(magnitudes + [-m for m in magnitudes])
+        with np.errstate(all="ignore"):
+            ytx.inverse(t, ytx.core.clamp_to_inverse_range(t, z)[0])
 
 
 class TestQuantile:
