@@ -53,8 +53,17 @@ def _validate_transforms(kinds):
             raise ConfigError(f"unknown transform kind {kind!r}")
 
 
+def _open_out(path, newline=None):
+    """Open an output file for writing as UTF-8; a path that cannot be
+    opened is a ConfigError."""
+    try:
+        return open(path, "w", encoding="utf-8", newline=newline)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc}") from exc
+
+
 def _write(path, text):
-    with open(path, "w", encoding="utf-8") as handle:
+    with _open_out(path) as handle:
         handle.write(text)
 
 
@@ -103,8 +112,8 @@ def cmd_transform(args):
     if os.path.exists(out_csv) and os.path.samefile(args.input, out_csv):
         raise ConfigError("--out-csv must not be the input file")
     kept = set(dataset.kept_rows)
-    values = iter(transformed)
-    with open(out_csv, "w", newline="", encoding="utf-8") as dst:
+    tokens = map(repr, transformed.tolist())
+    with _open_out(out_csv, newline="") as dst:
         reader = csv.reader(core.read_lines(args.input))
         writer = csv.writer(dst)
         header = next(reader)
@@ -112,8 +121,18 @@ def cmd_transform(args):
         target_col = header.index(roles.target)
         for i, row in enumerate(reader):
             if i in kept:
-                row[target_col] = repr(float(next(values)))
-                writer.writerow(row)
+                row[target_col] = next(tokens)
+                # A non-empty line with one comma per field separator and no
+                # quote or line break is exactly what csv.writer (excel
+                # dialect, minimal quoting) writes for the row; any other
+                # row goes through it.
+                line = ",".join(row)
+                if (line and line.count(",") == len(row) - 1
+                        and '"' not in line and "\r" not in line
+                        and "\n" not in line):
+                    dst.write(line + "\r\n")
+                else:
+                    writer.writerow(row)
     if args.out_json:
         _write(args.out_json, fitted.to_json() + "\n")
     print(f"wrote {out_csv} ({dataset.n} rows, kind={kind})")

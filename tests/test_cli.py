@@ -1,4 +1,5 @@
 import csv
+import io
 import json
 import os
 import subprocess
@@ -6,9 +7,10 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 import ytx
-from ytx import core
+from ytx import cli, core
 from ytx.cli import main
 
 
@@ -24,6 +26,93 @@ def skewed_csv(tmp_path):
 
 
 ROLES = '{"target": "y"}'
+
+MESSY_CSV = ('id,y,note\n'
+             ' a , 2 ,plain\n'     # space-padded tokens: kept
+             'b,3\n'               # ragged: dropped
+             'c,,gone\n'           # missing target: dropped
+             'd,8,"x, y"\n'        # quoted comma: kept
+             'e,10,last\n')
+
+
+def _reference_transform_csv(path, target, kept_rows, transformed):
+    """The transform writer before the joined-line path: the header and
+    every kept row through csv.writer, the target token repr(float)."""
+    kept = set(kept_rows)
+    values = iter(transformed)
+    out = io.StringIO(newline="")
+    reader = csv.reader(core.read_lines(path))
+    writer = csv.writer(out)
+    header = next(reader)
+    writer.writerow(header)
+    target_col = header.index(target)
+    for i, row in enumerate(reader):
+        if i in kept:
+            row[target_col] = repr(float(next(values)))
+            writer.writerow(row)
+    return out.getvalue().encode("utf-8")
+
+
+_TEXT = ["", " ", "a", " pad ", "a,b", ",", 'say "hi"', '"', '""',
+         "two\nlines", "cr\rhere", "crlf\r\nend", "nul\x00", "\x1c",
+         "\u2028", "\ufeffbom", "é", "日本"]
+_NUMBERS = ["1", "2.5", " 3 ", "4e1", "0.125", "1e-3"]
+_MISSING = ["", "NA", "x"]
+
+
+def _encode(token, quote):
+    """A CSV field for the token: quoted when asked or when csv needs it."""
+    if quote or token.startswith('"') or any(c in token for c in ",\r\n"):
+        return '"' + token.replace('"', '""') + '"'
+    return token
+
+
+@st.composite
+def _transform_input(draw):
+    """CSV text with a target column 'y': quoted and multi-line fields,
+    mixed line endings, blank lines, ragged rows and missing targets."""
+    others = draw(st.lists(st.sampled_from(["a", "b,c", 'q"t', "two\nlines",
+                                            "é", " s "]),
+                           unique=True, max_size=3))
+    header = draw(st.permutations(["y", *others]))
+    text = st.sampled_from(_TEXT + _NUMBERS)
+    rows = [header]
+    for _ in range(draw(st.integers(2, 10))):
+        shape = draw(st.sampled_from(["full"] * 4 + ["ragged", "blank"]))
+        if shape == "blank":
+            rows.append([])
+            continue
+        width = len(header)
+        if shape == "ragged":
+            width = draw(st.integers(1, width + 2).filter(
+                lambda k: k != len(header)))
+        row = [draw(text) for _ in range(width)]
+        if shape == "full":
+            row[header.index("y")] = draw(
+                st.sampled_from(_NUMBERS * 3 + _MISSING))
+        rows.append(row)
+    lines = [",".join(_encode(token, draw(st.booleans())) for token in row)
+             + draw(st.sampled_from(["\n", "\r\n", "\r"])) for row in rows]
+    if draw(st.booleans()):
+        lines[-1] = lines[-1].rstrip("\r\n")
+    return "".join(lines)
+
+
+def count_writerows(mp):
+    """Route cli's csv.writer through a proxy that records each writerow."""
+    calls = []
+    make = csv.writer
+
+    class Counted:
+        def __init__(self, *args, **kwargs):
+            self._writer = make(*args, **kwargs)
+
+        def writerow(self, row):
+            calls.append(row)
+            return self._writer.writerow(row)
+
+    mp.setattr(cli.csv, "writer", Counted)
+    return calls
 
 
 class TestDiagnoseCommand:
@@ -94,12 +183,7 @@ class TestTransformCommand:
 
     def test_writes_header_and_kept_rows_in_order(self, tmp_path):
         path = tmp_path / "messy.csv"
-        path.write_text('id,y,note\n'
-                        ' a , 2 ,plain\n'     # space-padded tokens: kept
-                        'b,3\n'               # ragged: dropped
-                        'c,,gone\n'           # missing target: dropped
-                        'd,8,"x, y"\n'        # quoted comma: kept
-                        'e,10,last\n')
+        path.write_text(MESSY_CSV)
         out_csv = tmp_path / "out.csv"
         out_json = tmp_path / "params.json"
         assert main(["transform", "--input", str(path), "--roles", ROLES,
@@ -113,6 +197,42 @@ class TestTransformCommand:
                         [" a ", repr(float(z[0])), "plain"],
                         ["d", repr(float(z[1])), "x, y"],
                         ["e", repr(float(z[2])), "last"]]
+
+    @pytest.mark.parametrize("fixture, first_fields", [
+        ("messy", ["id", "d"]),   # the header and the quoted-comma row
+        ("skewed", ["x"]),        # the header alone
+    ])
+    def test_writerow_only_for_header_and_rows_needing_quotes(
+            self, fixture, first_fields, skewed_csv, tmp_path, monkeypatch):
+        path = skewed_csv
+        if fixture == "messy":
+            path = tmp_path / "messy.csv"
+            path.write_text(MESSY_CSV)
+        calls = count_writerows(monkeypatch)
+        assert main(["transform", "--input", str(path), "--roles", ROLES,
+                     "--transform", "log-offset",
+                     "--out-csv", str(tmp_path / "out.csv")]) == 0
+        assert [row[0] for row in calls] == first_fields
+
+    @pytest.mark.parametrize("kind", ["identity", "log-offset"])
+    @given(text=_transform_input(), bom=st.booleans())
+    @settings(max_examples=300, derandomize=True, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_same_bytes_as_reference_writer(self, tmp_path, kind, text, bom):
+        path = tmp_path / "in.csv"
+        path.write_bytes(b"\xef\xbb\xbf" * bom + text.encode("utf-8"))
+        out_csv = tmp_path / "out.csv"
+        out_json = tmp_path / "params.json"
+        code = main(["transform", "--input", str(path), "--roles", ROLES,
+                     "--transform", kind, "--out-csv", str(out_csv),
+                     "--out-json", str(out_json)])
+        assume(code == 0)
+        dataset = core.load_csv(str(path), core.ColumnRoles(target="y"))
+        fitted = core.FittedTransform.from_json(out_json.read_text())
+        expected = _reference_transform_csv(
+            str(path), "y", dataset.kept_rows,
+            core.forward(fitted, dataset.target))
+        assert out_csv.read_bytes() == expected
 
     def test_bom_input_with_target_first(self, tmp_path):
         path = tmp_path / "bom.csv"
@@ -318,6 +438,35 @@ class TestTextFiles:
         assert main(["report", "--in-json", str(bench)]) == 3
         assert (f"{bench}: results for 'ridge', 'identity', 'rse' folds has "
                 "fewer than 2 values") in capsys.readouterr().err
+
+
+class TestUnwritableOutput:
+    """An output path that cannot be written is a configuration error."""
+
+    @pytest.mark.parametrize("command, flag", [
+        ("diagnose", "--out-json"), ("transform", "--out-csv"),
+        ("transform", "--out-json"), ("benchmark", "--out-json"),
+        ("benchmark", "--out-md"), ("report", "--out-md"),
+    ])
+    def test_missing_directory_is_config_error(self, command, flag,
+                                               skewed_csv, tmp_path, capsys):
+        if command == "report":
+            bench = tmp_path / "bench.json"
+            main(["benchmark", "--input", skewed_csv, "--roles", ROLES,
+                  "--model", "ridge", "--out-json", str(bench)])
+            argv = ["report", "--in-json", str(bench)]
+        else:
+            argv = [command, "--input", skewed_csv, "--roles", ROLES]
+        if command == "benchmark":
+            argv += ["--model", "ridge"]
+        if command == "transform":
+            argv += ["--transform", "identity"]
+        bad = str(tmp_path / "absent" / "out")
+        capsys.readouterr()
+        assert main(argv + [flag, bad]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot write {bad}: ")
+        assert "Traceback" not in err
 
 
 class TestSubcommandFlags:
