@@ -15,9 +15,8 @@ import sys
 from . import core, diagnostics, evaluation
 from .errors import ConfigError, DataError, TransformDomainError
 
-EXIT_CONFIG = 2
-EXIT_DATA = 3
-EXIT_DOMAIN = 4
+#: the exit code of each error a subcommand raises
+_EXIT_CODES = {ConfigError: 2, DataError: 3, TransformDomainError: 4}
 
 
 def _load_roles(spec):
@@ -62,6 +61,15 @@ def _open_out(path, newline=None):
         raise ConfigError(f"cannot write {path}: {exc}") from exc
 
 
+def _check_out_dirs(*paths):
+    """Raise a ConfigError for the first output path whose directory is
+    missing; called before any input is read, so no other output is written."""
+    for path in filter(None, paths):
+        folder = os.path.dirname(path) or "."
+        if not os.path.isdir(folder):
+            raise ConfigError(f"cannot write {path}: no directory {folder!r}")
+
+
 def _write(path, text):
     with _open_out(path) as handle:
         handle.write(text)
@@ -69,6 +77,7 @@ def _write(path, text):
 
 def cmd_diagnose(args):
     thresholds = _thresholds(args.threshold)
+    _check_out_dirs(args.out_json)
     roles = _load_roles(args.roles)
     dataset = core.load_csv(args.input, roles)
     report = diagnostics.diagnose(dataset, thresholds)
@@ -100,6 +109,9 @@ def cmd_transform(args):
     kind = kinds[0]
     if kind == "auto":
         raise ConfigError("transform does not support 'auto'; name a kind")
+    # The default --out-csv sits next to the input, so its directory
+    # exists once the input has been read.
+    _check_out_dirs(args.out_csv, args.out_json)
     roles = _load_roles(args.roles)
     dataset = core.load_csv(args.input, roles)
     fitted = evaluation.fit_transform_kind(kind, dataset.target, dataset)
@@ -154,29 +166,35 @@ def cmd_benchmark(args):
     kinds = list(args.transform or [])
     _validate_transforms(kinds)
     models = list(args.model or ["ridge", "lasso"])
+    _check_out_dirs(args.out_json, args.out_md)
     roles = _load_roles(args.roles)
     dataset = core.load_csv(args.input, roles)
     if "auto" in kinds:
         report = diagnostics.diagnose(dataset, thresholds)
         kinds = [k for k in kinds if k != "auto"]
-        kinds.extend(k for k, _ in report.recommendations
-                     if k not in kinds)
+        kinds.extend(k for k, _ in report.recommendations)
     name = os.path.splitext(os.path.basename(args.input))[0]
     report = evaluation.run_benchmark(
         dataset, models=tuple(models), transforms=tuple(kinds),
         seed=args.seed, alpha=args.alpha, threads=_threads_from_env(),
         dataset_name=name)
-    markdown = (report.to_markdown("rse") + "\n"
-                + report.to_markdown("smape"))
     if args.out_json:
         _write(args.out_json, report.to_json() + "\n")
-    if args.out_md:
-        _write(args.out_md, markdown + "\n")
+    return _print_markdown(report, args.out_md)
+
+
+def _print_markdown(report, out_md):
+    """Print the RSE and SMAPE tables of ``report``, first writing them to
+    ``out_md`` if given; returns the exit code 0."""
+    markdown = report.to_markdown("rse") + "\n" + report.to_markdown("smape")
+    if out_md:
+        _write(out_md, markdown + "\n")
     print(markdown)
     return 0
 
 
 def cmd_report(args):
+    _check_out_dirs(args.out_md)
     try:
         obj = json.loads("".join(core.read_lines(args.in_json)))
     except json.JSONDecodeError as exc:
@@ -185,11 +203,7 @@ def cmd_report(args):
         report = evaluation.BenchmarkReport.from_dict(obj)
     except DataError as exc:
         raise DataError(f"{args.in_json}: {exc}") from None
-    markdown = report.to_markdown("rse") + "\n" + report.to_markdown("smape")
-    if args.out_md:
-        _write(args.out_md, markdown + "\n")
-    print(markdown)
-    return 0
+    return _print_markdown(report, args.out_md)
 
 
 def build_parser():
@@ -245,15 +259,9 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
+    except tuple(_EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except DataError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except TransformDomainError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DOMAIN
+        return _EXIT_CODES[type(exc)]
 
 
 if __name__ == "__main__":

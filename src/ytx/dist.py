@@ -107,18 +107,19 @@ register_kind("sqrt", lambda y: fit_sqrt(y), _sqrt_forward,
 # --------------------------------------------------------------------------
 # Power transforms (Box-Cox, Yeo-Johnson)
 
-def _maximize_unimodal(fn, lo, hi, coarse=101, tol=1e-9):
-    """Coarse grid then golden-section refinement of a unimodal function."""
-    grid = np.linspace(lo, hi, coarse)
+def _maximize_unimodal(fn, lo, hi):
+    """Coarse grid of 101 points, then golden-section refinement to a
+    bracket narrower than 1e-9, of a unimodal function."""
+    grid = np.linspace(lo, hi, 101)
     values = [fn(g) for g in grid]
     best = int(np.argmax(values))
     a = grid[max(best - 1, 0)]
-    b = grid[min(best + 1, coarse - 1)]
+    b = grid[min(best + 1, len(grid) - 1)]
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
     c = b - invphi * (b - a)
     d = a + invphi * (b - a)
     fc, fd = fn(c), fn(d)
-    while b - a > tol:
+    while b - a > 1e-9:
         if fc > fd:
             b, d, fd = d, c, fc
             c = b - invphi * (b - a)

@@ -294,6 +294,25 @@ class TestBenchmarkCommand:
         assert transforms[0] == "identity"
         assert "log-offset" in transforms  # skewed input
 
+    def test_repeated_flags_are_scored_once(self, skewed_csv, tmp_path,
+                                            capsys):
+        def run(flags, path):
+            assert main(["benchmark", "--input", skewed_csv, "--roles", ROLES,
+                         "--seed", "4", "--out-json", str(path)] + flags) == 0
+            return path.read_bytes(), capsys.readouterr().out
+
+        repeated = run(["--model", "ridge", "--model", "ridge",
+                        "--transform", "log-offset", "--transform", "sqrt",
+                        "--transform", "auto", "--transform", "sqrt",
+                        "--transform", "identity"], tmp_path / "a.json")
+        kinds = json.loads(repeated[0])["transforms"]
+        assert len(set(kinds)) == len(kinds)
+        assert kinds[:3] == ["identity", "log-offset", "sqrt"]
+        flags = ["--model", "ridge"]
+        for kind in kinds[1:]:
+            flags += ["--transform", kind]
+        assert run(flags, tmp_path / "b.json") == repeated
+
     def test_threads_env(self, skewed_csv, tmp_path, monkeypatch):
         out = []
         for value in ("1", "4"):
@@ -461,12 +480,33 @@ class TestUnwritableOutput:
             argv += ["--model", "ridge"]
         if command == "transform":
             argv += ["--transform", "identity"]
+        # The command's other output goes to a directory that exists; the
+        # run must stop before writing it (or the default --out-csv).
+        outs = tmp_path / "outs"
+        outs.mkdir()
+        other = {("transform", "--out-csv"): "--out-json",
+                 ("benchmark", "--out-json"): "--out-md",
+                 ("benchmark", "--out-md"): "--out-json"}.get((command, flag))
+        if other:
+            argv += [other, str(outs / "other")]
         bad = str(tmp_path / "absent" / "out")
         capsys.readouterr()
         assert main(argv + [flag, bad]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith(f"error: cannot write {bad}: ")
-        assert "Traceback" not in err
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: cannot write {bad}: ")
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
+        assert os.listdir(outs) == []
+        assert not os.path.exists(skewed_csv + ".transformed.csv")
+
+    def test_missing_input_is_still_data_error(self, tmp_path, capsys):
+        # The default --out-csv would sit in the input's missing directory;
+        # the missing input is the error reported.
+        missing = str(tmp_path / "absent" / "in.csv")
+        assert main(["transform", "--input", missing, "--roles", ROLES,
+                     "--transform", "identity"]) == 3
+        assert capsys.readouterr().err.startswith(
+            f"error: cannot read {missing}: ")
 
 
 class TestSubcommandFlags:

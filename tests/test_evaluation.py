@@ -587,3 +587,108 @@ class TestBenchmark:
                                    transforms=("quantile-normal",), seed=3)
         cell = report.cells[("ridge", "quantile-normal")]
         assert cell["clamped"] >= 0
+
+    def test_repeated_models_and_kinds_are_scored_once(self):
+        ds = toy_dataset(seed=8)
+        repeated = ytx.run_benchmark(
+            ds, models=("lasso", "ridge", "lasso"),
+            transforms=("sqrt", "identity", "sqrt", "log-offset"), seed=4)
+        once = ytx.run_benchmark(ds, models=("lasso", "ridge"),
+                                 transforms=("sqrt", "log-offset"), seed=4)
+        assert repeated.models == ("lasso", "ridge")
+        assert repeated.transforms == ("identity", "sqrt", "log-offset")
+        assert repeated.to_json() == once.to_json()
+        assert repeated.to_markdown("rse") == once.to_markdown("rse")
+
+
+def _reference_make_fold_plan(n, seed):
+    """The fold plan as built before it sliced ``tolist()``: one
+    ``int`` conversion per index."""
+    folds = []
+    for repeat in range(5):
+        rng = np.random.default_rng(ev._splitmix64((seed & ev._M64) ^ repeat))
+        perm = rng.permutation(n)
+        half = (n + 1) // 2
+        first = tuple(int(i) for i in perm[:half])
+        second = tuple(int(i) for i in perm[half:])
+        folds.append((first, second))
+        folds.append((second, first))
+    return ev.FoldPlan(seed=seed, folds=tuple(folds))
+
+
+def _reference_run_benchmark(dataset, models, transforms, seed, alpha=1.0,
+                             dataset_name="dataset"):
+    """The harness as it was before it made one pass per (fold, kind): a
+    table of fitted kinds per fold, a models-outer loop over it, a dict per
+    cell and a transpose of the per-fold dicts."""
+    kinds = ["identity"] + [t for t in transforms if t != "identity"]
+    plan = _reference_make_fold_plan(dataset.n, seed)
+    fold_results = []
+    for train_idx, test_idx in plan.folds:
+        tr = np.asarray(train_idx, dtype=np.intp)
+        te = np.asarray(test_idx, dtype=np.intp)
+        X_train, y_train = dataset.features[tr], dataset.target[tr]
+        X_test, y_test = dataset.features[te], dataset.target[te]
+        design = ev._design(X_train)
+        Xs_test = (X_test - design.means) / design.stds
+        fitted = {}
+        for kind in kinds:
+            t = ev.fit_transform_kind(kind, y_train, dataset, tr)
+            z_train = core.forward(t, y_train,
+                                   ev.aux_column(kind, dataset, tr))
+            fitted[kind] = (t, z_train, ev.aux_column(kind, dataset, te))
+        out = {}
+        for model_kind in models:
+            fitter = ev._MODEL_FITTERS[model_kind]
+            for kind in kinds:
+                t, z_train, aux_te = fitted[kind]
+                model = fitter(design, z_train, alpha)
+                z_pred = Xs_test @ model.coefficients + model.intercept
+                z_pred, n_clamped = core.clamp_to_inverse_range(t, z_pred)
+                y_pred = core.inverse(t, z_pred, aux_te)
+                out[(model_kind, kind)] = {
+                    "rse": ev.rse(y_test, y_pred),
+                    "smape": ev.smape(y_test, y_pred),
+                    "clamped": n_clamped,
+                    "converged": model.converged,
+                }
+        fold_results.append(out)
+    cells = {}
+    for model in models:
+        for kind in kinds:
+            cells[(model, kind)] = {
+                "rse": [fr[(model, kind)]["rse"] for fr in fold_results],
+                "smape": [fr[(model, kind)]["smape"] for fr in fold_results],
+                "clamped": sum(fr[(model, kind)]["clamped"]
+                               for fr in fold_results),
+                "converged": all(fr[(model, kind)]["converged"]
+                                 for fr in fold_results),
+            }
+    return ev.BenchmarkReport(
+        dataset_name=dataset_name, seed=seed, models=tuple(models),
+        transforms=tuple(kinds), cells=cells)
+
+
+class TestHarnessMatchesReference:
+    """The one-pass harness gives the bytes of the harness it replaced."""
+
+    @pytest.mark.parametrize("n", [4, 5, 101, 20000])
+    @pytest.mark.parametrize("seed", [0, 42, -1, 2 ** 70])
+    def test_fold_plan(self, n, seed):
+        plan = ytx.make_fold_plan(n, seed)
+        assert plan == _reference_make_fold_plan(n, seed)
+        assert all(type(i) is int for fold in plan.folds[:2]
+                   for half in fold for i in half)
+
+    @pytest.mark.parametrize("threads", [None, 2])
+    def test_report_bytes_all_kinds(self, threads):
+        ds = panel_dataset(seed=3)
+        kinds = tuple(k for k in core.KNOWN_KINDS if k != "identity")
+        report = ytx.run_benchmark(ds, models=("ridge", "lasso"),
+                                   transforms=kinds, seed=21, alpha=0.05,
+                                   threads=threads, dataset_name="panel")
+        reference = _reference_run_benchmark(
+            ds, ("ridge", "lasso"), kinds, 21, alpha=0.05,
+            dataset_name="panel")
+        assert report.transforms == ("identity",) + kinds
+        assert report.to_json() == reference.to_json()
