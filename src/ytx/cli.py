@@ -36,20 +36,17 @@ def _thresholds(pairs):
             raise ConfigError(f"--threshold expects KEY=VALUE, got {pair!r}")
         key, _, value = pair.partition("=")
         try:
-            overrides[key.strip()] = float(value)
-        except ValueError as exc:
-            raise ConfigError(f"threshold {key!r}: {value!r} is not a number"
-                              ) from exc
+            number = float(value)
+        except ValueError:
+            number = None
+        # NaN is the one float unequal to itself; +-inf switch a check off.
+        if number is None or number != number:
+            raise ConfigError(f"threshold {key!r}: {value!r} is not a number")
+        overrides[key.strip()] = number
     try:
         return diagnostics.Thresholds().replace(**overrides)
     except (DataError, TypeError) as exc:
         raise ConfigError(str(exc)) from exc
-
-
-def _validate_transforms(kinds):
-    for kind in kinds:
-        if kind != "auto" and kind not in core.KNOWN_KINDS:
-            raise ConfigError(f"unknown transform kind {kind!r}")
 
 
 def _open_out(path, newline=None):
@@ -63,11 +60,14 @@ def _open_out(path, newline=None):
 
 def _check_out_dirs(*paths):
     """Raise a ConfigError for the first output path whose directory is
-    missing; called before any input is read, so no other output is written."""
+    missing or that is a directory; called before any input is read, so no
+    other output is written."""
     for path in filter(None, paths):
         folder = os.path.dirname(path) or "."
         if not os.path.isdir(folder):
             raise ConfigError(f"cannot write {path}: no directory {folder!r}")
+        if os.path.isdir(path):
+            raise ConfigError(f"cannot write {path}: is a directory")
 
 
 def _write(path, text):
@@ -105,10 +105,7 @@ def cmd_transform(args):
     kinds = args.transform or []
     if len(kinds) != 1:
         raise ConfigError("transform requires exactly one --transform")
-    _validate_transforms(kinds)
     kind = kinds[0]
-    if kind == "auto":
-        raise ConfigError("transform does not support 'auto'; name a kind")
     # The default --out-csv sits next to the input, so its directory
     # exists once the input has been read.
     _check_out_dirs(args.out_csv, args.out_json)
@@ -164,8 +161,7 @@ def _threads_from_env():
 def cmd_benchmark(args):
     thresholds = _thresholds(args.threshold)
     kinds = list(args.transform or [])
-    _validate_transforms(kinds)
-    models = list(args.model or ["ridge", "lasso"])
+    models = tuple(args.model or evaluation.MODELS)
     _check_out_dirs(args.out_json, args.out_md)
     roles = _load_roles(args.roles)
     dataset = core.load_csv(args.input, roles)
@@ -175,7 +171,7 @@ def cmd_benchmark(args):
         kinds.extend(k for k, _ in report.recommendations)
     name = os.path.splitext(os.path.basename(args.input))[0]
     report = evaluation.run_benchmark(
-        dataset, models=tuple(models), transforms=tuple(kinds),
+        dataset, models=models, transforms=tuple(kinds),
         seed=args.seed, alpha=args.alpha, threads=_threads_from_env(),
         dataset_name=name)
     if args.out_json:
@@ -213,34 +209,37 @@ def build_parser():
                     "benchmark.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def data_input(p, transform=True):
+    def data_input(p, kinds=(), help=None):
         p.add_argument("--input", required=True,
                        help="input CSV with a header row")
         p.add_argument("--roles", required=True,
                        help="roles JSON (inline or a file path)")
-        if transform:
-            p.add_argument("--transform", action="append",
-                           help="transform kind (repeatable); 'auto' "
-                                "derives kinds from the diagnostics")
+        if kinds:
+            p.add_argument("--transform", action="append", choices=kinds,
+                           metavar="KIND", help=help)
         p.add_argument("--out-json")
 
     p = sub.add_parser("diagnose", help="run the heuristics and recommend "
                                         "transforms")
-    data_input(p, transform=False)
+    data_input(p)
     p.add_argument("--threshold", action="append", metavar="KEY=VALUE")
     p.set_defaults(func=cmd_diagnose)
 
     p = sub.add_parser("transform", help="apply one fitted transform to the "
                                          "target column")
-    data_input(p)
+    data_input(p, core.KNOWN_KINDS,
+               help="the kind to fit and apply, given once: %(choices)s")
     p.add_argument("--out-csv", help="path for the transformed CSV")
     p.set_defaults(func=cmd_transform)
 
     p = sub.add_parser("benchmark", help="5x2cv comparison of baseline vs. "
                                          "transformed targets")
-    data_input(p)
+    data_input(p, (*core.KNOWN_KINDS, "auto"),
+               help="a kind to score next to the identity baseline "
+                    "(repeatable): %(choices)s; 'auto' adds the kinds "
+                    "the diagnostics recommend")
     p.add_argument("--threshold", action="append", metavar="KEY=VALUE")
-    p.add_argument("--model", action="append", choices=["ridge", "lasso"])
+    p.add_argument("--model", action="append", choices=evaluation.MODELS)
     p.add_argument("--alpha", type=float, default=1.0)
     p.add_argument("--seed", type=int, default=42)
     p.add_argument("--out-md")

@@ -36,7 +36,20 @@ class ColumnRoles:
     price_index: str | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "context", tuple(self.context))
+        if not isinstance(self.target, str):
+            raise ConfigError(
+                f"role 'target' must be a string, got {self.target!r}")
+        for name in ROLE_NAMES:
+            value = getattr(self, name)
+            if not (value is None or isinstance(value, str)):
+                raise ConfigError(
+                    f"role {name!r} must be a string or null, got {value!r}")
+        context = () if self.context is None else self.context
+        if not (isinstance(context, (list, tuple))
+                and all(isinstance(c, str) for c in context)):
+            raise ConfigError("role 'context' must be a list of strings or "
+                              f"null, got {self.context!r}")
+        object.__setattr__(self, "context", tuple(context))
         if self.target in self.role_columns():
             raise ConfigError(
                 f"target column {self.target!r} cannot carry another role")
@@ -62,7 +75,7 @@ class ColumnRoles:
         unknown = set(obj) - {f.name for f in fields(cls)}
         if unknown:
             raise ConfigError(f"unknown role keys: {sorted(unknown)}")
-        return cls(**{**obj, "context": obj.get("context") or ()})
+        return cls(**obj)
 
     def to_json(self):
         return json.dumps(asdict(self), sort_keys=True)
@@ -308,8 +321,13 @@ _FITS = {}
 AUX_KINDS = set()
 
 
-def register_kind(kind, fit, forward_fn, inverse_fn, inverse_range_fn=None,
-                  roles=()):
+def _total_range(params):
+    """The inverse range of a kind whose inverse is total."""
+    return (-math.inf, math.inf)
+
+
+def register_kind(kind, fit, forward_fn, inverse_fn,
+                  inverse_range_fn=_total_range, roles=()):
     """Declare a transform kind: its fit, its maps and the roles it reads.
 
     ``fit(y, *columns)`` gets the training targets and the columns of
@@ -318,7 +336,7 @@ def register_kind(kind, fit, forward_fn, inverse_fn, inverse_range_fn=None,
     ``forward_fn(params, y, aux)`` and ``inverse_fn(params, z, aux)`` get
     the first role's column as ``aux`` (None without roles).
     ``inverse_range_fn(params)`` gives the open interval the inverse
-    accepts; without it the inverse is total.  A new kind also needs its
+    accepts; the default is the whole line.  A new kind also needs its
     entry in :data:`KNOWN_KINDS`.
     """
     _REGISTRY[kind] = (forward_fn, inverse_fn, inverse_range_fn)
@@ -366,10 +384,7 @@ def inverse_range(t):
 
     Returns ``(-inf, inf)`` for kinds whose inverse is total.
     """
-    fn = _lookup(_REGISTRY, t.kind)[2]
-    if fn is None:
-        return (-math.inf, math.inf)
-    return fn(t.params)
+    return _lookup(_REGISTRY, t.kind)[2](t.params)
 
 
 def clamp_to_inverse_range(t, z):

@@ -363,32 +363,28 @@ def _quantile_tables(params):
     return knots, probs
 
 
-def _q_forward(params, y, aux):
+def _qu_forward(params, y, aux):
     knots, probs = _quantile_tables(params)
-    p = np.interp(y, knots, probs)
-    if params["reference"] == "uniform":
-        return p
-    return normal_ppf(p)
+    return np.interp(y, knots, probs)
 
 
-def _q_inverse(params, z, aux):
+def _qu_inverse(params, u, aux):
     knots, probs = _quantile_tables(params)
     eps = params["clip_epsilon"]
-    if params["reference"] == "uniform":
-        p = np.clip(z, eps, 1.0 - eps)
-    else:
-        p = np.clip(normal_cdf(z), eps, 1.0 - eps)
-    return np.interp(p, probs, knots)
+    return np.interp(np.clip(u, eps, 1.0 - eps), probs, knots)
 
 
-def _q_inverse_range(params):
+def _qu_inverse_range(params):
     eps = params["clip_epsilon"]
-    if params["reference"] == "uniform":
-        return (eps, 1.0 - eps)
-    return (float(special.ndtri(eps)), float(special.ndtri(1.0 - eps)))
+    return (eps, 1.0 - eps)
 
 
+# quantile-normal is quantile-uniform followed by the normal quantile
+# function; normal_ppf/normal_cdf are looked up at call time, so a wrapper
+# set on the module is honoured.
 register_kind("quantile-normal", lambda y: fit_quantile(y, "normal"),
-              _q_forward, _q_inverse, _q_inverse_range)
+              lambda p, y, aux: normal_ppf(_qu_forward(p, y, aux)),
+              lambda p, z, aux: _qu_inverse(p, normal_cdf(z), aux),
+              lambda p: tuple(special.ndtri(_qu_inverse_range(p)).tolist()))
 register_kind("quantile-uniform", lambda y: fit_quantile(y, "uniform"),
-              _q_forward, _q_inverse, _q_inverse_range)
+              _qu_forward, _qu_inverse, _qu_inverse_range)

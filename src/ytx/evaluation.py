@@ -17,10 +17,6 @@ import numpy as np
 from . import core
 from .errors import ConfigError, DataError
 
-#: model identifiers the report schema accepts; only the first two are
-#: trainable here, the others let an external runner merge its results.
-RESERVED_MODELS = ("ridge", "lasso", "gbtr", "svr")
-
 #: display names used in the markdown tables
 DISPLAY_NAMES = {
     "identity": "Base", "quantile-normal": "QN", "quantile-uniform": "QU",
@@ -112,6 +108,8 @@ def fit_ridge(X, y, alpha=1.0):
 
 def _fit_ridge(design, z, alpha):
     """Cholesky solve of (Xs'Xs + alpha I) beta = Xs'(z - mean z)."""
+    if not np.isfinite(alpha):
+        raise ConfigError(f"alpha must be finite, got {alpha}")
     if alpha < 0.0:
         raise ConfigError("alpha must be non-negative")
     zc = z - z.mean()
@@ -151,6 +149,8 @@ def _fit_lasso(design, z, alpha, history=None):
     sweep is appended to ``history`` only when a list is given; the
     benchmark harness reads no history and passes none.
     """
+    if not np.isfinite(alpha):
+        raise ConfigError(f"alpha must be finite, got {alpha}")
     if alpha <= 0.0:
         raise ConfigError("lasso alpha must be positive")
     Xs = design.Xs
@@ -198,6 +198,11 @@ def predict(model, X):
 
 
 _MODEL_FITTERS = {"ridge": _fit_ridge, "lasso": _fit_lasso}
+#: the trainable models, in report order
+MODELS = tuple(_MODEL_FITTERS)
+#: model identifiers the report schema accepts: the trainable ones, then
+#: names that let an external runner merge its results.
+RESERVED_MODELS = (*MODELS, "gbtr", "svr")
 
 
 # --------------------------------------------------------------------------
@@ -349,6 +354,8 @@ class BenchmarkReport:
                     cell[key] = _report_key(entry, key)
                 cells[(model, transform)] = cell
         name, seed = _report_key(obj, "dataset"), _report_key(obj, "seed")
+        if not isinstance(name, str):
+            raise DataError("report 'dataset' is not a string")
         models, transforms = (
             tuple(_report_list(_report_key(obj, key), str, f"report {key!r}"))
             for key in ("models", "transforms"))
@@ -399,7 +406,7 @@ def _evaluate_fold(dataset, plan, fold_index, model_kinds, transforms, alpha):
     return out
 
 
-def run_benchmark(dataset, models=("ridge", "lasso"), transforms=(),
+def run_benchmark(dataset, models=MODELS, transforms=(),
                   seed=42, alpha=1.0, threads=None,
                   dataset_name="dataset"):
     """Run the 5x2cv comparison of baseline vs. transformed targets; a

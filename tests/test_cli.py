@@ -1,7 +1,9 @@
+import argparse
 import csv
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -138,6 +140,42 @@ class TestDiagnoseCommand:
     def test_bad_threshold_is_config_error(self, skewed_csv):
         assert main(["diagnose", "--input", skewed_csv, "--roles", ROLES,
                      "--threshold", "skew_gamma=abc"]) == 2
+
+    @pytest.mark.parametrize("value", ["nan", "-NaN", " nan "])
+    def test_nan_threshold_is_config_error(self, value, skewed_csv, capsys):
+        with pytest.raises(ytx.ConfigError) as exc:
+            cli._thresholds([f"skew_gamma={value}"])
+        assert str(exc.value) == (
+            f"threshold 'skew_gamma': {value!r} is not a number")
+        capsys.readouterr()
+        assert main(["diagnose", "--input", skewed_csv, "--roles", ROLES,
+                     "--threshold", f"skew_gamma={value}"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {exc.value}\n"
+        assert captured.out == ""
+
+    def test_infinite_threshold_switches_a_check_off(self, skewed_csv,
+                                                     tmp_path):
+        assert cli._thresholds(["hetero_p=-inf", "skew_gamma=inf"]) == (
+            ytx.Thresholds(hetero_p=-np.inf, skew_gamma=np.inf))
+        out = tmp_path / "report.json"
+        assert main(["diagnose", "--input", skewed_csv, "--roles", ROLES,
+                     "--threshold", "skew_gamma=inf",
+                     "--out-json", str(out)]) == 0
+        doc = json.loads(out.read_text())
+        assert doc["distribution"]["skew_flag"] is False
+
+    @pytest.mark.parametrize("roles, role", [
+        ('{"target": ["y"]}', "target"),
+        ('{"target": "y", "context": "cpi"}', "context"),
+        ('{"target": "y", "subject": 5}', "subject"),
+    ], ids=["target-list", "context-string", "subject-number"])
+    def test_role_of_wrong_type_is_config_error(self, roles, role,
+                                                skewed_csv, capsys):
+        assert main(["diagnose", "--input", skewed_csv, "--roles", roles]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: role {role!r} must be ")
+        assert captured.out == ""
 
     def test_repeated_header_is_data_error(self, tmp_path, capsys):
         path = tmp_path / "dup.csv"
@@ -313,6 +351,20 @@ class TestBenchmarkCommand:
             flags += ["--transform", kind]
         assert run(flags, tmp_path / "b.json") == repeated
 
+    @pytest.mark.parametrize("model, alpha", [
+        ("ridge", "nan"), ("lasso", "nan"), ("ridge", "inf"),
+        ("lasso", "inf"), ("lasso", "-inf")])
+    def test_non_finite_alpha_is_config_error(self, model, alpha, skewed_csv,
+                                              tmp_path, capsys):
+        out_json = tmp_path / "bench.json"
+        assert main(["benchmark", "--input", skewed_csv, "--roles", ROLES,
+                     "--model", model, f"--alpha={alpha}",
+                     "--out-json", str(out_json)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: alpha must be finite, got ")
+        assert captured.out == ""
+        assert not out_json.exists()
+
     def test_threads_env(self, skewed_csv, tmp_path, monkeypatch):
         out = []
         for value in ("1", "4"):
@@ -386,7 +438,10 @@ class TestReportCommand:
          "report 'models' is not a list of strings"),
         (lambda doc: doc.update(transforms=["identity", "sqrt"]),
          "report lacks results for 'ridge', 'sqrt'"),
-    ], ids=["rse-list", "string-folds", "models-string", "missing-cell"])
+        (lambda doc: doc.update(dataset=5),
+         "report 'dataset' is not a string"),
+    ], ids=["rse-list", "string-folds", "models-string", "missing-cell",
+            "dataset-number"])
     def test_malformed_entry_is_named(self, edit, problem, skewed_csv,
                                       tmp_path, capsys):
         bench = tmp_path / "bench.json"
@@ -462,13 +517,32 @@ class TestTextFiles:
 class TestUnwritableOutput:
     """An output path that cannot be written is a configuration error."""
 
-    @pytest.mark.parametrize("command, flag", [
-        ("diagnose", "--out-json"), ("transform", "--out-csv"),
-        ("transform", "--out-json"), ("benchmark", "--out-json"),
-        ("benchmark", "--out-md"), ("report", "--out-md"),
-    ])
+    OUTPUTS = [("diagnose", "--out-json"), ("transform", "--out-csv"),
+               ("transform", "--out-json"), ("benchmark", "--out-json"),
+               ("benchmark", "--out-md"), ("report", "--out-md")]
+
+    @pytest.mark.parametrize("command, flag", OUTPUTS)
     def test_missing_directory_is_config_error(self, command, flag,
                                                skewed_csv, tmp_path, capsys):
+        bad = str(tmp_path / "absent" / "out")
+        self._check_nothing_written(command, flag, bad, skewed_csv, tmp_path,
+                                    capsys)
+
+    @pytest.mark.parametrize("command, flag", OUTPUTS)
+    def test_directory_is_config_error(self, command, flag, skewed_csv,
+                                       tmp_path, capsys):
+        bad = tmp_path / "adir"
+        bad.mkdir()
+        err = self._check_nothing_written(command, flag, str(bad),
+                                          skewed_csv, tmp_path, capsys)
+        assert err == f"error: cannot write {bad}: is a directory\n"
+
+    @staticmethod
+    def _check_nothing_written(command, flag, bad, skewed_csv, tmp_path,
+                               capsys):
+        """Run ``command`` with ``flag`` set to the unwritable path ``bad``;
+        it must exit 2 naming ``bad`` with nothing written.  Returns the
+        standard error."""
         if command == "report":
             bench = tmp_path / "bench.json"
             main(["benchmark", "--input", skewed_csv, "--roles", ROLES,
@@ -489,7 +563,6 @@ class TestUnwritableOutput:
                  ("benchmark", "--out-md"): "--out-json"}.get((command, flag))
         if other:
             argv += [other, str(outs / "other")]
-        bad = str(tmp_path / "absent" / "out")
         capsys.readouterr()
         assert main(argv + [flag, bad]) == 2
         captured = capsys.readouterr()
@@ -498,6 +571,7 @@ class TestUnwritableOutput:
         assert captured.out == ""
         assert os.listdir(outs) == []
         assert not os.path.exists(skewed_csv + ".transformed.csv")
+        return captured.err
 
     def test_missing_input_is_still_data_error(self, tmp_path, capsys):
         # The default --out-csv would sit in the input's missing directory;
@@ -530,3 +604,45 @@ class TestSubcommandFlags:
             main(argv)
         assert exc.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, rejected", [
+        (["benchmark", "--input", "x.csv", "--roles", ROLES,
+          "--transform", "nope"], "nope"),
+        (["transform", "--input", "x.csv", "--roles", ROLES,
+          "--transform", "auto"], "auto"),
+    ], ids=["benchmark-unknown", "transform-auto"])
+    def test_unknown_transform_is_usage_error(self, argv, rejected, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument --transform: invalid choice: {rejected!r}" in err
+        kinds = core.KNOWN_KINDS
+        if argv[0] == "benchmark":
+            kinds += ("auto",)
+        assert "(choose from " + ", ".join(map(repr, kinds)) + ")" in err
+
+
+def _readme_flag_table():
+    """README's per-subcommand flag table as {subcommand: set of flags}."""
+    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(readme, encoding="utf-8") as handle:
+        lines = handle.read().splitlines()
+    start = lines.index("| subcommand | flags |") + 2
+    table = {}
+    for line in lines[start:]:
+        if not line.startswith("|"):
+            break
+        command, *flags = re.findall(r"`([^`]+)`", line)
+        table[command] = set(flags)
+    return table
+
+
+def test_readme_flag_table_matches_parser():
+    parser = cli.build_parser()
+    commands = next(action.choices for action in parser._actions
+                    if isinstance(action, argparse._SubParsersAction))
+    options = {name: {flag for action in sub._actions
+                      for flag in action.option_strings} - {"-h", "--help"}
+               for name, sub in commands.items()}
+    assert _readme_flag_table() == options

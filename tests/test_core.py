@@ -1,4 +1,5 @@
 import csv
+import json
 import math
 
 import numpy as np
@@ -86,6 +87,36 @@ class TestLoadCsv:
     def test_target_cannot_hold_two_roles(self):
         with pytest.raises(ConfigError):
             ytx.ColumnRoles(target="y", frame="y")
+
+    @pytest.mark.parametrize("roles, message", [
+        ({"target": ["y"]}, "role 'target' must be a string, got ['y']"),
+        ({"target": None}, "role 'target' must be a string, got None"),
+        ({"target": "y", "subject": 5},
+         "role 'subject' must be a string or null, got 5"),
+        ({"target": "y", "price_index": ["cpi"]},
+         "role 'price_index' must be a string or null, got ['cpi']"),
+        ({"target": "y", "context": "cpi"},
+         "role 'context' must be a list of strings or null, got 'cpi'"),
+        ({"target": "y", "context": ["a", 1]},
+         "role 'context' must be a list of strings or null, got ['a', 1]"),
+        ({"target": "y", "context": {}},
+         "role 'context' must be a list of strings or null, got {}"),
+    ], ids=["target-list", "target-null", "subject-number", "price-list",
+            "context-string", "context-number", "context-object"])
+    def test_role_values_are_type_checked(self, roles, message):
+        for build in (lambda: ytx.ColumnRoles(**roles),
+                      lambda: ytx.ColumnRoles.from_json(json.dumps(roles))):
+            with pytest.raises(ConfigError) as exc:
+                build()
+            assert str(exc.value) == message
+
+    def test_null_roles_and_context_lists_are_accepted(self):
+        roles = ytx.ColumnRoles(target="y", subject=None, context=["a", "b"])
+        assert roles.context == ("a", "b")
+        assert ytx.ColumnRoles(target="y", context=None).context == ()
+        assert ytx.ColumnRoles.from_json(
+            '{"target": "y", "time": null, "context": []}'
+        ) == ytx.ColumnRoles(target="y")
 
 
 class TestLoadCsvHeader:

@@ -4,6 +4,7 @@ import sys
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy import special
 
 import ytx
 from ytx import dist
@@ -434,6 +435,95 @@ class TestQuantile:
             y.min(), y.max(), size=200))
         z = ytx.forward(t, probe)
         assert np.all(np.diff(z) >= 0.0)
+
+
+# The quantile maps as they were when both kinds shared one forward, one
+# inverse and one range that branched on params["reference"]; each kind's
+# own maps must give their bytes, and its range their values.
+
+def _reference_quantile_tables(params):
+    knots = np.asarray(params["quantile_knots"], dtype=float)
+    eps = params["clip_epsilon"]
+    probs = np.clip(np.linspace(0.0, 1.0, knots.shape[0]), eps, 1.0 - eps)
+    return knots, probs
+
+
+def _reference_q_forward(params, y):
+    knots, probs = _reference_quantile_tables(params)
+    p = np.interp(y, knots, probs)
+    if params["reference"] == "uniform":
+        return p
+    return dist.normal_ppf(p)
+
+
+def _reference_q_inverse(params, z):
+    knots, probs = _reference_quantile_tables(params)
+    eps = params["clip_epsilon"]
+    if params["reference"] == "uniform":
+        p = np.clip(z, eps, 1.0 - eps)
+    else:
+        p = np.clip(dist.normal_cdf(z), eps, 1.0 - eps)
+    return np.interp(p, probs, knots)
+
+
+def _reference_q_inverse_range(params):
+    eps = params["clip_epsilon"]
+    if params["reference"] == "uniform":
+        return (eps, 1.0 - eps)
+    return (float(special.ndtri(eps)), float(special.ndtri(1.0 - eps)))
+
+
+def _quantile_fits():
+    """Fitted quantile transforms of both kinds: fewer and more samples
+    than knots, ties, a sidecar-style bag whose clip_epsilon is wider than
+    the first knot gap (the inverse's clip then picks the last of the
+    tied clipped probabilities)."""
+    rng = np.random.default_rng(31)
+    samples = [np.arange(10.0), rng.gamma(2.0, size=1500),
+               rng.integers(0, 5, size=200).astype(float),
+               rng.normal(size=300)]
+    for reference in ("normal", "uniform"):
+        for y in samples:
+            yield dist.fit_quantile(y, reference)
+        wide = dist.fit_quantile(np.arange(10.0), reference)
+        yield ytx.FittedTransform(wide.kind, {**wide.params,
+                                              "clip_epsilon": 0.25},
+                                  wide.training_target_range)
+
+
+class TestQuantileMapsMatchReference:
+    @pytest.mark.parametrize("t", list(_quantile_fits()),
+                             ids=lambda t: t.kind)
+    def test_maps_and_range_are_equal(self, t):
+        params = t.params
+        lo, hi = t.training_target_range
+        span = hi - lo
+        knots = np.asarray(params["quantile_knots"])
+        y_probes = [np.linspace(lo, hi, 257), knots,
+                    np.array([lo - span, hi + span, -1e300, 1e300, -0.0]),
+                    np.array([-np.inf, np.inf]), np.array([np.nan])]
+        z_probes = [np.linspace(-8.0, 8.0, 401), np.linspace(-0.5, 1.5, 401),
+                    np.array([0.0, -0.0, 1.0, 1e-7, 1.0 - 1e-7, 0.25, 0.75,
+                              -1e300, 1e300]),
+                    np.array([-np.inf, np.inf]), np.array([np.nan])]
+        # The kind alone decides the maps: a bag without "reference" (or
+        # with another one) maps the same.
+        blind = ytx.FittedTransform(
+            t.kind, {k: v for k, v in params.items() if k != "reference"},
+            t.training_target_range)
+        for y in y_probes:
+            expected = _outcome(_reference_q_forward, params, y)
+            assert _outcome(ytx.forward, t, y) == expected
+            assert _outcome(ytx.forward, blind, y) == expected
+        for z in z_probes:
+            expected = _outcome(_reference_q_inverse, params, z)
+            assert _outcome(ytx.inverse, t, z) == expected
+            assert _outcome(ytx.inverse, blind, z) == expected
+        expected = _reference_q_inverse_range(params)
+        for fitted in (t, blind):
+            got = ytx.inverse_range(fitted)
+            assert got == expected
+            assert [type(v) for v in got] == [float, float]
 
 
 class TestSkewness:

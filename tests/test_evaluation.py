@@ -1,5 +1,8 @@
+import math
+
 import numpy as np
 import pytest
+from scipy import special
 
 import ytx
 from ytx import core, ctx, dist, evaluation as ev
@@ -159,6 +162,30 @@ class TestLasso:
     def test_nonpositive_alpha_rejected(self):
         with pytest.raises(ConfigError):
             ytx.fit_lasso(np.ones((4, 1)), np.arange(4.0), alpha=0.0)
+
+
+class TestNonFiniteAlpha:
+    """NaN and infinite alphas are configuration errors for every entry to
+    the fits; a negative one keeps its own message."""
+
+    @pytest.mark.parametrize("alpha", [math.nan, math.inf, -math.inf,
+                                       np.float64("nan")])
+    @pytest.mark.parametrize("model", ["ridge", "lasso"])
+    def test_rejected(self, model, alpha):
+        X = np.random.default_rng(3).normal(size=(20, 2))
+        fit = {"ridge": ytx.fit_ridge, "lasso": ytx.fit_lasso}[model]
+        with pytest.raises(ConfigError, match="alpha must be finite"):
+            fit(X, np.arange(20.0), alpha=alpha)
+        with pytest.raises(ConfigError, match="alpha must be finite"):
+            ytx.run_benchmark(toy_dataset(), models=(model,), alpha=alpha)
+
+    def test_negative_messages_kept(self):
+        X = np.random.default_rng(3).normal(size=(20, 2))
+        with pytest.raises(ConfigError, match="^alpha must be non-negative$"):
+            ytx.fit_ridge(X, np.arange(20.0), alpha=-1.0)
+        with pytest.raises(ConfigError,
+                           match="^lasso alpha must be positive$"):
+            ytx.fit_lasso(X, np.arange(20.0), alpha=-1.0)
 
 
 def _soft_threshold(value, amount):
@@ -388,7 +415,33 @@ def panel_dataset(n=120, seed=0):
              "context": context})
 
 
+def _reference_inverse_range(t):
+    """``core.inverse_range`` before every kind carried a range function:
+    the kinds registered without one were total, and one quantile range
+    branched on ``params["reference"]``."""
+    p = t.params
+    if t.kind == "sqrt":
+        return (0.0, math.inf)
+    if t.kind == "box-cox":
+        return dist._bc_inverse_range(p)
+    if t.kind == "yeo-johnson":
+        return dist._yj_inverse_range(p)
+    if t.kind in ("quantile-normal", "quantile-uniform"):
+        eps = p["clip_epsilon"]
+        if p["reference"] == "uniform":
+            return (eps, 1.0 - eps)
+        return (float(special.ndtri(eps)), float(special.ndtri(1.0 - eps)))
+    return (-math.inf, math.inf)
+
+
 class TestRegistry:
+    @pytest.mark.parametrize("kind", core.KNOWN_KINDS)
+    def test_inverse_range_matches_reference(self, kind):
+        ds = panel_dataset()
+        for y, idx in ((ds.target, None), (ds.target[5:95], np.arange(5, 95))):
+            t = ev.fit_transform_kind(kind, y, ds, idx)
+            assert core.inverse_range(t) == _reference_inverse_range(t)
+
     def test_every_known_kind_is_registered(self):
         assert set(core._REGISTRY) == set(core.KNOWN_KINDS)
         assert set(core._FITS) == set(core.KNOWN_KINDS)
