@@ -18,6 +18,8 @@ from .ctx import _check_length, _design, _groups, _lstsq, _time_sort_key
 from .dist import skewness
 from .errors import DataError
 
+_EPS = np.finfo(float).eps
+
 
 @dataclass(frozen=True)
 class Thresholds:
@@ -193,17 +195,25 @@ def gap_score(y):
 def breusch_pagan(y, X):
     """Breusch-Pagan LM test of squared OLS residuals on the features.
 
-    Returns (lm_statistic, p_value); (0.0, 1.0) when there are no features
-    or the regressions are degenerate.
+    Returns (lm_statistic, p_value); (0.0, 1.0) when there are no features,
+    the regressions are degenerate or the features fit the target exactly:
+    a residual sum of squares at most ``n * eps**2`` of the total sum of
+    squares is round-off, and testing it would flag noise.
     """
     y = np.asarray(y, dtype=float)
     design = _design(X)
     _check_length(design, y, "feature matrix")
     beta = _lstsq(design, y)
-    r2 = None if beta is None else _r2((y - design @ beta) ** 2, design)
-    if r2 is None or design.shape[1] < 2:
+    if beta is None or design.shape[1] < 2:
         return 0.0, 1.0
-    lm = y.shape[0] * max(r2, 0.0)
+    squared = (y - design @ beta) ** 2
+    n = y.shape[0]
+    if np.sum(squared) <= n * _EPS ** 2 * np.sum((y - y.mean()) ** 2):
+        return 0.0, 1.0
+    r2 = _r2(squared, design)
+    if r2 is None:
+        return 0.0, 1.0
+    lm = n * max(r2, 0.0)
     return float(lm), float(special.chdtrc(design.shape[1] - 1, lm))
 
 

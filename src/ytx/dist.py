@@ -18,6 +18,7 @@ from .errors import DataError, TransformDomainError
 
 LAMBDA_BOUNDS = (-5.0, 5.0)
 CLIP_EPSILON = 1e-7
+_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 # --------------------------------------------------------------------------
@@ -107,29 +108,64 @@ register_kind("sqrt", lambda y: fit_sqrt(y), _sqrt_forward,
 # --------------------------------------------------------------------------
 # Power transforms (Box-Cox, Yeo-Johnson)
 
+def _argmax_unimodal(value, last):
+    """The index in ``0 ... last`` of the largest ``value(i)``, found by
+    golden-section search over the indices: each step compares the probe
+    it kept with that probe's mirror image in the bracket and drops the
+    side of the lower one.  None when two probes do not compare strictly
+    (a tie, or NaN).  On a unimodal sequence the index is the one
+    ``np.argmax`` gives."""
+    lo, hi = 0, last
+    keep = round((1.0 - _INVPHI) * last)
+    while lo < hi:
+        mirror = lo + hi - keep
+        if mirror == keep:      # keep is the middle: probe its neighbour
+            mirror += 1
+        c, d = sorted((keep, mirror))
+        fc, fd = value(c), value(d)
+        if fc > fd:
+            hi, keep = d - 1, c
+        elif fd > fc:
+            lo, keep = c + 1, d
+        else:
+            return None
+    return lo
+
+
 def _maximize_unimodal(fn, lo, hi):
-    """Coarse grid of 101 points, then golden-section refinement to a
-    bracket narrower than 1e-9, of a unimodal function."""
+    """``(fn(x), x)`` at the maximum of a unimodal ``fn`` on [lo, hi]: the
+    best point of a 101-point grid, then golden-section refinement to a
+    bracket narrower than 1e-9 around it.
+
+    The grid's best point is found by ``_argmax_unimodal``, or by scanning
+    the whole grid when its probes tie.  ``fn`` is evaluated once per
+    distinct ``x``."""
+    values = {}
+
+    def f(x):
+        if x not in values:
+            values[x] = fn(x)
+        return values[x]
+
     grid = np.linspace(lo, hi, 101)
-    values = [fn(g) for g in grid]
-    best = int(np.argmax(values))
+    best = _argmax_unimodal(lambda i: f(grid[i]), len(grid) - 1)
+    if best is None:
+        best = int(np.argmax([f(g) for g in grid]))
     a = grid[max(best - 1, 0)]
     b = grid[min(best + 1, len(grid) - 1)]
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = fn(c), fn(d)
+    c = b - _INVPHI * (b - a)
+    d = a + _INVPHI * (b - a)
+    fc, fd = f(c), f(d)
     while b - a > 1e-9:
         if fc > fd:
             b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = fn(c)
+            c = b - _INVPHI * (b - a)
+            fc = f(c)
         else:
             a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = fn(d)
-    candidates = [(fn(x), x) for x in (a, (a + b) / 2.0, b, grid[best])]
-    return max(candidates)[1]
+            d = a + _INVPHI * (b - a)
+            fd = f(d)
+    return max((f(x), x) for x in (a, (a + b) / 2.0, b, grid[best]))
 
 
 def _box_cox_map(x, lam, log_branch):
@@ -167,9 +203,9 @@ def _profile_log_likelihood(z, lam, jacobian, n):
 
 def _fit_power(kind, shift, y, log_likelihood):
     """``kind`` at the lambda in LAMBDA_BOUNDS maximizing the likelihood."""
-    lam = _maximize_unimodal(log_likelihood, *LAMBDA_BOUNDS)
+    value, lam = _maximize_unimodal(log_likelihood, *LAMBDA_BOUNDS)
     params = {"lambda": float(lam), "shift": float(shift),
-              "log_likelihood": float(log_likelihood(lam))}
+              "log_likelihood": float(value)}
     return FittedTransform(kind, params, target_range(y))
 
 

@@ -558,6 +558,17 @@ class TestUnicodeKeys:
         y = rng.normal(size=300)
         return y, [keys, keys.astype(object), keys.tolist()]
 
+    def test_factorize(self):
+        _, variants = self.variants()
+        got = [ctx._factorize(keys) for keys in variants]
+        for distinct, codes, order, bounds in got[1:]:
+            assert distinct == got[0][0]
+            assert all(type(k) is str for k in distinct)
+            for mine, theirs in ((codes, got[0][1]), (order, got[0][2]),
+                                 (bounds, got[0][3])):
+                assert mine.dtype == theirs.dtype
+                assert mine.tobytes() == theirs.tobytes()
+
     @pytest.mark.parametrize("kind", ["subject-center", "trial-minmax",
                                       "deflate"])
     def test_fits_and_maps(self, kind):

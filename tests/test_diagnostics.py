@@ -394,6 +394,17 @@ class TestDistribution:
         with pytest.raises(DataError):
             dg.detect_distribution(np.full(30, 2.0), np.zeros((30, 0)))
 
+    def test_exact_linear_fit_is_not_tested(self):
+        """Residuals of an exact fit are round-off, which Breusch-Pagan
+        must not read as heteroscedasticity; small real noise still is."""
+        rng = np.random.default_rng(0)
+        X = rng.normal(size=(200, 3))
+        y = 1.0 + X @ [1.0, 2.0, 3.0]
+        assert dg.breusch_pagan(y, X) == (0.0, 1.0)
+        assert not dg.detect_distribution(y, X).details["hetero_flag"]
+        noisy = y + 1e-6 * rng.normal(size=200) * np.exp(X[:, 0])
+        assert dg.breusch_pagan(noisy, X)[1] < 1e-6
+
 
 class TestScipyParity:
     """The scipy.special calls and numpy ranks match scipy.stats exactly."""
