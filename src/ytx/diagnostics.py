@@ -196,9 +196,12 @@ def breusch_pagan(y, X):
     """Breusch-Pagan LM test of squared OLS residuals on the features.
 
     Returns (lm_statistic, p_value); (0.0, 1.0) when there are no features,
-    the regressions are degenerate or the features fit the target exactly:
-    a residual sum of squares at most ``n * eps**2`` of the total sum of
-    squares is round-off, and testing it would flag noise.
+    the regressions are degenerate or the features fit a non-constant
+    target exactly.  The residuals' round-off grows with the size of the
+    terms they are computed from, ``|design| @ |beta| + |y|``, not with the
+    spread of ``y``; a residual sum of squares at most ``n * eps**2`` of
+    that size's sum of squares is round-off, and testing it would flag
+    noise.
     """
     y = np.asarray(y, dtype=float)
     design = _design(X)
@@ -208,7 +211,9 @@ def breusch_pagan(y, X):
         return 0.0, 1.0
     squared = (y - design @ beta) ** 2
     n = y.shape[0]
-    if np.sum(squared) <= n * _EPS ** 2 * np.sum((y - y.mean()) ** 2):
+    size = np.abs(design) @ np.abs(beta) + np.abs(y)
+    if (np.max(y) > np.min(y)
+            and np.sum(squared) <= n * _EPS ** 2 * np.sum(size ** 2)):
         return 0.0, 1.0
     r2 = _r2(squared, design)
     if r2 is None:

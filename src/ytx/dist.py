@@ -139,7 +139,9 @@ def _maximize_unimodal(fn, lo, hi):
 
     The grid's best point is found by ``_argmax_unimodal``, or by scanning
     the whole grid when its probes tie.  ``fn`` is evaluated once per
-    distinct ``x``."""
+    distinct ``x``.  Unimodality is assumed, not checked: on a grid with
+    two peaks the search may keep the lower one, where a full scan would
+    take the higher."""
     values = {}
 
     def f(x):

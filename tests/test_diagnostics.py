@@ -394,16 +394,21 @@ class TestDistribution:
         with pytest.raises(DataError):
             dg.detect_distribution(np.full(30, 2.0), np.zeros((30, 0)))
 
-    def test_exact_linear_fit_is_not_tested(self):
+    @pytest.mark.parametrize("intercept, feature_offset", [
+        (1.0, 0.0), (1e3, 0.0), (-1e6, 0.0), (1.0, 1e6)])
+    def test_exact_linear_fit_is_not_tested(self, intercept, feature_offset):
         """Residuals of an exact fit are round-off, which Breusch-Pagan
-        must not read as heteroscedasticity; small real noise still is."""
+        must not read as heteroscedasticity, also when a large intercept
+        or large features make that round-off large next to the spread of
+        the target; small real noise still is."""
         rng = np.random.default_rng(0)
         X = rng.normal(size=(200, 3))
-        y = 1.0 + X @ [1.0, 2.0, 3.0]
-        assert dg.breusch_pagan(y, X) == (0.0, 1.0)
-        assert not dg.detect_distribution(y, X).details["hetero_flag"]
+        y = intercept + X @ [1.0, 2.0, 3.0]
+        assert dg.breusch_pagan(y, X + feature_offset) == (0.0, 1.0)
+        assert not dg.detect_distribution(
+            y, X + feature_offset).details["hetero_flag"]
         noisy = y + 1e-6 * rng.normal(size=200) * np.exp(X[:, 0])
-        assert dg.breusch_pagan(noisy, X)[1] < 1e-6
+        assert dg.breusch_pagan(noisy, X + feature_offset)[1] < 1e-6
 
 
 class TestScipyParity:
