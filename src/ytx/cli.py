@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import itertools
 import json
 import os
 import sys
@@ -123,12 +124,12 @@ def cmd_transform(args):
     kept = set(dataset.kept_rows)
     tokens = map(repr, transformed.tolist())
     with _open_out(out_csv, newline="") as dst:
-        reader = csv.reader(core.read_lines(args.input))
+        rows = itertools.chain.from_iterable(core.read_rows(args.input))
         writer = csv.writer(dst)
-        header = next(reader)
+        header = next(rows)
         writer.writerow(header)
         target_col = header.index(roles.target)
-        for i, row in enumerate(reader):
+        for i, row in enumerate(rows):
             if i in kept:
                 row[target_col] = next(tokens)
                 # A non-empty line with one comma per field separator and no

@@ -8,7 +8,9 @@ keeps fitted objects trivially serializable for the CLI sidecar files.
 
 from __future__ import annotations
 
+import contextlib
 import csv
+import itertools
 import json
 import math
 from dataclasses import asdict, dataclass, field, fields
@@ -19,6 +21,8 @@ from .errors import ConfigError, DataError, TransformDomainError
 
 # Tokens treated as missing values during ingestion.
 _MISSING = {"", "?", "NA", "N/A", "NaN", "nan", "null", "None"}
+#: each missing token to the token float() reads as nan
+_AS_NAN = dict.fromkeys(_MISSING, "nan")
 
 ROLE_NAMES = ("subject", "time", "frame", "trial", "price_index")
 
@@ -111,17 +115,21 @@ class Dataset:
         return self.features.shape[1]
 
 
-def _read_columns(reader, width):
-    """Per-column token lists of the data rows, ragged rows set aside."""
+def _read_columns(chunks, width):
+    """Per-column token lists of the data rows, ragged rows set aside.
+
+    ``chunks`` yields lists of rows, as :func:`read_rows` does; one chunk's
+    rows are alive at a time.
+    """
     columns = [[] for _ in range(width)]
     ragged = []
     n_rows = 0
-    # Chunks of a few thousand rows bound the row lists alive at once; zip
-    # stops on the exhausted range before pulling another row.
-    while chunk := [row for _, row in zip(range(4096), reader)]:
-        ragged.extend(i for i, row in enumerate(chunk, n_rows)
-                      if len(row) != width)
-        rows = [row for row in chunk if len(row) == width]
+    for chunk in chunks:
+        rows = chunk
+        if set(map(len, chunk)) != {width}:
+            ragged.extend(i for i, row in enumerate(chunk, n_rows)
+                          if len(row) != width)
+            rows = [row for row in chunk if len(row) == width]
         for column, tokens in zip(columns, zip(*rows)):
             column.extend(tokens)
         n_rows += len(chunk)
@@ -131,16 +139,19 @@ def _read_columns(reader, width):
 def _floats(tokens, rows=None, strip=True):
     """Parse a column of tokens as floats, nan where a token is not one.
 
-    Only a column whose one-pass parse raises is parsed token by token; a
-    rejected token is then stripped and, if ``strip``, parsed again (float()
-    refuses the ``\\x1c``-``\\x1f`` padding that str.strip() removes).
-    Returns None when a token on a row set in ``rows`` is neither a float
-    nor a missing marker: the column is categorical.
+    A column whose one-pass parse raises is parsed once more with each
+    exact missing token read as nan; only when that also raises is it
+    parsed token by token: a rejected token is then stripped and, if
+    ``strip``, parsed again (float() refuses the ``\\x1c``-``\\x1f``
+    padding that str.strip() removes).  Returns None when a token on a row
+    set in ``rows`` is neither a float nor a missing marker: the column is
+    categorical.
     """
-    try:
-        return np.fromiter(map(float, tokens), float, len(tokens))
-    except ValueError:
-        pass
+    for parsed in (tokens, map(_AS_NAN.get, tokens, tokens)):
+        try:
+            return np.fromiter(map(float, parsed), float, len(tokens))
+        except ValueError:
+            pass
     values = np.full(len(tokens), math.nan)
     for i, token in enumerate(tokens):
         for text in (token, token.strip()) if strip else (token,):
@@ -181,17 +192,72 @@ def _not_utf8(path):
     return DataError(f"{path}: not UTF-8 text")
 
 
-def read_lines(path):
-    """Yield the lines of a UTF-8 text file, ends kept, split as ``csv``
-    reads them (``newline=""``); a leading byte order mark is dropped.  A
-    file that cannot be read or is not UTF-8 is a DataError."""
+@contextlib.contextmanager
+def _open_text(path):
+    """Open a UTF-8 text file for reading with ``newline=""``, a leading
+    byte order mark dropped; a file that cannot be read or is not UTF-8 is
+    a DataError, also when the reading fails inside the ``with`` block."""
     try:
         with open(path, newline="", encoding="utf-8-sig") as handle:
-            yield from handle
+            yield handle
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
     except UnicodeDecodeError:
         raise _not_utf8(path) from None
+
+
+def read_lines(path):
+    """Yield the lines of a UTF-8 text file, ends kept, split as ``csv``
+    reads them; the file is opened by :func:`_open_text`."""
+    with _open_text(path) as handle:
+        yield from handle
+
+
+#: Size hint, in characters, of the lines read_rows reads at a time.
+_CHUNK_HINT = 1 << 17
+#: Rows per list that read_rows yields once csv.reader reads the file.
+_CSV_ROWS = 4096
+
+
+def read_rows(path):
+    """Yield the rows of a CSV file as Python's ``csv`` module (excel
+    dialect) reads them, in lists of consecutive rows.
+
+    The file is opened by :func:`_open_text` and read in chunks of lines.
+    A chunk with no ``"``, no NUL and no line longer than
+    ``csv.field_size_limit()`` is split at its commas: each of its lines is
+    one record, and a bare line end is ``[]``.  From the first chunk that
+    fails that test, ``csv.reader`` reads the rest of the file; every line
+    before it was a whole record, so the reader starts on a record
+    boundary.  A record ``csv`` rejects is a DataError naming its row
+    (the first row, usually the header, is row 1).
+    """
+    n_rows = 0
+    with _open_text(path) as handle:
+        limit = csv.field_size_limit()
+        while lines := handle.readlines(_CHUNK_HINT):
+            text = "".join(lines)
+            if '"' in text or "\0" in text or max(map(len, lines)) > limit:
+                break
+            n_rows += len(lines)
+            # A line break inside a line can only be its end.
+            yield [line.rstrip("\r\n").split(",") if line[0] not in "\r\n"
+                   else [] for line in lines]
+        if not lines:  # every chunk was split
+            return
+        rows = []
+        try:
+            for row in csv.reader(itertools.chain(lines, handle)):
+                rows.append(row)
+                if len(rows) == _CSV_ROWS:
+                    n_rows += len(rows)
+                    yield rows
+                    rows = []
+        except csv.Error as exc:
+            raise DataError(
+                f"{path}: row {n_rows + len(rows) + 1}: {exc}") from None
+        if rows:
+            yield rows
 
 
 def load_csv(path, roles):
@@ -200,14 +266,16 @@ def load_csv(path, roles):
     Rows whose target, role, or numeric feature values are missing or
     unparseable are dropped and counted.  Non-numeric feature columns are
     one-hot encoded with categories in lexicographic order.  The file is
-    read by :func:`read_lines`; repeated header names are a
+    read by :func:`read_rows`; repeated header names are a
     :class:`DataError`.
     """
-    reader = csv.reader(read_lines(path))
-    header = next(reader, None)
-    if header is None:
+    chunks = read_rows(path)
+    first = next(chunks, None)
+    if first is None:
         raise DataError(f"{path}: empty file")
-    columns, ragged, n_rows = _read_columns(reader, len(header))
+    header = first[0]
+    columns, ragged, n_rows = _read_columns(
+        itertools.chain([first[1:]], chunks), len(header))
     if len(set(header)) != len(header):
         repeated = sorted({c for c in header if header.count(c) > 1})
         raise DataError(f"{path}: repeated column names {repeated}")

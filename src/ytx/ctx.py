@@ -10,14 +10,14 @@ the regression-based kinds.
 
 from __future__ import annotations
 
-import csv
+import itertools
 import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (FittedTransform, _raise_first_bad, read_lines,
+from .core import (FittedTransform, _raise_first_bad, read_rows,
                    register_kind, target_range)
 from .errors import DataError
 
@@ -30,6 +30,8 @@ def _factorize(keys):
     the group bounds in it: ``order[bounds[g]:bounds[g + 1]]`` are group
     g's rows in row order.
     """
+    if isinstance(keys, np.ndarray) and keys.dtype.kind == "U":
+        keys = keys.tolist()  # plain strs: no np.str_ scalar made per key
     index = {}
     first_seen = [index.setdefault(str(k), len(index)) for k in keys]
     distinct = sorted(index)
@@ -194,7 +196,8 @@ class DeflationIndex:
     def from_csv(cls, path, base_time=None):
         """Load a two-column (time_key, index_value) CSV, header optional."""
         series = {}
-        for row in filter(None, csv.reader(read_lines(path))):
+        rows = itertools.chain.from_iterable(read_rows(path))
+        for row in filter(None, rows):
             if len(row) < 2:
                 raise DataError(f"{path}: malformed index row {row!r}")
             try:

@@ -254,8 +254,11 @@ class TestTransformCommand:
 
     @pytest.mark.parametrize("kind", ["identity", "log-offset"])
     @given(text=_transform_input(), bom=st.booleans())
+    # The small-chunk subclass runs this test too; derandomized, it keeps
+    # no example database for the two classes to share.
     @settings(max_examples=300, derandomize=True, deadline=None,
-              suppress_health_check=[HealthCheck.function_scoped_fixture])
+              suppress_health_check=[HealthCheck.function_scoped_fixture,
+                                     HealthCheck.differing_executors])
     def test_same_bytes_as_reference_writer(self, tmp_path, kind, text, bom):
         path = tmp_path / "in.csv"
         path.write_bytes(b"\xef\xbb\xbf" * bom + text.encode("utf-8"))
@@ -281,6 +284,20 @@ class TestTransformCommand:
                      "--out-csv", str(out_csv)]) == 0
         assert out_csv.read_bytes() == b"y,x\r\n1.5,2\r\n2.5,4\r\n3.5,5\r\n"
 
+    @pytest.mark.parametrize("command", ["transform", "diagnose"])
+    def test_over_long_field_is_data_error(self, command, tmp_path, capsys):
+        path = tmp_path / "long.csv"
+        path.write_text("x,y\n1,2\n" + "a" * 200000 + ",3\n")
+        out_csv = tmp_path / "out.csv"
+        argv = [command, "--input", str(path), "--roles", ROLES]
+        if command == "transform":
+            argv += ["--transform", "identity", "--out-csv", str(out_csv)]
+        assert main(argv) == 3
+        assert capsys.readouterr().err == (
+            f"error: {path}: row 3: field larger than field limit "
+            f"({csv.field_size_limit()})\n")
+        assert not out_csv.exists()
+
     def test_output_over_input_is_config_error(self, skewed_csv):
         before = open(skewed_csv, "rb").read()
         assert main(["transform", "--input", skewed_csv, "--roles", ROLES,
@@ -297,6 +314,15 @@ class TestTransformCommand:
     def test_requires_exactly_one_transform(self, skewed_csv):
         assert main(["transform", "--input", skewed_csv,
                      "--roles", ROLES]) == 2
+
+
+class TestTransformCommandInSmallChunks(TestTransformCommand):
+    """The same cases with the input read in chunks of a line or two, so
+    that each crosses chunk boundaries and any hand-over to csv.reader."""
+
+    @pytest.fixture(autouse=True)
+    def small_chunks(self, monkeypatch):
+        monkeypatch.setattr(core, "_CHUNK_HINT", 16)
 
 
 class TestBenchmarkCommand:

@@ -374,6 +374,47 @@ def _assert_same_load(path, roles):
     assert got.kept_rows == want.kept_rows
 
 
+# Quote-free rows filling three of read_rows's chunks, then a quoted field
+# that spans two lines.
+_LATE_QUOTE = ("x,y\n" + "".join(f"{i % 7},{i}\n" for i in range(50000))
+               + '"two\nlines",5\n1,2\n')
+
+
+class TestReadRows:
+    """read_rows gives the rows csv.reader reads, in any chunking."""
+
+    @given(text=st.text(st.sampled_from('ab ,"\r\n\x00\x1c\u2028'),
+                        max_size=60),
+           hint=st.sampled_from([1, 7, 1 << 17]))
+    @settings(max_examples=500, derandomize=True, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_rows_match_csv_reader(self, tmp_path, monkeypatch, text, hint):
+        monkeypatch.setattr(core, "_CHUNK_HINT", hint)
+        path = tmp_path / "raw.csv"
+        path.write_bytes(text.encode("utf-8"))
+        with open(path, newline="", encoding="utf-8") as handle:
+            want = list(csv.reader(handle))
+        chunks = list(core.read_rows(str(path)))
+        assert all(chunks)
+        assert [row for chunk in chunks for row in chunk] == want
+
+    @pytest.mark.parametrize("head, row", [
+        ("x,y\n1,2\n", 3),
+        ('x,y\n"1",2\n', 3),                       # after the hand-over
+        ('x,"y"\n' + "1,2\n" * 5000, 5002),        # past a list of rows
+        ("x,y\n" + "1,2\n" * 50000, 50002),        # past a chunk of lines
+    ], ids=["first-chunk", "csv-reader", "csv-reader-5000", "chunk-50000"])
+    @pytest.mark.parametrize("field", ["a" * 200000, '"' + "a" * 200000 + '"'],
+                             ids=["bare", "quoted"])
+    def test_over_long_field_is_data_error(self, tmp_path, head, row, field):
+        path = tmp_path / "long.csv"
+        path.write_text(head + field + ",3\n4,5\n")
+        message = (f"row {row}: field larger than field limit "
+                   f"\\({csv.field_size_limit()}\\)$")
+        with pytest.raises(DataError, match=message):
+            ytx.load_csv(str(path), ytx.ColumnRoles(target="y"))
+
+
 class TestLoadCsvEquivalence:
     """Column-wise ingestion gives the row-by-row loader's Dataset.
 
@@ -382,14 +423,33 @@ class TestLoadCsvEquivalence:
     """
 
     @given(case=_csv_case())
+    # The small-chunk subclass runs this test too; derandomized, it keeps
+    # no example database for the two classes to share.
     @settings(max_examples=400, derandomize=True, deadline=None,
-              suppress_health_check=[HealthCheck.function_scoped_fixture])
+              suppress_health_check=[HealthCheck.function_scoped_fixture,
+                                     HealthCheck.differing_executors])
     def test_matches_reference_loader(self, tmp_path, case):
         rows, roles = case
         path = tmp_path / "fuzz.csv"
         with open(path, "w", newline="", encoding="utf-8") as handle:
             csv.writer(handle).writerows(rows)
         _assert_same_load(str(path), roles)
+
+    @pytest.mark.parametrize("text", [
+        "x,y\r1,2\r3,4\r",
+        "x,y\r\n1,2\n3,4\r5,6\r\n7,8",
+        "\nx,y\n\n1,2\r\n\r\n3,4\r\r5,6\n\n",
+        "x,y\n\x1c1\x1c,2\na\x1cb,3\n1\u20282,4\nc\u2028,5\n6,7\n",
+        "x,y\nnul\x00,1\n2,3\n",
+        'x,y\n1,2\n"a\r\nb",3\n4,"5"\n\n"c""d",6\n7,8\n',
+        _LATE_QUOTE,
+    ], ids=["cr", "mixed-ends", "blank-lines", "separators", "nul",
+            "quoted", "late-quote"])
+    def test_raw_text_matches_reference_loader(self, tmp_path, text):
+        path = tmp_path / "raw.csv"
+        path.write_bytes(text.encode("utf-8"))
+        for target in ("x", "y"):
+            _assert_same_load(str(path), ytx.ColumnRoles(target=target))
 
     @pytest.mark.parametrize("header", ["a,b,y", "b,a,y"])
     def test_numeric_decision_ignores_feature_drops(self, tmp_path, header):
@@ -406,6 +466,15 @@ class TestLoadCsvEquivalence:
         ds = ytx.load_csv(path, roles)
         assert set(ds.column_names) == {"a=1", "a=3", "b"}
         assert ds.kept_rows == (0, 2)
+
+
+class TestLoadCsvEquivalenceInSmallChunks(TestLoadCsvEquivalence):
+    """The same cases read in chunks of a line or two, so that each crosses
+    chunk boundaries and any hand-over to csv.reader."""
+
+    @pytest.fixture(autouse=True)
+    def small_chunks(self, monkeypatch):
+        monkeypatch.setattr(core, "_CHUNK_HINT", 16)
 
 
 class TestTransformContract:
