@@ -374,12 +374,6 @@ def _assert_same_load(path, roles):
     assert got.kept_rows == want.kept_rows
 
 
-# Quote-free rows filling three of read_rows's chunks, then a quoted field
-# that spans two lines.
-_LATE_QUOTE = ("x,y\n" + "".join(f"{i % 7},{i}\n" for i in range(50000))
-               + '"two\nlines",5\n1,2\n')
-
-
 class TestReadRows:
     """read_rows gives the rows csv.reader reads, in any chunking."""
 
@@ -413,6 +407,12 @@ class TestReadRows:
                    f"\\({csv.field_size_limit()}\\)$")
         with pytest.raises(DataError, match=message):
             ytx.load_csv(str(path), ytx.ColumnRoles(target="y"))
+
+
+# Quote-free rows filling three of read_rows's chunks, then a quoted field
+# that spans two lines.
+_LATE_QUOTE = ("x,y\n" + "".join(f"{i % 7},{i}\n" for i in range(50000))
+               + '"two\nlines",5\n1,2\n')
 
 
 class TestLoadCsvEquivalence:
