@@ -30,8 +30,6 @@ def _factorize(keys):
     the group bounds in it: ``order[bounds[g]:bounds[g + 1]]`` are group
     g's rows in row order.
     """
-    if isinstance(keys, np.ndarray) and keys.dtype.kind == "U":
-        keys = keys.tolist()  # plain strs: no np.str_ scalar made per key
     index = {}
     first_seen = [index.setdefault(str(k), len(index)) for k in keys]
     distinct = sorted(index)

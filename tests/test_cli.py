@@ -100,6 +100,24 @@ def _transform_input(draw):
     return "".join(lines)
 
 
+def _assert_same_bytes_as_reference_writer(tmp_path, kind, text, bom):
+    """transform writes the bytes of the row-by-row reference writer."""
+    path = tmp_path / "in.csv"
+    path.write_bytes(b"\xef\xbb\xbf" * bom + text.encode("utf-8"))
+    out_csv = tmp_path / "out.csv"
+    out_json = tmp_path / "params.json"
+    code = main(["transform", "--input", str(path), "--roles", ROLES,
+                 "--transform", kind, "--out-csv", str(out_csv),
+                 "--out-json", str(out_json)])
+    assume(code == 0)
+    dataset = core.load_csv(str(path), core.ColumnRoles(target="y"))
+    fitted = core.FittedTransform.from_json(out_json.read_text())
+    expected = _reference_transform_csv(
+        str(path), "y", dataset.kept_rows,
+        core.forward(fitted, dataset.target))
+    assert out_csv.read_bytes() == expected
+
+
 def count_writerows(mp):
     """Route cli's csv.writer through a proxy that records each writerow."""
     calls = []
@@ -254,26 +272,21 @@ class TestTransformCommand:
 
     @pytest.mark.parametrize("kind", ["identity", "log-offset"])
     @given(text=_transform_input(), bom=st.booleans())
-    # The small-chunk subclass runs this test too; derandomized, it keeps
-    # no example database for the two classes to share.
     @settings(max_examples=300, derandomize=True, deadline=None,
-              suppress_health_check=[HealthCheck.function_scoped_fixture,
-                                     HealthCheck.differing_executors])
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
     def test_same_bytes_as_reference_writer(self, tmp_path, kind, text, bom):
-        path = tmp_path / "in.csv"
-        path.write_bytes(b"\xef\xbb\xbf" * bom + text.encode("utf-8"))
-        out_csv = tmp_path / "out.csv"
-        out_json = tmp_path / "params.json"
-        code = main(["transform", "--input", str(path), "--roles", ROLES,
-                     "--transform", kind, "--out-csv", str(out_csv),
-                     "--out-json", str(out_json)])
-        assume(code == 0)
-        dataset = core.load_csv(str(path), core.ColumnRoles(target="y"))
-        fitted = core.FittedTransform.from_json(out_json.read_text())
-        expected = _reference_transform_csv(
-            str(path), "y", dataset.kept_rows,
-            core.forward(fitted, dataset.target))
-        assert out_csv.read_bytes() == expected
+        _assert_same_bytes_as_reference_writer(tmp_path, kind, text, bom)
+
+    @pytest.mark.parametrize("kind", ["identity", "log-offset"])
+    @given(text=_transform_input(), bom=st.booleans())
+    @settings(max_examples=300, derandomize=True, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_same_bytes_in_small_chunks(self, tmp_path, monkeypatch, kind,
+                                        text, bom):
+        # A line or two per chunk: each case crosses chunk boundaries and
+        # any hand-over to csv.reader.
+        monkeypatch.setattr(core, "_CHUNK_HINT", 16)
+        _assert_same_bytes_as_reference_writer(tmp_path, kind, text, bom)
 
     def test_bom_input_with_target_first(self, tmp_path):
         path = tmp_path / "bom.csv"
@@ -312,15 +325,6 @@ class TestTransformCommand:
     def test_requires_exactly_one_transform(self, skewed_csv):
         assert main(["transform", "--input", skewed_csv,
                      "--roles", ROLES]) == 2
-
-
-class TestTransformCommandInSmallChunks(TestTransformCommand):
-    """The same cases with the input read in chunks of a line or two, so
-    that each crosses chunk boundaries and any hand-over to csv.reader."""
-
-    @pytest.fixture(autouse=True)
-    def small_chunks(self, monkeypatch):
-        monkeypatch.setattr(core, "_CHUNK_HINT", 16)
 
 
 class TestBenchmarkCommand:

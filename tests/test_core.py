@@ -374,6 +374,15 @@ def _assert_same_load(path, roles):
     assert got.kept_rows == want.kept_rows
 
 
+def _assert_same_load_of_rows(tmp_path, case):
+    """Rows written by csv.writer load as the reference loader reads them."""
+    rows, roles = case
+    path = tmp_path / "fuzz.csv"
+    with open(path, "w", newline="", encoding="utf-8") as handle:
+        csv.writer(handle).writerows(rows)
+    _assert_same_load(str(path), roles)
+
+
 class TestReadRows:
     """read_rows gives the rows csv.reader reads, in any chunking."""
 
@@ -423,17 +432,20 @@ class TestLoadCsvEquivalence:
     """
 
     @given(case=_csv_case())
-    # The small-chunk subclass runs this test too; derandomized, it keeps
-    # no example database for the two classes to share.
     @settings(max_examples=400, derandomize=True, deadline=None,
-              suppress_health_check=[HealthCheck.function_scoped_fixture,
-                                     HealthCheck.differing_executors])
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
     def test_matches_reference_loader(self, tmp_path, case):
-        rows, roles = case
-        path = tmp_path / "fuzz.csv"
-        with open(path, "w", newline="", encoding="utf-8") as handle:
-            csv.writer(handle).writerows(rows)
-        _assert_same_load(str(path), roles)
+        _assert_same_load_of_rows(tmp_path, case)
+
+    @given(case=_csv_case())
+    @settings(max_examples=400, derandomize=True, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_matches_reference_loader_in_small_chunks(self, tmp_path,
+                                                      monkeypatch, case):
+        # A line or two per chunk: each case crosses chunk boundaries and
+        # any hand-over to csv.reader.
+        monkeypatch.setattr(core, "_CHUNK_HINT", 16)
+        _assert_same_load_of_rows(tmp_path, case)
 
     @pytest.mark.parametrize("text", [
         "x,y\r1,2\r3,4\r",
@@ -445,7 +457,10 @@ class TestLoadCsvEquivalence:
         _LATE_QUOTE,
     ], ids=["cr", "mixed-ends", "blank-lines", "separators", "nul",
             "quoted", "late-quote"])
-    def test_raw_text_matches_reference_loader(self, tmp_path, text):
+    @pytest.mark.parametrize("hint", [16, 1 << 17])
+    def test_raw_text_matches_reference_loader(self, tmp_path, monkeypatch,
+                                               hint, text):
+        monkeypatch.setattr(core, "_CHUNK_HINT", hint)
         path = tmp_path / "raw.csv"
         path.write_bytes(text.encode("utf-8"))
         for target in ("x", "y"):
@@ -466,15 +481,6 @@ class TestLoadCsvEquivalence:
         ds = ytx.load_csv(path, roles)
         assert set(ds.column_names) == {"a=1", "a=3", "b"}
         assert ds.kept_rows == (0, 2)
-
-
-class TestLoadCsvEquivalenceInSmallChunks(TestLoadCsvEquivalence):
-    """The same cases read in chunks of a line or two, so that each crosses
-    chunk boundaries and any hand-over to csv.reader."""
-
-    @pytest.fixture(autouse=True)
-    def small_chunks(self, monkeypatch):
-        monkeypatch.setattr(core, "_CHUNK_HINT", 16)
 
 
 class TestTransformContract:
