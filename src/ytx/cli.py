@@ -13,7 +13,7 @@ import json
 import os
 import sys
 
-from . import core, diagnostics, evaluation
+from . import core, ctx, diagnostics, evaluation
 from .errors import ConfigError, DataError, TransformDomainError
 
 #: the exit code of each error a subcommand raises
@@ -111,7 +111,7 @@ def cmd_transform(args):
     # exists once the input has been read.
     _check_out_dirs(args.out_csv, args.out_json)
     roles = _load_roles(args.roles)
-    dataset = core.load_csv(args.input, roles)
+    dataset = ctx._group_keys(core.load_csv(args.input, roles), [kind])
     fitted = evaluation.fit_transform_kind(kind, dataset.target, dataset)
     transformed = core.forward(fitted, dataset.target,
                                evaluation.aux_column(kind, dataset))

@@ -13,11 +13,11 @@ from __future__ import annotations
 import itertools
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import (FittedTransform, _raise_first_bad, read_rows,
+from .core import (FittedTransform, _raise_first_bad, kind_fit, read_rows,
                    register_kind, target_range)
 from .errors import DataError
 
@@ -28,8 +28,10 @@ def _factorize(keys):
     Returns the distinct keys in sorted order (the order ``np.unique``
     gives), each row's code into them, a stable argsort of the codes and
     the group bounds in it: ``order[bounds[g]:bounds[g + 1]]`` are group
-    g's rows in row order.
+    g's rows in row order.  A ``_GroupedKeys`` column gives its groups.
     """
+    if isinstance(keys, _GroupedKeys):
+        return keys.groups
     index = {}
     first_seen = [index.setdefault(str(k), len(index)) for k in keys]
     distinct = sorted(index)
@@ -42,6 +44,43 @@ def _factorize(keys):
     bounds = np.zeros(len(distinct) + 1, dtype=np.intp)
     np.cumsum(np.bincount(codes, minlength=len(distinct)), out=bounds[1:])
     return distinct, codes, order, bounds
+
+
+class _GroupedKeys:
+    """A key column held as its ``_factorize`` groups: ``len()`` is its row
+    count, and ``col[rows]`` (an intp array or a slice) is the grouped
+    column of those rows, equal to ``_factorize(keys[rows])`` and made with
+    numpy alone."""
+
+    def __init__(self, groups):
+        self.groups = groups
+
+    def __len__(self):
+        return len(self.groups[1])
+
+    def __getitem__(self, rows):
+        distinct, codes, _, _ = self.groups
+        codes = codes[rows]
+        counts = np.bincount(codes, minlength=len(distinct))
+        used = np.flatnonzero(counts)
+        rank = np.empty(len(distinct), dtype=np.min_scalar_type(len(used)))
+        rank[used] = np.arange(len(used))
+        codes = rank[codes]
+        bounds = np.zeros(len(used) + 1, dtype=np.intp)
+        np.cumsum(counts[used], out=bounds[1:])
+        return _GroupedKeys(([distinct[g] for g in used.tolist()], codes,
+                             np.argsort(codes, kind="stable"), bounds))
+
+
+def _group_keys(dataset, kinds):
+    """A copy of ``dataset`` whose key columns that ``kinds`` read (the
+    roles ``_groups`` reads) are ``_GroupedKeys``, so that each is grouped
+    once however many row subsets are taken of it."""
+    keyed = {"subject", "trial", "time"}.intersection(
+        itertools.chain.from_iterable(kind_fit(kind)[1] for kind in kinds))
+    aux = {role: _GroupedKeys(_factorize(col)) if role in keyed else col
+           for role, col in dataset.aux.items()}
+    return replace(dataset, aux=aux)
 
 
 def _check_length(values, y, name):
@@ -239,9 +278,10 @@ def _fit_deflate_rows(y, time, prices):
     """Deflate by each period's first price on the rows, to the earliest
     period; periods go in order of first appearance, so the base among
     tied sort keys ("1"/"1.0") is the one seen first."""
-    y, (_, _, order, bounds) = _groups(y, time, "time vector")
-    series = {str(time[i]): float(prices[i])
-              for i in np.sort(order[bounds[:-1]])}
+    time = _GroupedKeys(_factorize(time))
+    y, (keys, codes, order, bounds) = _groups(y, time, "time vector")
+    series = {keys[codes[i]]: float(prices[i])
+              for i in np.sort(order[bounds[:-1]]).tolist()}
     base = sorted(series, key=_time_sort_key)[0]
     return fit_deflate(y, time, DeflationIndex(series=series, base_time=base))
 

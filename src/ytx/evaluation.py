@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import core
+from . import core, ctx
 from .errors import ConfigError, DataError
 
 #: display names used in the markdown tables
@@ -420,6 +420,7 @@ def run_benchmark(dataset, models=MODELS, transforms=(),
         if kind not in core.KNOWN_KINDS:
             raise ConfigError(f"unknown transform kind {kind!r}")
     plan = make_fold_plan(dataset.n, seed)
+    dataset = ctx._group_keys(dataset, kinds)
 
     def work(i):
         return _evaluate_fold(dataset, plan, i, models, kinds, alpha)

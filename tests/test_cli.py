@@ -12,7 +12,7 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 import ytx
-from ytx import cli, core
+from ytx import cli, core, ctx
 from ytx.cli import main
 
 
@@ -287,6 +287,24 @@ class TestTransformCommand:
         # any hand-over to csv.reader.
         monkeypatch.setattr(core, "_CHUNK_HINT", 16)
         _assert_same_bytes_as_reference_writer(tmp_path, kind, text, bom)
+
+    def test_keyed_kind_groups_its_column_once(self, tmp_path,
+                                               raw_factorize_calls):
+        path = tmp_path / "panel.csv"
+        path.write_text("\n".join(
+            ["s,r,x,y"] + [f"s{i % 5},{i % 3},{i},{1 + i * 7 % 11}"
+                           for i in range(40)]) + "\n")
+        roles = '{"target": "y", "subject": "s", "trial": "r"}'
+        out_json = tmp_path / "params.json"
+        assert main(["transform", "--input", str(path), "--roles", roles,
+                     "--transform", "subject-center",
+                     "--out-csv", str(tmp_path / "out.csv"),
+                     "--out-json", str(out_json)]) == 0
+        # One pass over the subject column; the trial column is not read.
+        assert raw_factorize_calls == [40]
+        ds = core.load_csv(str(path), core.ColumnRoles.from_json(roles))
+        fitted = ctx.fit_subject_center(ds.target, ds.aux["subject"])
+        assert out_json.read_text() == fitted.to_json() + "\n"
 
     def test_bom_input_with_target_first(self, tmp_path):
         path = tmp_path / "bom.csv"

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -594,3 +596,57 @@ class TestUnicodeKeys:
         y, variants = self.variants()
         got = [repr(detect(y, keys)) for keys in variants]
         assert got[0] == got[1] == got[2]
+
+
+_AWKWARD_KEYS = (1, "1", 1.0, 0.0, -0.0, math.nan, "nan", "a", "b", 7)
+
+
+@st.composite
+def _key_rows(draw):
+    """A key column as an object array and the rows to take of it: none,
+    ``slice(None)``, a subset in any order, or indices with repeats."""
+    keys = draw(st.lists(st.one_of(st.sampled_from(_AWKWARD_KEYS),
+                                   st.integers(-3, 40),
+                                   st.text("ab1.", max_size=3)),
+                         max_size=40))
+    if draw(st.booleans()):  # more than 256 groups: 16-bit codes
+        keys += [f"k{i}" for i in range(draw(st.integers(250, 300)))]
+    keys = np.asarray(draw(st.permutations(keys)), dtype=object)
+    shape = draw(st.sampled_from(["empty", "all", "subset", "repeats"]))
+    if shape == "all" or (shape != "empty" and not keys.size):
+        return keys, slice(None)
+    index = st.integers(0, keys.size - 1)
+    rows = {"empty": st.just([]),
+            "subset": st.lists(index, unique=True),
+            "repeats": st.lists(index, min_size=1)}[shape]
+    return keys, np.array(draw(rows), dtype=np.intp)
+
+
+def _assert_same_groups(got, want):
+    assert got[0] == want[0]
+    assert all(type(k) is str for k in got[0])
+    for mine, theirs in zip(got[1:], want[1:]):
+        assert mine.dtype == theirs.dtype
+        assert mine.tobytes() == theirs.tobytes()
+
+
+class TestGroupedKeys:
+    """A grouped key column's row subsets group as ``_factorize`` groups
+    the same rows of the keys."""
+
+    @given(case=_key_rows())
+    @settings(max_examples=400, derandomize=True, deadline=None)
+    def test_rows_match_factorize(self, case):
+        keys, rows = case
+        col = ctx._GroupedKeys(ctx._factorize(keys))
+        assert len(col) == len(keys)
+        sub = col[rows]
+        assert len(sub) == len(keys[rows])
+        _assert_same_groups(sub.groups, ctx._factorize(keys[rows]))
+        # A subset of a subset is grouped as the keys of those rows.
+        _assert_same_groups(sub[::-1].groups,
+                            ctx._factorize(keys[rows][::-1]))
+
+    def test_factorize_passes_groups_through(self):
+        col = ctx._GroupedKeys(ctx._factorize(["b", 1, "a", 1.0]))
+        assert ctx._factorize(col) is col.groups

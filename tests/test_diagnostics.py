@@ -525,6 +525,53 @@ class TestDiagnose:
         assert report.context is None
         assert report.distribution is not None
 
+    @pytest.mark.parametrize("thresholds", [
+        dg.Thresholds(),
+        dg.Thresholds(subjective_p=0.0, frame_r=1.0, trend_rho=1.0,
+                      context_r2=1.0),
+    ], ids=["default", "never-flag"])
+    def test_contextual_verdicts(self, thresholds):
+        # Subject bias, frame scaling, a trend over periods and a context
+        # effect, all planted; each verdict is its detector's on the column.
+        rng = np.random.default_rng(4)
+        n = 200
+        subject = rng.integers(0, 8, n)
+        period = rng.integers(0, 20, n)
+        frame = rng.uniform(0.7, 1.4, n)
+        context = rng.normal(size=(n, 2))
+        y = frame * (5.0 + subject + 0.5 * period + 4.0 * context[:, 0]
+                     + rng.normal(scale=0.3, size=n))
+        ds = ytx.Dataset(
+            features=rng.normal(size=(n, 2)), target=y,
+            column_names=("a", "b"),
+            roles=ytx.ColumnRoles(target="y", subject="s", time="t",
+                                  frame="f", trial="r", context=("c1", "c2"),
+                                  price_index="p"),
+            aux={"subject": np.array([f"s{k}" for k in subject],
+                                     dtype=object),
+                 "time": np.array([str(2000 + t) for t in period],
+                                  dtype=object),
+                 "frame": frame,
+                 "trial": np.array([str(k % 3) for k in subject],
+                                   dtype=object),
+                 "price_index": 1.0 + 0.01 * period,
+                 "context": context})
+        report = ytx.diagnose(ds, thresholds)
+        expected = {
+            "subjective": dg.detect_subjective(y, ds.aux["subject"],
+                                               thresholds),
+            "frame": dg.detect_frame(y, frame, thresholds),
+            "trend": dg.detect_trend(y, ds.aux["time"], thresholds),
+            "context": dg.detect_context(y, context, thresholds),
+        }
+        flagged = thresholds == dg.Thresholds()
+        doc = report.to_dict()
+        for name, verdict in expected.items():
+            assert repr(getattr(report, name)) == repr(verdict), name
+            assert verdict.flagged is flagged, name
+            assert doc[name] == verdict.to_dict(), name
+        assert set(doc) == {*expected, "distribution", "recommendations"}
+
     def test_permutation_invariance(self):
         rng = np.random.default_rng(8)
         y = rng.gamma(2.0, size=200)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -415,6 +416,22 @@ def panel_dataset(n=120, seed=0):
              "context": context})
 
 
+def awkward_panel_dataset(n=120, seed=0):
+    """``panel_dataset`` with subject and trial keys that mix 1, "1" and
+    1.0 (the first two group together) and a plain int time column."""
+    ds = panel_dataset(n, seed)
+
+    def mixed(column):
+        ks = [int(key.lstrip("s")) for key in column]
+        return np.array([(k // 3 + 1, str(k // 3 + 1), float(k // 3 + 1))
+                         [k % 3] for k in ks], dtype=object)
+
+    return dataclasses.replace(ds, aux=dict(
+        ds.aux, subject=mixed(ds.aux["subject"]),
+        trial=mixed(ds.aux["trial"]),
+        time=np.array([int(t) for t in ds.aux["time"]])))
+
+
 def _reference_inverse_range(t):
     """``core.inverse_range`` before every kind carried a range function:
     the kinds registered without one were total, and one quantile range
@@ -541,6 +558,12 @@ class TestFitTransformKind:
         assert t.params["series"] == {"1": 1.0, "1.0": 9.0, "2": 4.0}
         assert t.params["base_time"] == "1"
 
+    def test_deflate_groups_its_time_column_once(self, raw_factorize_calls):
+        ds = panel_dataset()
+        ev.fit_transform_kind("deflate", ds.target, ds)
+        ev.fit_transform_kind("deflate", ds.target[:50], ds, np.arange(50))
+        assert raw_factorize_calls == [ds.n, 50]
+
 
 class TestBenchmark:
     def test_identity_matches_direct_run(self):
@@ -641,6 +664,19 @@ class TestBenchmark:
         cell = report.cells[("ridge", "quantile-normal")]
         assert cell["clamped"] >= 0
 
+    @pytest.mark.parametrize("models", [("ridge",), ("ridge", "lasso")])
+    @pytest.mark.parametrize("kinds, columns", [
+        (("subject-center", "trial-minmax", "deflate"), 3),
+        (core.KNOWN_KINDS, 3),
+        (("deflate", "frame"), 1),
+        ((), 0),
+    ], ids=["keyed", "all", "deflate-frame", "none"])
+    def test_groups_each_key_column_once(self, raw_factorize_calls, models,
+                                         kinds, columns):
+        ds = panel_dataset()
+        ytx.run_benchmark(ds, models=models, transforms=kinds)
+        assert raw_factorize_calls == [ds.n] * columns
+
     def test_repeated_models_and_kinds_are_scored_once(self):
         ds = toy_dataset(seed=8)
         repeated = ytx.run_benchmark(
@@ -735,7 +771,13 @@ class TestHarnessMatchesReference:
 
     @pytest.mark.parametrize("threads", [None, 2])
     def test_report_bytes_all_kinds(self, threads):
-        ds = panel_dataset(seed=3)
+        self.assert_report_bytes(panel_dataset(seed=3), threads)
+
+    @pytest.mark.parametrize("threads", [None, 2])
+    def test_report_bytes_awkward_keys(self, threads):
+        self.assert_report_bytes(awkward_panel_dataset(seed=3), threads)
+
+    def assert_report_bytes(self, ds, threads):
         kinds = tuple(k for k in core.KNOWN_KINDS if k != "identity")
         report = ytx.run_benchmark(ds, models=("ridge", "lasso"),
                                    transforms=kinds, seed=21, alpha=0.05,
