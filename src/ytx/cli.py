@@ -183,7 +183,7 @@ def cmd_benchmark(args):
 def _print_markdown(report, out_md):
     """Print the RSE and SMAPE tables of ``report``, first writing them to
     ``out_md`` if given; returns the exit code 0."""
-    markdown = report.to_markdown("rse") + "\n" + report.to_markdown("smape")
+    markdown = "\n".join(map(report.to_markdown, evaluation.METRICS))
     if out_md:
         _write(out_md, markdown + "\n")
     print(markdown)

@@ -200,6 +200,10 @@ def predict(model, X):
 _MODEL_FITTERS = {"ridge": _fit_ridge, "lasso": _fit_lasso}
 #: the trainable models, in report order
 MODELS = tuple(_MODEL_FITTERS)
+#: a (model, kind) cell's keys, each with the rule that merges its ten
+#: fold values; bench.json gives each of the METRICS as mean, std and folds
+CELL = {"rse": list, "smape": list, "clamped": sum, "converged": all}
+METRICS = ("rse", "smape")
 #: model identifiers the report schema accepts: the trainable ones, then
 #: names that let an external runner merge its results.
 RESERVED_MODELS = (*MODELS, "gbtr", "svr")
@@ -295,9 +299,7 @@ class BenchmarkReport:
     seed: int
     models: tuple
     transforms: tuple            # baseline first
-    cells: dict = field(default_factory=dict)
-    # cells[(model, transform)] = {"rse": [...], "smape": [...],
-    #                              "clamped": int, "converged": bool}
+    cells: dict = field(default_factory=dict)  # (model, transform) -> CELL
 
     def mean_std(self, model, transform, metric):
         values = np.asarray(self.cells[(model, transform)][metric])
@@ -309,13 +311,11 @@ class BenchmarkReport:
             results[model] = {}
             for transform in self.transforms:
                 cell = self.cells[(model, transform)]
-                entry = {}
-                for metric in ("rse", "smape"):
+                entry = {key: cell[key] for key in CELL}
+                for metric in METRICS:
                     mean, std = self.mean_std(model, transform, metric)
                     entry[metric] = {"mean": mean, "std": std,
                                      "folds": list(cell[metric])}
-                entry["clamped"] = cell["clamped"]
-                entry["converged"] = cell["converged"]
                 results[model][transform] = entry
         return {
             "dataset": self.dataset_name,
@@ -343,15 +343,15 @@ class BenchmarkReport:
                 where = f"results for {model!r}, {transform!r}"
                 entry = _report_key(per_model, transform, where)
                 cell = {}
-                for metric in ("rse", "smape"):
+                for metric in METRICS:
                     stats = _report_key(entry, metric, f"{where}, {metric!r}")
                     folds = f"{where}, {metric!r} folds"
                     cell[metric] = _report_list(
                         _report_key(stats, "folds"), (int, float), folds)
                     if len(cell[metric]) < 2:  # mean_std's std has ddof=1
                         raise DataError(f"{folds} has fewer than 2 values")
-                for key in ("clamped", "converged"):
-                    cell[key] = _report_key(entry, key)
+                cell.update((key, _report_key(entry, key))
+                            for key in CELL if key not in METRICS)
                 cells[(model, transform)] = cell
         name, seed = _report_key(obj, "dataset"), _report_key(obj, "seed")
         if not isinstance(name, str):
@@ -383,9 +383,9 @@ class BenchmarkReport:
 
 
 def _evaluate_fold(dataset, plan, fold_index, model_kinds, transforms, alpha):
-    """Fold ``fold_index``'s cells as ``{(model, kind): (rse, smape,
-    clamped, converged)}``: each kind is fitted and applied to the training
-    targets once, then scored under every model."""
+    """Fold ``fold_index``'s cells as ``{(model, kind): {key: value}}``
+    over the keys of ``CELL``: each kind is fitted and applied to the
+    training targets once, then scored under every model."""
     tr, te = (np.asarray(idx, dtype=np.intp) for idx in plan.folds[fold_index])
     y_train, y_test = dataset.target[tr], dataset.target[te]
     design = _design(dataset.features[tr])
@@ -400,9 +400,9 @@ def _evaluate_fold(dataset, plan, fold_index, model_kinds, transforms, alpha):
             z_pred = Xs_test @ model.coefficients + model.intercept
             z_pred, n_clamped = core.clamp_to_inverse_range(t, z_pred)
             y_pred = core.inverse(t, z_pred, aux_te)
-            out[(model_kind, kind)] = (rse(y_test, y_pred),
-                                       smape(y_test, y_pred), n_clamped,
-                                       model.converged)
+            out[(model_kind, kind)] = {
+                "rse": rse(y_test, y_pred), "smape": smape(y_test, y_pred),
+                "clamped": n_clamped, "converged": model.converged}
     return out
 
 
@@ -431,10 +431,7 @@ def run_benchmark(dataset, models=MODELS, transforms=(),
     else:
         fold_results = [work(i) for i in range(10)]
 
-    cells = {}
-    for key in itertools.product(models, kinds):
-        rses, smapes, clamped, converged = zip(
-            *(fr[key] for fr in fold_results))
-        cells[key] = {"rse": list(rses), "smape": list(smapes),
-                      "clamped": sum(clamped), "converged": all(converged)}
+    cells = {key: {name: merge(fr[key][name] for fr in fold_results)
+                   for name, merge in CELL.items()}
+             for key in itertools.product(models, kinds)}
     return BenchmarkReport(dataset_name, seed, models, kinds, cells)

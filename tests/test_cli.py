@@ -12,7 +12,7 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 import ytx
-from ytx import cli, core, ctx
+from ytx import cli, core, ctx, evaluation
 from ytx.cli import main
 
 
@@ -445,17 +445,18 @@ class TestReportCommand:
         assert main(["report", "--in-json", str(path)]) == 3
         assert "report lacks key 'results'" in capsys.readouterr().err
 
-    def test_cell_without_smape_is_data_error(self, skewed_csv, tmp_path,
-                                              capsys):
+    @pytest.mark.parametrize("key", list(evaluation.CELL))
+    def test_cell_without_key_is_data_error(self, skewed_csv, tmp_path,
+                                            capsys, key):
         bench = tmp_path / "bench.json"
         main(["benchmark", "--input", skewed_csv, "--roles", ROLES,
               "--model", "ridge", "--out-json", str(bench)])
         doc = json.loads(bench.read_text())
-        del doc["results"]["ridge"]["identity"]["smape"]
+        del doc["results"]["ridge"]["identity"][key]
         bench.write_text(json.dumps(doc))
         capsys.readouterr()
         assert main(["report", "--in-json", str(bench)]) == 3
-        assert "report lacks key 'smape'" in capsys.readouterr().err
+        assert f"report lacks key '{key}'" in capsys.readouterr().err
 
     @pytest.mark.parametrize("doc, problem", [
         ([], "report is not a JSON object"),

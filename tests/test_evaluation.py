@@ -658,11 +658,39 @@ class TestBenchmark:
         assert again.to_json() == report.to_json()
 
     def test_clamp_counter_recorded(self):
+        # A uniform target's linear predictions leave (0, 1) on several
+        # folds, so the cell's count is a sum, not the largest fold's.
         ds = toy_dataset(seed=5)
         report = ytx.run_benchmark(ds, models=("ridge",),
-                                   transforms=("quantile-normal",), seed=3)
-        cell = report.cells[("ridge", "quantile-normal")]
-        assert cell["clamped"] >= 0
+                                   transforms=("quantile-uniform",), seed=3)
+        counts = []
+        for train, test in ytx.make_fold_plan(ds.n, 3).folds:
+            t = ev.fit_transform_kind("quantile-uniform",
+                                      ds.target[list(train)])
+            model = ytx.fit_ridge(ds.features[list(train)],
+                                  ytx.forward(t, ds.target[list(train)]))
+            counts.append(core.clamp_to_inverse_range(
+                t, ytx.predict(model, ds.features[list(test)]))[1])
+        assert sum(count > 0 for count in counts) >= 2
+        assert report.cells[("ridge", "quantile-uniform")]["clamped"] == sum(
+            counts)
+
+    @pytest.mark.parametrize("unconverged_fold", [None, 0, 4, 9])
+    def test_converged_only_if_every_fold_converged(self, monkeypatch,
+                                                    unconverged_fold):
+        fit_lasso, calls = ev._MODEL_FITTERS["lasso"], []
+
+        def one_fold_unconverged(design, z, alpha):
+            calls.append(len(calls))  # one fit per fold, in fold order
+            return dataclasses.replace(fit_lasso(design, z, alpha),
+                                       converged=calls[-1] != unconverged_fold)
+
+        monkeypatch.setitem(ev._MODEL_FITTERS, "lasso", one_fold_unconverged)
+        report = ytx.run_benchmark(toy_dataset(seed=9), models=("lasso",),
+                                   seed=2, alpha=0.01, threads=None)
+        assert len(calls) == 10
+        assert report.cells[("lasso", "identity")]["converged"] is (
+            unconverged_fold is None)
 
     @pytest.mark.parametrize("models", [("ridge",), ("ridge", "lasso")])
     @pytest.mark.parametrize("kinds, columns", [
