@@ -12,7 +12,6 @@ import warnings
 from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
-from scipy import special
 
 from .ctx import _check_length, _design, _groups, _lstsq, _time_sort_key
 from .dist import skewness
@@ -102,6 +101,8 @@ def detect_subjective(y, subject, thresholds=Thresholds()):
     elif ssw <= 1e-12 * scale:
         f_stat, p = float("inf"), 0.0
     else:
+        from scipy import special
+
         f_stat = (ssb / df_b) / (ssw / df_w)
         p = float(special.fdtrc(df_b, df_w, f_stat))
     return Verdict(flagged=p < thresholds.subjective_p,
@@ -218,6 +219,8 @@ def breusch_pagan(y, X):
     r2 = _r2(squared, design)
     if r2 is None:
         return 0.0, 1.0
+    from scipy import special
+
     lm = n * max(r2, 0.0)
     return float(lm), float(special.chdtrc(design.shape[1] - 1, lm))
 

@@ -10,7 +10,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy import special
 
 from .core import (FittedTransform, _raise_first_bad, register_kind,
                    target_range)
@@ -23,9 +22,14 @@ _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 # --------------------------------------------------------------------------
 # Normal distribution helpers
+#
+# scipy.special is imported where it is called, not with the module: loading
+# it takes about 0.3 s, and most commands never need a normal quantile.
 
 def normal_cdf(x):
     """Standard normal CDF (scipy's ``ndtr``)."""
+    from scipy import special
+
     if np.isscalar(x):
         return float(special.ndtr(x))
     return special.ndtr(np.asarray(x, dtype=float))
@@ -33,6 +37,8 @@ def normal_cdf(x):
 
 def normal_ppf(p):
     """Inverse standard normal CDF (scipy's ``ndtri``) on (0, 1)."""
+    from scipy import special
+
     values = np.asarray(p, dtype=float)
     outside = ~((values > 0.0) & (values < 1.0))
     if outside.any():
@@ -417,12 +423,18 @@ def _qu_inverse_range(params):
     return (eps, 1.0 - eps)
 
 
+def _qn_inverse_range(params):
+    from scipy import special
+
+    return tuple(special.ndtri(_qu_inverse_range(params)).tolist())
+
+
 # quantile-normal is quantile-uniform followed by the normal quantile
 # function; normal_ppf/normal_cdf are looked up at call time, so a wrapper
 # set on the module is honoured.
 register_kind("quantile-normal", lambda y: fit_quantile(y, "normal"),
               lambda p, y, aux: normal_ppf(_qu_forward(p, y, aux)),
               lambda p, z, aux: _qu_inverse(p, normal_cdf(z), aux),
-              lambda p: tuple(special.ndtri(_qu_inverse_range(p)).tolist()))
+              _qn_inverse_range)
 register_kind("quantile-uniform", lambda y: fit_quantile(y, "uniform"),
               _qu_forward, _qu_inverse, _qu_inverse_range)

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import itertools
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -204,6 +203,8 @@ MODELS = tuple(_MODEL_FITTERS)
 #: fold values; bench.json gives each of the METRICS as mean, std and folds
 CELL = {"rse": list, "smape": list, "clamped": sum, "converged": all}
 METRICS = ("rse", "smape")
+#: the JSON type bench.json holds for each CELL key that is not a metric
+_CELL_TYPES = {"clamped": int, "converged": bool}
 #: model identifiers the report schema accepts: the trainable ones, then
 #: names that let an external runner merge its results.
 RESERVED_MODELS = (*MODELS, "gbtr", "svr")
@@ -285,6 +286,17 @@ def _report_key(obj, key, where=None):
     return obj[key]
 
 
+def _report_typed(obj, key, kind, where):
+    """``obj[key]`` of a report being read, which must be a JSON ``kind``
+    (int or bool); true and false are not integers."""
+    value = _report_key(obj, key)
+    if not isinstance(value, kind) or (kind is int
+                                       and isinstance(value, bool)):
+        what = "an integer" if kind is int else "a boolean"
+        raise DataError(f"{where} is not {what}")
+    return value
+
+
 def _report_list(value, items, where):
     if not (isinstance(value, list)
             and all(isinstance(v, items) for v in value)):
@@ -350,12 +362,15 @@ class BenchmarkReport:
                         _report_key(stats, "folds"), (int, float), folds)
                     if len(cell[metric]) < 2:  # mean_std's std has ddof=1
                         raise DataError(f"{folds} has fewer than 2 values")
-                cell.update((key, _report_key(entry, key))
-                            for key in CELL if key not in METRICS)
+                for key in CELL:
+                    if key not in METRICS:
+                        cell[key] = _report_typed(entry, key, _CELL_TYPES[key],
+                                                  f"{where}, {key!r}")
                 cells[(model, transform)] = cell
-        name, seed = _report_key(obj, "dataset"), _report_key(obj, "seed")
+        name = _report_key(obj, "dataset")
         if not isinstance(name, str):
             raise DataError("report 'dataset' is not a string")
+        seed = _report_typed(obj, "seed", int, "report 'seed'")
         models, transforms = (
             tuple(_report_list(_report_key(obj, key), str, f"report {key!r}"))
             for key in ("models", "transforms"))
@@ -426,6 +441,8 @@ def run_benchmark(dataset, models=MODELS, transforms=(),
         return _evaluate_fold(dataset, plan, i, models, kinds, alpha)
 
     if threads and threads > 1:
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=threads) as pool:
             fold_results = list(pool.map(work, range(10)))
     else:

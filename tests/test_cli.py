@@ -487,8 +487,21 @@ class TestReportCommand:
          "report lacks results for 'ridge', 'sqrt'"),
         (lambda doc: doc.update(dataset=5),
          "report 'dataset' is not a string"),
+        (lambda doc: doc["results"]["ridge"]["identity"].update(clamped=True),
+         "results for 'ridge', 'identity', 'clamped' is not an integer"),
+        (lambda doc: doc["results"]["ridge"]["identity"].update(
+            converged=[1]),
+         "results for 'ridge', 'identity', 'converged' is not a boolean"),
+        (lambda doc: doc.update(seed={"x": 1}),
+         "report 'seed' is not an integer"),
+        (lambda doc: doc.update(seed=False),
+         "report 'seed' is not an integer"),
+        (lambda doc: (doc["results"]["ridge"]["identity"].update(
+            clamped="many", converged=[1]), doc.update(seed={"x": 1})),
+         "results for 'ridge', 'identity', 'clamped' is not an integer"),
     ], ids=["rse-list", "string-folds", "models-string", "missing-cell",
-            "dataset-number"])
+            "dataset-number", "clamped-bool",
+            "converged-list", "seed-object", "seed-bool", "all-three"])
     def test_malformed_entry_is_named(self, edit, problem, skewed_csv,
                                       tmp_path, capsys):
         bench = tmp_path / "bench.json"

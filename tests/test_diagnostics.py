@@ -1,3 +1,4 @@
+import json
 import warnings
 
 import numpy as np
@@ -446,28 +447,83 @@ class TestScipyParity:
         assert 0.0 < p < 1.0
         assert p == float(stats.chi2.sf(lm, 2))
 
-    def test_import_leaves_scipy_stats_unloaded(self):
-        # scipy.stats and scipy.optimize each add a few tenths of a second
-        # and tens of MB to every CLI start; neither the import nor a
-        # power-transform fit may pull them in.
+    def test_import_leaves_scipy_stats_unloaded(self, tmp_path):
+        # Loading scipy.special takes about 0.3 s and scipy.stats or
+        # scipy.optimize a few tenths more, on every CLI start. Neither the
+        # import nor a power, contextual or linear fit nor `ytx report`
+        # may load any scipy module; the normal quantile and the p-values
+        # load scipy.special on first use and match it bit for bit, and
+        # scipy.stats and scipy.optimize stay unloaded throughout.
         import os
         import subprocess
         import sys
+        import textwrap
 
         src = os.path.dirname(os.path.dirname(ytx.__file__))
-        code = ("import sys, numpy as np, ytx, ytx.cli\n"
-                "def loaded():\n"
-                "    print([m for m in ('scipy.stats', 'scipy.optimize')\n"
-                "           if m in sys.modules])\n"
-                "loaded()\n"
-                "y = np.exp(np.linspace(-2.0, 2.0, 50))\n"
-                "ytx.fit_box_cox(y)\n"
-                "ytx.fit_yeo_johnson(y - 1.0)\n"
-                "loaded()\n")
-        out = subprocess.run([sys.executable, "-c", code], check=True,
-                             capture_output=True, text=True,
+        cell = {"rse": {"folds": [1.0, 0.9]}, "smape": {"folds": [0.5, 0.4]},
+                "clamped": 0, "converged": True}
+        bench = tmp_path / "bench.json"
+        bench.write_text(json.dumps({
+            "dataset": "toy", "seed": 1, "models": ["ridge"],
+            "transforms": ["identity"],
+            "results": {"ridge": {"identity": cell}}}))
+        code = textwrap.dedent("""\
+            import contextlib, io, json, sys
+            import numpy as np
+            import ytx, ytx.cli
+            from ytx import core, diagnostics as dg
+
+            def scipy_modules():
+                return sorted(m for m in sys.modules
+                              if m == "scipy" or m.startswith("scipy."))
+
+            out = {"import": scipy_modules()}
+            rng = np.random.default_rng(0)
+            y = np.exp(np.linspace(-2.0, 2.0, 50))
+            ytx.fit_box_cox(y)
+            ytx.fit_yeo_johnson(y - 1.0)
+            subject = np.repeat(list("abcde"), 10)
+            core.forward(ytx.fit_subject_center(y, subject), y, subject)
+            X = rng.uniform(1.0, 3.0, size=(50, 2))
+            ytx.fit_ridge(X, y)
+            ytx.fit_lasso(X, y, alpha=0.1)
+            with contextlib.redirect_stdout(io.StringIO()):
+                code = ytx.cli.main(["report", "--in-json", sys.argv[1]])
+            out["fits"] = scipy_modules() + ([] if code == 0 else [code])
+
+            x = np.linspace(-6.0, 6.0, 25)
+            cdf, cdf1 = ytx.normal_cdf(x), ytx.normal_cdf(0.3)
+            ppf, ppf1 = ytx.normal_ppf(cdf), ytx.normal_ppf(0.3)
+            verdict = dg.detect_subjective(y, subject)
+            lm, p = dg.breusch_pagan(X[:, 0] * y, X)
+            t = ytx.fit_quantile(y, "normal")
+            qn_range = ytx.inverse_range(t)
+            from scipy import special
+            eps = t.params["clip_epsilon"]
+            out["parity"] = {
+                "cdf": cdf.tobytes() == special.ndtr(x).tobytes(),
+                "cdf1": cdf1 == float(special.ndtr(0.3)),
+                "ppf": ppf.tobytes() == special.ndtri(cdf).tobytes(),
+                "ppf1": ppf1 == float(special.ndtri(0.3)),
+                "anova": 0.0 < verdict.p_value < 1.0 and verdict.p_value
+                         == float(special.fdtrc(4, 45, verdict.statistic)),
+                "bp": 0.0 < p < 1.0 and p == float(special.chdtrc(2, lm)),
+                "qn_range": qn_range == (float(special.ndtri(eps)),
+                                         float(special.ndtri(1.0 - eps))),
+            }
+            out["end"] = [m for m in ("scipy.stats", "scipy.optimize")
+                          if m in sys.modules]
+            print(json.dumps(out))
+            """)
+        run = subprocess.run([sys.executable, "-c", code, str(bench)],
+                             check=True, capture_output=True, text=True,
                              env=dict(os.environ, PYTHONPATH=src))
-        assert out.stdout.split("\n")[:2] == ["[]", "[]"]
+        out = json.loads(run.stdout)
+        assert out["import"] == []
+        assert out["fits"] == []
+        assert out["parity"] == dict.fromkeys(out["parity"], True)
+        assert len(out["parity"]) == 7
+        assert out["end"] == []
 
 
 def make_report(**flags):
