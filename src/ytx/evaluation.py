@@ -96,12 +96,26 @@ def _design(X):
     return _Design(Xs, means, stds, Xs.T @ Xs)
 
 
-def fit_ridge(X, y, alpha=1.0):
-    """Closed-form ridge on standardized features, intercept unpenalized."""
+def _fit_input(model, X, y):
+    """``X`` and ``y`` of a public fit as float arrays: X is 2-D with at
+    least 2 rows, y holds one target per row, and every value is finite."""
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
+    if X.ndim != 2:
+        raise DataError(f"{model} needs a 2-D feature matrix, got {X.ndim}-D")
     if X.shape[0] < 2:
-        raise DataError("ridge needs at least 2 rows")
+        raise DataError(f"{model} needs at least 2 rows")
+    if y.shape != X.shape[:1]:
+        raise DataError(f"{model} needs one target per row: X has "
+                        f"{X.shape[0]} rows, y has shape {y.shape}")
+    if not (np.isfinite(X).all() and np.isfinite(y).all()):
+        raise DataError(f"{model} needs finite features and targets")
+    return X, y
+
+
+def fit_ridge(X, y, alpha=1.0):
+    """Closed-form ridge on standardized features, intercept unpenalized."""
+    X, y = _fit_input("ridge", X, y)
     return _fit_ridge(_design(X), y, alpha)
 
 
@@ -131,8 +145,7 @@ def lasso_objective(Xs, yc, beta, alpha):
 
 def fit_lasso(X, y, alpha=1.0):
     """Cyclic coordinate descent on (1/2n)||y - Xb||^2 + alpha*||b||_1."""
-    X = np.asarray(X, dtype=float)
-    y = np.asarray(y, dtype=float)
+    X, y = _fit_input("lasso", X, y)
     return _fit_lasso(_design(X), y, alpha, history=[])
 
 
@@ -147,6 +160,12 @@ def _fit_lasso(design, z, alpha, history=None):
     unconverged after 10,000 sweeps.  The O(nd) objective after each
     sweep is appended to ``history`` only when a list is given; the
     benchmark harness reads no history and passes none.
+
+    beta, c and G's diagonal are held as lists of Python floats and G as a
+    list of its row views, so numpy is called only to read (G beta)_j and
+    to move ``Gb``.  Each arithmetic step is the float64 operation an
+    array-held beta would take, in the same order, so the iterates are
+    the same bits.
     """
     if not np.isfinite(alpha):
         raise ConfigError(f"alpha must be finite, got {alpha}")
@@ -156,9 +175,10 @@ def _fit_lasso(design, z, alpha, history=None):
     n, d = Xs.shape
     zc = z - z.mean()
     G = design.gram / n
+    rows = list(G)
     diag = G.diagonal().tolist()
     c = (Xs.T @ zc / n).tolist()
-    beta = np.zeros(d)
+    beta = [0.0] * d
     Gb = np.zeros(d)
     converged = False
     sweep = 0
@@ -168,7 +188,7 @@ def _fit_lasso(design, z, alpha, history=None):
             g_jj = diag[j]
             if g_jj == 0.0:
                 continue
-            old = beta.item(j)
+            old = beta[j]
             rho = c[j] - Gb.item(j) + g_jj * old
             if rho > alpha:
                 new = (rho - alpha) / g_jj
@@ -177,15 +197,17 @@ def _fit_lasso(design, z, alpha, history=None):
             else:
                 new = 0.0
             if new != old:
-                Gb += (new - old) * G[j]
-                beta[j] = new
-                max_delta = max(max_delta, abs(new - old))
+                step = new - old
+                Gb += step * rows[j]
+                beta[j] = float(new)  # as an array stores any alpha's type
+                if abs(step) > max_delta:
+                    max_delta = abs(step)
         if history is not None:
-            history.append(lasso_objective(Xs, zc, beta, alpha))
+            history.append(lasso_objective(Xs, zc, np.array(beta), alpha))
         if max_delta < 1e-7:
             converged = True
             break
-    return LinearModel("lasso", alpha, beta, float(z.mean()),
+    return LinearModel("lasso", alpha, np.array(beta), float(z.mean()),
                        design.means, design.stds, converged=converged,
                        n_sweeps=sweep, objective_history=tuple(history or ()))
 
@@ -298,8 +320,12 @@ def _report_typed(obj, key, kind, where):
 
 
 def _report_list(value, items, where):
+    """``value`` of a report being read, which must be a JSON list of
+    ``items`` (str, or numbers as (int, float)); true and false are not
+    numbers."""
     if not (isinstance(value, list)
-            and all(isinstance(v, items) for v in value)):
+            and all(isinstance(v, items) and not isinstance(v, bool)
+                    for v in value)):
         what = "strings" if items is str else "numbers"
         raise DataError(f"{where} is not a list of {what}")
     return list(value)

@@ -481,6 +481,10 @@ class TestReportCommand:
             folds=["a", "b"]),
          "results for 'ridge', 'identity', 'smape' folds is not a list "
          "of numbers"),
+        (lambda doc: doc["results"]["ridge"]["identity"]["rse"].update(
+            folds=[True, False]),
+         "results for 'ridge', 'identity', 'rse' folds is not a list "
+         "of numbers"),
         (lambda doc: doc.update(models="ridge"),
          "report 'models' is not a list of strings"),
         (lambda doc: doc.update(transforms=["identity", "sqrt"]),
@@ -499,8 +503,8 @@ class TestReportCommand:
         (lambda doc: (doc["results"]["ridge"]["identity"].update(
             clamped="many", converged=[1]), doc.update(seed={"x": 1})),
          "results for 'ridge', 'identity', 'clamped' is not an integer"),
-    ], ids=["rse-list", "string-folds", "models-string", "missing-cell",
-            "dataset-number", "clamped-bool",
+    ], ids=["rse-list", "string-folds", "bool-folds", "models-string",
+            "missing-cell", "dataset-number", "clamped-bool",
             "converged-list", "seed-object", "seed-bool", "all-three"])
     def test_malformed_entry_is_named(self, edit, problem, skewed_csv,
                                       tmp_path, capsys):

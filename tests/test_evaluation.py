@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import special
 
 import ytx
@@ -229,6 +230,61 @@ def _reference_fit_lasso(X, y, alpha=1.0, tol=1e-7, max_sweeps=10000):
                           objective_history=tuple(history))
 
 
+def _reference_gram_lasso(X, y, alpha):
+    """The Gram kernel as it was with beta and ``Gb`` held in numpy arrays
+    and beta's entries read with ``item``, frozen; it always records the
+    objective history."""
+    X = np.asarray(X, dtype=float)
+    z = np.asarray(y, dtype=float)
+    design = ev._design(X)
+    Xs = design.Xs
+    n, d = Xs.shape
+    zc = z - z.mean()
+    G = design.gram / n
+    diag = G.diagonal().tolist()
+    c = (Xs.T @ zc / n).tolist()
+    beta = np.zeros(d)
+    Gb = np.zeros(d)
+    history = []
+    converged = False
+    sweep = 0
+    for sweep in range(1, 10001):
+        max_delta = 0.0
+        for j in range(d):
+            g_jj = diag[j]
+            if g_jj == 0.0:
+                continue
+            old = beta.item(j)
+            rho = c[j] - Gb.item(j) + g_jj * old
+            if rho > alpha:
+                new = (rho - alpha) / g_jj
+            elif rho < -alpha:
+                new = (rho + alpha) / g_jj
+            else:
+                new = 0.0
+            if new != old:
+                Gb += (new - old) * G[j]
+                beta[j] = new
+                max_delta = max(max_delta, abs(new - old))
+        history.append(ev.lasso_objective(Xs, zc, beta, alpha))
+        if max_delta < 1e-7:
+            converged = True
+            break
+    return ev.LinearModel("lasso", alpha, beta, float(z.mean()),
+                          design.means, design.stds, converged=converged,
+                          n_sweeps=sweep, objective_history=tuple(history))
+
+
+def assert_same_lasso_bits(model, ref):
+    """``model`` is ``ref`` to the bit: coefficients, sweeps, convergence
+    and every objective in the history."""
+    assert model.coefficients.dtype == ref.coefficients.dtype
+    assert model.coefficients.tobytes() == ref.coefficients.tobytes()
+    assert model.n_sweeps == ref.n_sweeps
+    assert model.converged == ref.converged
+    assert model.objective_history == ref.objective_history
+
+
 def factor_design(n=1000, d=50, factors=10, seed=0):
     """Features driven by a few latent factors, with a lognormal target."""
     rng = np.random.default_rng(seed)
@@ -253,6 +309,7 @@ class TestLassoKernel:
         assert model.n_sweeps == ref.n_sweeps
         assert model.converged == ref.converged
         assert np.max(np.abs(model.coefficients - ref.coefficients)) <= 1e-10
+        assert_same_lasso_bits(model, _reference_gram_lasso(X, y, alpha))
         return model
 
     def test_factor_correlated_wide_design(self):
@@ -286,6 +343,93 @@ class TestLassoKernel:
         assert harness.coefficients.tobytes() == public.coefficients.tobytes()
         assert (harness.n_sweeps, harness.converged) == (
             public.n_sweeps, public.converged)
+
+    def test_unconverged_after_the_sweep_cap(self):
+        # Two columns 3e-3 apart, weighted +100 and -100: at a tiny alpha,
+        # coordinate descent creeps along the narrow valley between them.
+        rng = np.random.default_rng(0)
+        x = rng.normal(size=60)
+        X = np.column_stack([x, x + 3e-3 * rng.normal(size=60)])
+        y = 100.0 * X[:, 0] - 100.0 * X[:, 1] + 0.1 * rng.normal(size=60)
+        model = ytx.fit_lasso(X, y, 1e-4)
+        assert not model.converged
+        assert model.n_sweeps == 10000
+        assert len(model.objective_history) == 10000
+        assert_same_lasso_bits(model, _reference_gram_lasso(X, y, 1e-4))
+
+
+@st.composite
+def _small_lasso_case(draw):
+    """A small design, perhaps with a constant or a near-copy column, a
+    target and an alpha as a share of alpha_max (at or above it, too)."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(2, 60))
+    d = draw(st.integers(1, 8))
+    X = rng.normal(size=(n, d)) * draw(st.sampled_from([1e-3, 1.0, 1e3]))
+    column = draw(st.integers(0, d - 1))
+    shape = draw(st.sampled_from(["plain", "constant", "near-copy"]))
+    if shape == "constant":
+        X[:, column] = draw(st.sampled_from([0.1, 2.5, -7.0]))
+    elif shape == "near-copy" and d > 1:
+        X[:, column] = X[:, column - 1] + 1e-2 * rng.normal(size=n)
+    y = X @ rng.normal(size=d) + rng.normal(size=n)
+    share = draw(st.one_of(st.sampled_from([1.0, 1.5]),
+                           st.floats(0.01, 1.0)))
+    top = alpha_max(X, y)
+    return X, y, share * top if top > 0.0 else share
+
+
+class TestLassoKernelBits:
+    """The list-state kernel gives the numpy-state kernel's bits."""
+
+    @given(case=_small_lasso_case())
+    @settings(max_examples=150, derandomize=True, deadline=None)
+    def test_matches_frozen_gram_kernel(self, case):
+        X, y, alpha = case
+        assert_same_lasso_bits(ytx.fit_lasso(X, y, alpha),
+                               _reference_gram_lasso(X, y, alpha))
+
+    @pytest.mark.parametrize("alpha", [np.float16(0.05), np.float32(0.05),
+                                       np.float64(0.05), 0.05])
+    def test_numpy_scalar_alpha_keeps_its_arithmetic(self, alpha):
+        # A float32 alpha makes soft-thresholding float32 arithmetic; the
+        # stored coefficient is still read back as a float64.
+        X, y = factor_design(n=200, d=8, factors=3, seed=1)
+        assert_same_lasso_bits(ytx.fit_lasso(X, y, alpha),
+                               _reference_gram_lasso(X, y, alpha))
+
+
+class TestPublicFitInput:
+    """The public fits check their input; the harness path does not."""
+
+    X = np.random.default_rng(11).normal(size=(6, 2))
+    y = np.arange(6.0)
+
+    @pytest.mark.parametrize("model", ["ridge", "lasso"])
+    @pytest.mark.parametrize("X, y, problem", [
+        (X[:1], y[:1], "needs at least 2 rows"),
+        (X[:0], y[:0], "needs at least 2 rows"),
+        (X, y[:5], "needs one target per row: X has 6 rows, y has "
+                   "shape (5,)"),
+        (X[:5], y, "needs one target per row: X has 5 rows, y has "
+                   "shape (6,)"),
+        (X, y[:, None], "needs one target per row: X has 6 rows, y has "
+                        "shape (6, 1)"),
+        (X[:, 0], y, "needs a 2-D feature matrix, got 1-D"),
+        (X[None], y, "needs a 2-D feature matrix, got 3-D"),
+        (np.where(np.eye(6, 2) == 1.0, np.nan, X), y,
+         "needs finite features and targets"),
+        (np.where(np.eye(6, 2) == 1.0, np.inf, X), y,
+         "needs finite features and targets"),
+        (X, np.r_[y[:5], np.nan], "needs finite features and targets"),
+        (X, np.r_[-np.inf, y[1:]], "needs finite features and targets"),
+    ], ids=["one-row", "no-rows", "short-y", "short-X", "column-y", "1-D-X",
+            "3-D-X", "nan-X", "inf-X", "nan-y", "inf-y"])
+    def test_bad_input_is_data_error(self, model, X, y, problem):
+        fit = {"ridge": ytx.fit_ridge, "lasso": ytx.fit_lasso}[model]
+        with pytest.raises(DataError) as info:
+            fit(X, y, alpha=0.1)
+        assert str(info.value) == f"{model} {problem}"
 
 
 class TestStandardize:
