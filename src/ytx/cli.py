@@ -87,10 +87,7 @@ def cmd_diagnose(args):
         _write(args.out_json, doc + "\n")
     print(f"{args.input}: n={dataset.n} d={dataset.d} "
           f"dropped={dataset.n_dropped}")
-    for name in ("subjective", "frame", "trend", "context", "distribution"):
-        verdict = getattr(report, name)
-        if verdict is None:
-            continue
+    for name, verdict in report.verdicts.items():
         state = "FLAGGED" if verdict.flagged else "ok"
         print(f"  {name:<13} {state:<8} statistic={verdict.statistic:.4g}")
     if report.recommendations:

@@ -399,8 +399,10 @@ def register_kind(kind, fit, forward_fn, inverse_fn,
     """Declare a transform kind: its fit, its maps and the roles it reads.
 
     ``fit(y, *columns)`` gets the training targets and the columns of
-    ``roles``, in that order; a lambda over a module function looks that
-    function up at call time, so a wrapper set on the module is honoured.
+    ``roles``, in that order, and reads the targets through
+    :func:`_finite_target` first; a lambda over a module function looks
+    that function up at call time, so a wrapper set on the module is
+    honoured.
     ``forward_fn(params, y, aux)`` and ``inverse_fn(params, z, aux)`` get
     the first role's column as ``aux`` (None without roles).
     ``inverse_range_fn(params)`` gives the open interval the inverse
@@ -477,6 +479,16 @@ def _raise_first_bad(bad, message, rows=None):
         raise TransformDomainError(message.format(index=index), index=index)
 
 
+def _finite_target(y, kind):
+    """``y`` as floats, checked first by every registered fit; a DataError
+    names its first non-finite row."""
+    y = np.asarray(y, dtype=float)
+    bad = np.flatnonzero(~np.isfinite(y))
+    if bad.size:
+        raise DataError(f"{kind}: non-finite target at index {bad[0]}")
+    return y
+
+
 def target_range(y):
     y = np.asarray(y, dtype=float)
     return (float(np.min(y)), float(np.max(y)))
@@ -484,7 +496,8 @@ def target_range(y):
 
 def identity_transform(y):
     """Fit the trivial transform (baseline of every benchmark)."""
-    return FittedTransform("identity", {}, target_range(y))
+    return FittedTransform("identity", {},
+                           target_range(_finite_target(y, "identity")))
 
 
 register_kind("identity", identity_transform,

@@ -17,8 +17,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import (FittedTransform, _raise_first_bad, kind_fit, read_rows,
-                   register_kind, target_range)
+from .core import (FittedTransform, _finite_target, _raise_first_bad,
+                   kind_fit, read_rows, register_kind, target_range)
 from .errors import DataError
 
 
@@ -127,7 +127,8 @@ def _per_row(table, groups, missing=None, fallback=None):
 # Subject centering
 
 def fit_subject_center(y, subject):
-    y, (keys, _, order, bounds) = _groups(y, subject, "subject vector")
+    y, (keys, _, order, bounds) = _groups(
+        _finite_target(y, "subject-center"), subject, "subject vector")
     # A group's slice holds y[keys == key] in row order, so each mean is
     # bit-identical to np.mean(y[keys == key]).
     grouped = y[order]
@@ -153,7 +154,8 @@ register_kind(
 # Per-trial min-max
 
 def fit_trial_minmax(y, trial):
-    y, (keys, _, order, bounds) = _groups(y, trial, "trial vector")
+    y, (keys, _, order, bounds) = _groups(
+        _finite_target(y, "trial-minmax"), trial, "trial vector")
     grouped = y[order]
     lows = np.minimum.reduceat(grouped, bounds[:-1]).tolist()
     highs = np.maximum.reduceat(grouped, bounds[:-1]).tolist()
@@ -190,7 +192,7 @@ register_kind("trial-minmax", lambda y, trial: fit_trial_minmax(y, trial),
 # Frame normalization
 
 def fit_frame_normalize(y, frame):
-    y = np.asarray(y, dtype=float)
+    y = _finite_target(y, "frame")
     frame = np.asarray(frame, dtype=float)
     _check_length(frame, y, "frame vector")
     _checked_frame(frame)
@@ -198,8 +200,11 @@ def fit_frame_normalize(y, frame):
 
 
 def _checked_frame(frame):
-    """``frame`` as floats; TransformDomainError at its first value <= 0."""
+    """``frame`` as floats; TransformDomainError at its first non-finite
+    value, then at its first value <= 0."""
     frame = np.asarray(frame, dtype=float)
+    _raise_first_bad(~np.isfinite(frame),
+                     "frame: non-finite frame value at index {index}")
     _raise_first_bad(frame <= 0.0,
                      "frame: non-positive frame value at index {index}")
     return frame
@@ -226,6 +231,8 @@ class DeflationIndex:
         object.__setattr__(self, "base_time", str(self.base_time))
         if self.base_time not in series:
             raise DataError(f"base time {self.base_time!r} not in index")
+        if not all(map(math.isfinite, series.values())):
+            raise DataError("price index values must be finite")
         if any(v <= 0.0 for v in series.values()):
             raise DataError("price index values must be positive")
 
@@ -260,7 +267,7 @@ def _time_sort_key(key):
 
 
 def fit_deflate(y, time, index):
-    y, groups = _groups(y, time, "time vector")
+    y, groups = _groups(_finite_target(y, "deflate"), time, "time vector")
     _require_keys(index.series, groups, "unknown time key")
     return FittedTransform(
         "deflate",
@@ -331,7 +338,7 @@ def fit_expectation_normalize(y, context):
     spread model is fit on absolute residuals and floored to keep the pair
     bijective.
     """
-    y = np.asarray(y, dtype=float)
+    y = _finite_target(y, "expectation-norm")
     X = _design(context)
     beta_mean = _ols(X, y)
     resid = y - X @ beta_mean
@@ -372,7 +379,7 @@ register_kind("expectation-norm",
 
 def fit_regression_normalize(y, context):
     """Divide by the prediction of a linear model on the context columns."""
-    y = np.asarray(y, dtype=float)
+    y = _finite_target(y, "regression-norm")
     X = _design(context)
     beta = _ols(X, y)
     floor = 1e-6 * max(float(np.max(np.abs(y))), 1.0)

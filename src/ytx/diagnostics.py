@@ -9,7 +9,7 @@ order), contextual dependence (R-squared), and distribution problems
 from __future__ import annotations
 
 import warnings
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -65,13 +65,14 @@ class DiagnosticReport:
     distribution: Verdict
     recommendations: tuple = ()
 
+    @property
+    def verdicts(self):
+        """``{name: verdict}`` of each detector that ran, in field order."""
+        return {f.name: getattr(self, f.name) for f in fields(self)
+                if isinstance(getattr(self, f.name), Verdict)}
+
     def to_dict(self):
-        out = {}
-        for name in ("subjective", "frame", "trend", "context"):
-            verdict = getattr(self, name)
-            if verdict is not None:
-                out[name] = verdict.to_dict()
-        out["distribution"] = self.distribution.to_dict()
+        out = {name: v.to_dict() for name, v in self.verdicts.items()}
         out["recommendations"] = [
             {"kind": kind, "reason": reason}
             for kind, reason in self.recommendations]

@@ -11,8 +11,8 @@ import math
 
 import numpy as np
 
-from .core import (FittedTransform, _raise_first_bad, register_kind,
-                   target_range)
+from .core import (FittedTransform, _finite_target, _raise_first_bad,
+                   register_kind, target_range)
 from .errors import DataError, TransformDomainError
 
 LAMBDA_BOUNDS = (-5.0, 5.0)
@@ -73,7 +73,7 @@ def fit_log_offset(y):
     """``ln(y + c)`` with ``c`` the smallest positive integer such that
     ``min(y) + c > 0``, so every training row has a finite forward value
     (``c = 1`` for a non-negative target)."""
-    y = np.asarray(y, dtype=float)
+    y = _finite_target(y, "log-offset")
     if y.shape[0] < 1:
         raise DataError("empty target")
     offset = float(max(math.floor(-np.min(y)) + 1, 1))
@@ -96,7 +96,7 @@ register_kind("log-offset", lambda y: fit_log_offset(y), _log_forward,
 # Square root
 
 def fit_sqrt(y):
-    y = np.asarray(y, dtype=float)
+    y = _finite_target(y, "sqrt")
     _raise_first_bad(y < 0.0, "sqrt: negative value at index {index}")
     return FittedTransform("sqrt", {}, target_range(y))
 
@@ -236,7 +236,7 @@ def box_cox_log_likelihood(y_shifted, lam, parts=None):
 
 
 def fit_box_cox(y):
-    y = np.asarray(y, dtype=float)
+    y = _finite_target(y, "box-cox")
     if y.shape[0] < 2:
         raise DataError("box-cox needs at least 2 samples")
     span = float(np.max(y) - np.min(y))
@@ -344,7 +344,7 @@ def yeo_johnson_log_likelihood(y, lam, parts=None):
 
 
 def fit_yeo_johnson(y):
-    y = np.asarray(y, dtype=float)
+    y = _finite_target(y, "yeo-johnson")
     if y.shape[0] < 2 or np.max(y) == np.min(y):
         raise DataError("degenerate target")
     parts = _yj_parts(y)
@@ -385,7 +385,7 @@ def fit_quantile(y, reference="normal"):
     """Piecewise-linear empirical CDF mapped onto a reference distribution."""
     if reference not in ("normal", "uniform"):
         raise DataError(f"unknown quantile reference {reference!r}")
-    y = np.asarray(y, dtype=float)
+    y = _finite_target(y, f"quantile-{reference}")
     n = y.shape[0]
     if n < 10:
         raise DataError("too few samples for quantile map")

@@ -171,6 +171,7 @@ def _fit_lasso(design, z, alpha, history=None):
         raise ConfigError(f"alpha must be finite, got {alpha}")
     if alpha <= 0.0:
         raise ConfigError("lasso alpha must be positive")
+    alpha = float(alpha)
     Xs = design.Xs
     n, d = Xs.shape
     zc = z - z.mean()
@@ -199,7 +200,7 @@ def _fit_lasso(design, z, alpha, history=None):
             if new != old:
                 step = new - old
                 Gb += step * rows[j]
-                beta[j] = float(new)  # as an array stores any alpha's type
+                beta[j] = new
                 if abs(step) > max_delta:
                     max_delta = abs(step)
         if history is not None:
@@ -222,11 +223,11 @@ _MODEL_FITTERS = {"ridge": _fit_ridge, "lasso": _fit_lasso}
 #: the trainable models, in report order
 MODELS = tuple(_MODEL_FITTERS)
 #: a (model, kind) cell's keys, each with the rule that merges its ten
-#: fold values; bench.json gives each of the METRICS as mean, std and folds
-CELL = {"rse": list, "smape": list, "clamped": sum, "converged": all}
-METRICS = ("rse", "smape")
-#: the JSON type bench.json holds for each CELL key that is not a metric
-_CELL_TYPES = {"clamped": int, "converged": bool}
+#: fold values and its JSON type in bench.json; a metric is a JSON object,
+#: its mean, std and folds
+CELL = {"rse": (list, dict), "smape": (list, dict), "clamped": (sum, int),
+        "converged": (all, bool)}
+METRICS = tuple(key for key, (_, kind) in CELL.items() if kind is dict)
 #: model identifiers the report schema accepts: the trainable ones, then
 #: names that let an external runner merge its results.
 RESERVED_MODELS = (*MODELS, "gbtr", "svr")
@@ -298,37 +299,31 @@ def fit_transform_kind(kind, y, dataset=None, idx=None):
 # --------------------------------------------------------------------------
 # Benchmark
 
-def _report_key(obj, key, where=None):
-    """``obj[key]`` of a report being read, which with ``where`` must be a
-    JSON object; a DataError names a missing key or ``where``."""
+#: how an error names each JSON type a report entry may hold
+_JSON_NAMES = {dict: "a JSON object", str: "a string", int: "an integer",
+               bool: "a boolean", list[str]: "a list of strings",
+               list[float]: "a list of numbers"}
+
+
+def _is_json(value, kind):
+    """Whether ``value`` is of the JSON ``kind`` (a key of ``_JSON_NAMES``,
+    or float for a number); true and false are neither integers nor
+    numbers."""
+    if kind in (list[str], list[float]):
+        return (isinstance(value, list)
+                and all(_is_json(v, *kind.__args__) for v in value))
+    return (isinstance(value, (int, float) if kind is float else kind)
+            and (kind is bool or not isinstance(value, bool)))
+
+
+def _report_entry(obj, key, kind, where):
+    """``obj[key]`` of a report being read, which must be of the JSON
+    ``kind``; a DataError names a missing key or ``where``."""
     if key not in obj:
         raise DataError(f"report lacks key {key!r}")
-    if where is not None and not isinstance(obj[key], dict):
-        raise DataError(f"{where} is not a JSON object")
+    if not _is_json(obj[key], kind):
+        raise DataError(f"{where} is not {_JSON_NAMES[kind]}")
     return obj[key]
-
-
-def _report_typed(obj, key, kind, where):
-    """``obj[key]`` of a report being read, which must be a JSON ``kind``
-    (int or bool); true and false are not integers."""
-    value = _report_key(obj, key)
-    if not isinstance(value, kind) or (kind is int
-                                       and isinstance(value, bool)):
-        what = "an integer" if kind is int else "a boolean"
-        raise DataError(f"{where} is not {what}")
-    return value
-
-
-def _report_list(value, items, where):
-    """``value`` of a report being read, which must be a JSON list of
-    ``items`` (str, or numbers as (int, float)); true and false are not
-    numbers."""
-    if not (isinstance(value, list)
-            and all(isinstance(v, items) and not isinstance(v, bool)
-                    for v in value)):
-        what = "strings" if items is str else "numbers"
-        raise DataError(f"{where} is not a list of {what}")
-    return list(value)
 
 
 @dataclass(frozen=True)
@@ -373,38 +368,35 @@ class BenchmarkReport:
         first entry that is missing or of the wrong JSON type."""
         if not isinstance(obj, dict):
             raise DataError("report is not a JSON object")
-        results = _report_key(obj, "results", "report 'results'")
+        results = _report_entry(obj, "results", dict, "report 'results'")
         cells = {}
         for model in results:
-            per_model = _report_key(results, model, f"results for {model!r}")
+            per_model = _report_entry(results, model, dict,
+                                      f"results for {model!r}")
             for transform in per_model:
                 where = f"results for {model!r}, {transform!r}"
-                entry = _report_key(per_model, transform, where)
+                entry = _report_entry(per_model, transform, dict, where)
                 cell = {}
-                for metric in METRICS:
-                    stats = _report_key(entry, metric, f"{where}, {metric!r}")
-                    folds = f"{where}, {metric!r} folds"
-                    cell[metric] = _report_list(
-                        _report_key(stats, "folds"), (int, float), folds)
-                    if len(cell[metric]) < 2:  # mean_std's std has ddof=1
-                        raise DataError(f"{folds} has fewer than 2 values")
-                for key in CELL:
-                    if key not in METRICS:
-                        cell[key] = _report_typed(entry, key, _CELL_TYPES[key],
-                                                  f"{where}, {key!r}")
+                for key, (_, kind) in CELL.items():
+                    cell[key] = _report_entry(entry, key, kind,
+                                              f"{where}, {key!r}")
+                    if key in METRICS:
+                        folds = f"{where}, {key!r} folds"
+                        cell[key] = list(_report_entry(
+                            cell[key], "folds", list[float], folds))
+                        if len(cell[key]) < 2:  # mean_std's std has ddof=1
+                            raise DataError(f"{folds} has fewer than 2 values")
                 cells[(model, transform)] = cell
-        name = _report_key(obj, "dataset")
-        if not isinstance(name, str):
-            raise DataError("report 'dataset' is not a string")
-        seed = _report_typed(obj, "seed", int, "report 'seed'")
-        models, transforms = (
-            tuple(_report_list(_report_key(obj, key), str, f"report {key!r}"))
-            for key in ("models", "transforms"))
+        name, seed, models, transforms = (
+            _report_entry(obj, key, kind, f"report {key!r}")
+            for key, kind in (("dataset", str), ("seed", int),
+                              ("models", list[str]),
+                              ("transforms", list[str])))
         for pair in itertools.product(models, transforms):
             if pair not in cells:
                 raise DataError("report lacks results for %r, %r" % pair)
-        return cls(dataset_name=name, seed=seed, models=models,
-                   transforms=transforms, cells=cells)
+        return cls(dataset_name=name, seed=seed, models=tuple(models),
+                   transforms=tuple(transforms), cells=cells)
 
     def to_markdown(self, metric="rse"):
         """One table per model: rows = dataset, columns = transforms."""
@@ -466,15 +458,16 @@ def run_benchmark(dataset, models=MODELS, transforms=(),
     def work(i):
         return _evaluate_fold(dataset, plan, i, models, kinds, alpha)
 
+    folds = range(len(plan.folds))
     if threads and threads > 1:
         from concurrent.futures import ThreadPoolExecutor
 
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            fold_results = list(pool.map(work, range(10)))
+            fold_results = list(pool.map(work, folds))
     else:
-        fold_results = [work(i) for i in range(10)]
+        fold_results = [work(i) for i in folds]
 
     cells = {key: {name: merge(fr[key][name] for fr in fold_results)
-                   for name, merge in CELL.items()}
+                   for name, (merge, _) in CELL.items()}
              for key in itertools.product(models, kinds)}
     return BenchmarkReport(dataset_name, seed, models, kinds, cells)

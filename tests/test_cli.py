@@ -458,6 +458,36 @@ class TestReportCommand:
         assert main(["report", "--in-json", str(bench)]) == 3
         assert f"report lacks key '{key}'" in capsys.readouterr().err
 
+    def test_new_cell_field_is_one_cell_entry(self, skewed_csv, tmp_path,
+                                              capsys, monkeypatch):
+        # A scalar field is its CELL entry plus its value per fold: the
+        # merge, bench.json, its reader and ``ytx report`` follow.
+        monkeypatch.setitem(evaluation.CELL, "n_sweeps", (sum, int))
+        evaluate_fold = evaluation._evaluate_fold
+
+        def with_sweeps(dataset, plan, fold_index, *args):
+            out = evaluate_fold(dataset, plan, fold_index, *args)
+            for cell in out.values():
+                cell["n_sweeps"] = fold_index + 1
+            return out
+
+        monkeypatch.setattr(evaluation, "_evaluate_fold", with_sweeps)
+        dataset = core.load_csv(skewed_csv, core.ColumnRoles.from_json(ROLES))
+        text = evaluation.run_benchmark(dataset, transforms=("sqrt",),
+                                        seed=3).to_json()
+        doc = json.loads(text)
+        assert doc["results"]["lasso"]["sqrt"]["n_sweeps"] == 55
+        report = evaluation.BenchmarkReport.from_dict(doc)
+        assert report.to_json() == text
+        bench = tmp_path / "bench.json"
+        bench.write_text(text)
+        assert main(["report", "--in-json", str(bench)]) == 0
+        assert "### lasso (RSE)" in capsys.readouterr().out
+        del doc["results"]["ridge"]["identity"]["n_sweeps"]
+        bench.write_text(json.dumps(doc))
+        assert main(["report", "--in-json", str(bench)]) == 3
+        assert "report lacks key 'n_sweeps'" in capsys.readouterr().err
+
     @pytest.mark.parametrize("doc, problem", [
         ([], "report is not a JSON object"),
         ({"results": []}, "report 'results' is not a JSON object"),

@@ -94,6 +94,18 @@ class TestFrame:
         with pytest.raises(TransformDomainError):
             ytx.fit_frame_normalize([1.0], [0.0])
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_frame_rejected(self, bad):
+        frame = [1.0, 2.0, bad]
+        with pytest.raises(TransformDomainError,
+                           match="non-finite frame value at index 2"):
+            ytx.fit_frame_normalize([1.0, 2.0, 3.0], frame)
+        t = ytx.fit_frame_normalize([1.0, 2.0], [1.0, 2.0])
+        for apply in (ytx.forward, ytx.inverse):
+            with pytest.raises(TransformDomainError) as info:
+                apply(t, [1.0, 2.0, 3.0], aux=frame)
+            assert info.value.index == 2
+
     def test_forward_linear_in_y(self):
         rng = np.random.default_rng(2)
         y = rng.normal(size=50)
@@ -134,6 +146,18 @@ class TestDeflate:
         with pytest.raises(DataError, match="empty dataset"):
             ytx.evaluation.fit_transform_kind(
                 "deflate", np.array([]), ds, np.array([], dtype=int))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_index_value_is_data_error(self, bad):
+        with pytest.raises(DataError, match="must be finite"):
+            ytx.DeflationIndex(series={"1": bad, "2": 2.0}, base_time="2")
+
+    @pytest.mark.parametrize("token", ["nan", "inf", "-inf"])
+    def test_index_from_csv_non_finite_row(self, tmp_path, token):
+        path = tmp_path / "cpi.csv"
+        path.write_text(f"year,cpi\n2019,1.0\n2020,{token}\n")
+        with pytest.raises(DataError, match="must be finite"):
+            ytx.DeflationIndex.from_csv(str(path))
 
     def test_index_from_csv(self, tmp_path):
         path = tmp_path / "cpi.csv"

@@ -1,4 +1,6 @@
+import dataclasses
 import json
+import re
 import warnings
 
 import numpy as np
@@ -7,6 +9,7 @@ from scipy import special
 
 import ytx
 from ytx import ctx, diagnostics as dg
+from ytx.cli import main
 from ytx.errors import DataError
 
 
@@ -570,8 +573,14 @@ class TestRecommend:
         assert len(kinds) == len(set(kinds))
 
 
+def _summary_verdicts(out):
+    """The ``(name, state)`` of each verdict line ``ytx diagnose`` prints,
+    in order."""
+    return re.findall(r"^  (\w+) +(FLAGGED|ok) +statistic=", out, re.M)
+
+
 class TestDiagnose:
-    def test_role_gated_verdicts(self, tmp_path):
+    def test_role_gated_verdicts(self, tmp_path, capsys):
         rows = ["x,y"] + [f"{i},{(i * 37) % 101}" for i in range(40)]
         path = tmp_path / "d.csv"
         path.write_text("\n".join(rows) + "\n")
@@ -582,13 +591,19 @@ class TestDiagnose:
         assert report.trend is None
         assert report.context is None
         assert report.distribution is not None
+        assert list(report.verdicts) == ["distribution"]
+        assert main(["diagnose", "--input", str(path),
+                     "--roles", '{"target": "y"}']) == 0
+        state = "FLAGGED" if report.distribution.flagged else "ok"
+        assert _summary_verdicts(capsys.readouterr().out) == [
+            ("distribution", state)]
 
     @pytest.mark.parametrize("thresholds", [
         dg.Thresholds(),
         dg.Thresholds(subjective_p=0.0, frame_r=1.0, trend_rho=1.0,
                       context_r2=1.0),
     ], ids=["default", "never-flag"])
-    def test_contextual_verdicts(self, thresholds):
+    def test_contextual_verdicts(self, thresholds, tmp_path, capsys):
         # Subject bias, frame scaling, a trend over periods and a context
         # effect, all planted; each verdict is its detector's on the column.
         rng = np.random.default_rng(4)
@@ -629,6 +644,28 @@ class TestDiagnose:
             assert verdict.flagged is flagged, name
             assert doc[name] == verdict.to_dict(), name
         assert set(doc) == {*expected, "distribution", "recommendations"}
+        # The verdicts, the report's keys and the summary lines of
+        # ``ytx diagnose`` on the same rows all follow field order.
+        order = [*expected, "distribution"]
+        assert list(report.verdicts) == order
+        assert list(doc) == [*order, "recommendations"]
+        columns = {"a": ds.features[:, 0], "b": ds.features[:, 1], "y": y,
+                   "s": ds.aux["subject"], "t": ds.aux["time"], "f": frame,
+                   "r": ds.aux["trial"], "p": ds.aux["price_index"],
+                   "c1": context[:, 0], "c2": context[:, 1]}
+        path = tmp_path / "panel.csv"
+        path.write_text("\n".join(
+            [",".join(columns)]
+            + [",".join(map(str, row)) for row in zip(*columns.values())])
+            + "\n")
+        roles = json.dumps(dataclasses.asdict(ds.roles))
+        argv = ["diagnose", "--input", str(path), "--roles", roles]
+        for key, value in dataclasses.asdict(thresholds).items():
+            argv += ["--threshold", f"{key}={value}"]
+        assert main(argv) == 0
+        assert _summary_verdicts(capsys.readouterr().out) == [
+            (name, "FLAGGED" if report.verdicts[name].flagged else "ok")
+            for name in order]
 
     def test_permutation_invariance(self):
         rng = np.random.default_rng(8)

@@ -392,11 +392,13 @@ class TestLassoKernelBits:
     @pytest.mark.parametrize("alpha", [np.float16(0.05), np.float32(0.05),
                                        np.float64(0.05), 0.05])
     def test_numpy_scalar_alpha_keeps_its_arithmetic(self, alpha):
-        # A float32 alpha makes soft-thresholding float32 arithmetic; the
-        # stored coefficient is still read back as a float64.
+        # Soft-thresholding is float64 arithmetic whatever alpha's type: a
+        # float16 or float32 alpha fits as its value as a Python float.
         X, y = factor_design(n=200, d=8, factors=3, seed=1)
-        assert_same_lasso_bits(ytx.fit_lasso(X, y, alpha),
-                               _reference_gram_lasso(X, y, alpha))
+        model = ytx.fit_lasso(X, y, alpha)
+        assert_same_lasso_bits(model, ytx.fit_lasso(X, y, float(alpha)))
+        assert_same_lasso_bits(model,
+                               _reference_gram_lasso(X, y, float(alpha)))
 
 
 class TestPublicFitInput:
@@ -707,6 +709,17 @@ class TestFitTransformKind:
         ev.fit_transform_kind("deflate", ds.target, ds)
         ev.fit_transform_kind("deflate", ds.target[:50], ds, np.arange(50))
         assert raw_factorize_calls == [ds.n, 50]
+
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("kind", core.KNOWN_KINDS)
+    def test_non_finite_target_is_data_error(self, kind, bad):
+        ds = panel_dataset()
+        y = ds.target.copy()
+        y[[7, 11]] = bad
+        with pytest.raises(DataError) as info:
+            ev.fit_transform_kind(kind, y, ds)
+        assert str(info.value) == f"{kind}: non-finite target at index 7"
 
 
 class TestBenchmark:
