@@ -238,16 +238,22 @@ class DeflationIndex:
 
     @classmethod
     def from_csv(cls, path, base_time=None):
-        """Load a two-column (time_key, index_value) CSV, header optional."""
+        """Load a two-column (time_key, index_value) CSV; its first row may
+        be a header, and any later value that does not parse is a
+        DataError naming its row (the file's first row is row 1)."""
         series = {}
-        rows = itertools.chain.from_iterable(read_rows(path))
-        for row in filter(None, rows):
+        rows = [(number, row) for number, row in enumerate(
+            itertools.chain.from_iterable(read_rows(path)), 1) if row]
+        for number, row in rows:
             if len(row) < 2:
                 raise DataError(f"{path}: malformed index row {row!r}")
             try:
                 value = float(row[1])
             except ValueError:
-                continue  # header row
+                if number == rows[0][0]:
+                    continue  # header row
+                raise DataError(f"{path}: row {number}: index value "
+                                f"{row[1]!r} is not a number") from None
             series[row[0].strip()] = value
         if not series:
             raise DataError(f"{path}: no usable index rows")

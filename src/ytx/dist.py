@@ -114,40 +114,17 @@ register_kind("sqrt", lambda y: fit_sqrt(y), _sqrt_forward,
 # --------------------------------------------------------------------------
 # Power transforms (Box-Cox, Yeo-Johnson)
 
-def _argmax_unimodal(value, last):
-    """The index in ``0 ... last`` of the largest ``value(i)``, found by
-    golden-section search over the indices: each step compares the probe
-    it kept with that probe's mirror image in the bracket and drops the
-    side of the lower one.  None when two probes do not compare strictly
-    (a tie, or NaN).  On a unimodal sequence the index is the one
-    ``np.argmax`` gives."""
-    lo, hi = 0, last
-    keep = round((1.0 - _INVPHI) * last)
-    while lo < hi:
-        mirror = lo + hi - keep
-        if mirror == keep:      # keep is the middle: probe its neighbour
-            mirror += 1
-        c, d = sorted((keep, mirror))
-        fc, fd = value(c), value(d)
-        if fc > fd:
-            hi, keep = d - 1, c
-        elif fd > fc:
-            lo, keep = c + 1, d
-        else:
-            return None
-    return lo
-
-
 def _maximize_unimodal(fn, lo, hi):
-    """``(fn(x), x)`` at the maximum of a unimodal ``fn`` on [lo, hi]: the
-    best point of a 101-point grid, then golden-section refinement to a
-    bracket narrower than 1e-9 around it.
+    """``(fn(x), x)`` at the maximum of a unimodal ``fn`` on [lo, hi], by
+    golden-section search to a bracket narrower than 1e-9.
 
-    The grid's best point is found by ``_argmax_unimodal``, or by scanning
-    the whole grid when its probes tie.  ``fn`` is evaluated once per
-    distinct ``x``.  Unimodality is assumed, not checked: on a grid with
-    two peaks the search may keep the lower one, where a full scan would
-    take the higher."""
+    If two probes do not compare strictly (a tie, as on a -inf plateau, or
+    NaN) while the bracket is wider than 0.01, the search scans a 101-point
+    grid once and goes on between the best grid point's neighbours, keeping
+    that point as a candidate; in a narrower bracket a tie is the flat top
+    of the peak.  ``fn`` is evaluated once per distinct ``x``.  Unimodality
+    is assumed, not checked: with two peaks the search may keep the lower
+    one."""
     values = {}
 
     def f(x):
@@ -155,17 +132,18 @@ def _maximize_unimodal(fn, lo, hi):
             values[x] = fn(x)
         return values[x]
 
-    grid = np.linspace(lo, hi, 101)
-    best = _argmax_unimodal(lambda i: f(grid[i]), len(grid) - 1)
-    if best is None:
-        best = int(np.argmax([f(g) for g in grid]))
-    a = grid[max(best - 1, 0)]
-    b = grid[min(best + 1, len(grid) - 1)]
-    c = b - _INVPHI * (b - a)
-    d = a + _INVPHI * (b - a)
+    a, b, kept = lo, hi, ()
+    c, d = b - _INVPHI * (b - a), a + _INVPHI * (b - a)
     fc, fd = f(c), f(d)
     while b - a > 1e-9:
-        if fc > fd:
+        if not (fc > fd or fd > fc) and b - a > 0.01 and not kept:
+            grid = np.linspace(lo, hi, 101)
+            best = int(np.argmax([f(g) for g in grid]))
+            a, b = grid[max(best - 1, 0)], grid[min(best + 1, 100)]
+            kept = (grid[best],)
+            c, d = b - _INVPHI * (b - a), a + _INVPHI * (b - a)
+            fc, fd = f(c), f(d)
+        elif fc > fd:
             b, d, fd = d, c, fc
             c = b - _INVPHI * (b - a)
             fc = f(c)
@@ -173,7 +151,7 @@ def _maximize_unimodal(fn, lo, hi):
             a, c, fc = c, d, fd
             d = a + _INVPHI * (b - a)
             fd = f(d)
-    return max((f(x), x) for x in (a, (a + b) / 2.0, b, grid[best]))
+    return max((f(x), x) for x in (a, (a + b) / 2.0, b, *kept))
 
 
 def _box_cox_map(x, lam, log_branch):
@@ -212,6 +190,8 @@ def _profile_log_likelihood(z, lam, jacobian, n):
 def _fit_power(kind, shift, y, log_likelihood):
     """``kind`` at the lambda in LAMBDA_BOUNDS maximizing the likelihood."""
     value, lam = _maximize_unimodal(log_likelihood, *LAMBDA_BOUNDS)
+    if not math.isfinite(value):
+        raise DataError(f"{kind}: no lambda gives a finite likelihood")
     params = {"lambda": float(lam), "shift": float(shift),
               "log_likelihood": float(value)}
     return FittedTransform(kind, params, target_range(y))

@@ -228,9 +228,6 @@ MODELS = tuple(_MODEL_FITTERS)
 CELL = {"rse": (list, dict), "smape": (list, dict), "clamped": (sum, int),
         "converged": (all, bool)}
 METRICS = tuple(key for key, (_, kind) in CELL.items() if kind is dict)
-#: model identifiers the report schema accepts: the trainable ones, then
-#: names that let an external runner merge its results.
-RESERVED_MODELS = (*MODELS, "gbtr", "svr")
 
 
 # --------------------------------------------------------------------------
@@ -354,7 +351,6 @@ class BenchmarkReport:
             "dataset": self.dataset_name,
             "seed": self.seed,
             "models": list(self.models),
-            "reserved_models": list(RESERVED_MODELS),
             "transforms": list(self.transforms),
             "results": results,
         }

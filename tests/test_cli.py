@@ -227,6 +227,20 @@ class TestTransformCommand:
         assert params["kind"] == "log-offset"
         assert params["params"]["offset"] == 1.0
 
+    def test_power_fit_without_finite_likelihood_is_data_error(
+            self, tmp_path, capsys):
+        y = 1e-300 * np.random.default_rng(0).uniform(1.0, 2.0, 50)
+        path = tmp_path / "tiny.csv"
+        path.write_text("x,y\n" + "".join(f"{i},{float(v)!r}\n"
+                                           for i, v in enumerate(y)))
+        out_json = tmp_path / "params.json"
+        assert main(["transform", "--input", str(path), "--roles", ROLES,
+                     "--transform", "yeo-johnson",
+                     "--out-json", str(out_json)]) == 3
+        assert "yeo-johnson: no lambda gives a finite" in (
+            capsys.readouterr().err)
+        assert not out_json.exists()
+
     def test_identity_preserves_target(self, skewed_csv, tmp_path):
         out_csv = tmp_path / "out.csv"
         main(["transform", "--input", skewed_csv, "--roles", ROLES,
@@ -432,7 +446,14 @@ class TestReportCommand:
         capsys.readouterr()
         code = main(["report", "--in-json", str(bench)])
         assert code == 0
-        assert "Ln" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "Ln" in out
+        # A bench.json written before "reserved_models" was dropped.
+        doc = json.loads(bench.read_text())
+        doc["reserved_models"] = ["ridge", "lasso", "gbtr", "svr"]
+        bench.write_text(json.dumps(doc))
+        assert main(["report", "--in-json", str(bench)]) == 0
+        assert capsys.readouterr().out == out
 
     def test_bad_json_is_data_error(self, tmp_path):
         path = tmp_path / "bad.json"

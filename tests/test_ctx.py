@@ -166,6 +166,19 @@ class TestDeflate:
         assert index.base_time == "2019"
         assert index.series["2020"] == 1.1
 
+    @pytest.mark.parametrize("text, row", [
+        ("year,cpi\n2019,1.0\n2020,1.1O\n2021,1.2\n", 3),
+        ("year,cpi\nperiod,index\n2019,1.0\n", 2),
+        ("2019,1.0\n\n2020,\n", 3),
+    ], ids=["typo", "second-header", "empty-value"])
+    def test_index_from_csv_bad_value_after_first_row(self, tmp_path, text,
+                                                       row):
+        path = tmp_path / "cpi.csv"
+        path.write_text(text)
+        with pytest.raises(DataError, match=f"cpi.csv: row {row}: index "
+                           "value '.*' is not a number"):
+            ytx.DeflationIndex.from_csv(str(path))
+
     def test_index_from_csv_not_utf8_is_data_error(self, tmp_path):
         path = tmp_path / "cpi.csv"
         path.write_bytes(b"2019,1.0\n2020,1.\xff1\n")
