@@ -1,5 +1,7 @@
 import dataclasses
 import math
+import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -7,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from scipy import special
 
 import ytx
-from ytx import core, ctx, dist, evaluation as ev
+from ytx import cli, core, ctx, dist, evaluation as ev
 from ytx.errors import ConfigError, DataError
 
 
@@ -194,8 +196,9 @@ def _soft_threshold(value, amount):
     return np.sign(value) * max(abs(value) - amount, 0.0)
 
 
-def _reference_fit_lasso(X, y, alpha=1.0, tol=1e-7, max_sweeps=10000):
-    """The residual-update coordinate descent that the Gram kernel replaced."""
+def _reference_fit_lasso(X, y, alpha=1.0, max_sweeps=10000):
+    """The residual-update coordinate descent that the Gram kernel replaced,
+    stopped on the duality gap it computes from its own residual."""
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
     if alpha <= 0.0:
@@ -210,7 +213,6 @@ def _reference_fit_lasso(X, y, alpha=1.0, tol=1e-7, max_sweeps=10000):
     sweep = 0
     history = []
     for sweep in range(1, max_sweeps + 1):
-        max_delta = 0.0
         for j in range(d):
             if col_sq[j] == 0.0:
                 continue
@@ -220,14 +222,27 @@ def _reference_fit_lasso(X, y, alpha=1.0, tol=1e-7, max_sweeps=10000):
             if new != old:
                 resid -= (new - old) * Xs[:, j]
                 beta[j] = new
-                max_delta = max(max_delta, abs(new - old))
         history.append(ev.lasso_objective(Xs, yc, beta, alpha))
-        if max_delta < tol:
+        if _residual_gap(Xs, yc, beta, alpha) <= 1e-4 * (yc @ yc / n) / 2:
             converged = True
             break
     return ev.LinearModel("lasso", alpha, beta, float(y.mean()), means, stds,
                           converged=converged, n_sweeps=sweep,
                           objective_history=tuple(history))
+
+
+def _residual_gap(Xs, yc, beta, alpha):
+    """The lasso's duality gap at ``beta``, in O(nd) from the residual r:
+    the primal r'r/2n + alpha |beta|_1 less the dual objective at r scaled
+    into the dual's feasible set |Xs'theta/n|_inf <= alpha."""
+    n = Xs.shape[0]
+    resid = yc - Xs @ beta
+    rr = resid @ resid / n
+    top = np.max(np.abs(Xs.T @ resid / n), initial=0.0)
+    s = min(1.0, alpha / top) if top > 0.0 else 1.0
+    primal = rr / 2 + alpha * np.sum(np.abs(beta))
+    dual = s * (resid @ yc / n) - s ** 2 * rr / 2
+    return primal - dual
 
 
 def _reference_gram_lasso(X, y, alpha):
@@ -240,16 +255,17 @@ def _reference_gram_lasso(X, y, alpha):
     Xs = design.Xs
     n, d = Xs.shape
     zc = z - z.mean()
+    zz = float(zc @ zc) / n
     G = design.gram / n
     diag = G.diagonal().tolist()
-    c = (Xs.T @ zc / n).tolist()
+    c_arr = Xs.T @ zc / n
+    c = c_arr.tolist()
     beta = np.zeros(d)
     Gb = np.zeros(d)
     history = []
     converged = False
     sweep = 0
     for sweep in range(1, 10001):
-        max_delta = 0.0
         for j in range(d):
             g_jj = diag[j]
             if g_jj == 0.0:
@@ -265,9 +281,13 @@ def _reference_gram_lasso(X, y, alpha):
             if new != old:
                 Gb += (new - old) * G[j]
                 beta[j] = new
-                max_delta = max(max_delta, abs(new - old))
         history.append(ev.lasso_objective(Xs, zc, beta, alpha))
-        if max_delta < 1e-7:
+        bc = float(beta @ c_arr)
+        rr = zz - 2.0 * bc + float(beta @ Gb)
+        top = float(np.abs(c_arr - Gb).max(initial=0.0))
+        s = alpha / top if top > alpha else 1.0
+        primal = rr / 2.0 + alpha * float(np.abs(beta).sum())
+        if primal - (s * (zz - bc) - s * s * rr / 2.0) <= 1e-4 * zz / 2.0:
             converged = True
             break
     return ev.LinearModel("lasso", alpha, beta, float(z.mean()),
@@ -399,6 +419,87 @@ class TestLassoKernelBits:
         assert_same_lasso_bits(model, ytx.fit_lasso(X, y, float(alpha)))
         assert_same_lasso_bits(model,
                                _reference_gram_lasso(X, y, float(alpha)))
+
+
+def _fit_lasso_with_gaps(X, y, alpha):
+    """``fit_lasso``'s model and the O(d) gap its kernel computed after
+    each sweep."""
+    gaps, gap = [], ev._lasso_gap
+
+    def recorded(*args):
+        gaps.append(gap(*args))
+        return gaps[-1]
+
+    with mock.patch.object(ev, "_lasso_gap", recorded):
+        model = ytx.fit_lasso(X, y, alpha)
+    return model, gaps
+
+
+class TestLassoStop:
+    """The fit stops at the first sweep whose relative duality gap is at
+    most 1e-4."""
+
+    @given(case=_small_lasso_case())
+    @settings(max_examples=150, derandomize=True, deadline=None)
+    def test_converged_fit_certifies_its_gap(self, case):
+        X, y, alpha = case
+        model, gaps = _fit_lasso_with_gaps(X, y, alpha)
+        yc = y - y.mean()
+        zz = yc @ yc / len(y)
+        Xs, _, _ = ev._standardize(X)
+        gap = _residual_gap(Xs, yc, model.coefficients, alpha)
+        assert len(gaps) == model.n_sweeps
+        assert abs(gaps[-1] - gap) <= 1e-10 * zz
+        assert all(g > ev.LASSO_GAP_TOL * zz / 2 for g in gaps[:-1])
+        if model.converged:
+            assert gap <= ev.LASSO_GAP_TOL * zz / 2
+        else:
+            assert model.n_sweeps == 10000
+
+    @pytest.mark.parametrize("k", [-10, 10])
+    def test_scaling_target_and_alpha_is_exact(self, k):
+        # Scaling by a power of two is exact in float64, so a scale-free
+        # stop takes the same sweeps to the scaled coefficients.
+        X, y = factor_design()
+        model = ytx.fit_lasso(X, y, 0.1)
+        scaled = ytx.fit_lasso(X, 2.0 ** k * y, 2.0 ** k * 0.1)
+        assert model.converged and scaled.converged
+        assert scaled.n_sweeps == model.n_sweeps
+        assert scaled.coefficients.tobytes() == (
+            2.0 ** k * model.coefficients).tobytes()
+
+    @pytest.mark.parametrize("case", ["constant-target", "above-alpha-max"])
+    def test_null_fit_stops_after_one_sweep(self, case):
+        X, y = factor_design(n=300, d=12, factors=4, seed=2)
+        if case == "constant-target":
+            y, alpha = np.full(300, 3.0), 0.1
+        else:
+            alpha = 2.0 * alpha_max(X, y)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            model = ytx.fit_lasso(X, y, alpha)
+        assert model.converged and model.n_sweeps == 1
+        assert np.all(model.coefficients == 0.0)
+
+    def test_harness_sweep_budget(self, monkeypatch):
+        # The stop that waited for a sweep moving no coefficient by 1e-7
+        # took 4,200 sweeps over these 40 fits.
+        fit_lasso, models = ev._MODEL_FITTERS["lasso"], []
+
+        def counted(design, z, alpha):
+            models.append(fit_lasso(design, z, alpha))
+            return models[-1]
+
+        monkeypatch.setitem(ev._MODEL_FITTERS, "lasso", counted)
+        X, y = factor_design(n=1000, d=50)
+        ds = ytx.Dataset(features=X, target=y,
+                         column_names=tuple(f"x{j}" for j in range(50)),
+                         roles=ytx.ColumnRoles(target="y"))
+        ytx.run_benchmark(ds, models=("lasso",), alpha=0.1, transforms=(
+            "log-offset", "yeo-johnson", "quantile-normal"))
+        assert len(models) == 40
+        assert all(model.converged for model in models)
+        assert sum(model.n_sweeps for model in models) <= 0.6 * 4200
 
 
 class TestPublicFitInput:
@@ -848,6 +949,39 @@ class TestBenchmark:
         assert len(calls) == 10
         assert report.cells[("lasso", "identity")]["converged"] is (
             unconverged_fold is None)
+
+    def test_report_marks_unconverged_cells(self, monkeypatch, tmp_path,
+                                            capsys):
+        fit_lasso, calls = ev._MODEL_FITTERS["lasso"], []
+
+        def one_sqrt_fit_unconverged(design, z, alpha):
+            calls.append(len(calls))  # identity, then sqrt, in fold order
+            return dataclasses.replace(fit_lasso(design, z, alpha),
+                                       converged=calls[-1] != 3)
+
+        monkeypatch.setitem(ev._MODEL_FITTERS, "lasso",
+                            one_sqrt_fit_unconverged)
+        report = ytx.run_benchmark(toy_dataset(seed=9),
+                                   models=("lasso", "ridge"),
+                                   transforms=("sqrt",), seed=2, alpha=0.01)
+        bench = tmp_path / "bench.json"
+        bench.write_text(report.to_json())
+        assert cli.main(["report", "--in-json", str(bench)]) == 0
+        tables = capsys.readouterr().out.split("### ")[1:]
+        footnote = ("† not every fold's fit reached a relative duality gap "
+                    "of 1e-4 within 10,000 sweeps")
+        assert [t.splitlines()[0] for t in tables] == [
+            "lasso (RSE)", "ridge (RSE)", "lasso (SMAPE)", "ridge (SMAPE)"]
+        for table in tables:
+            lines = table.splitlines()
+            base, sqrt = lines[3].strip("| ").split(" | ")[1:]
+            assert not base.endswith("†")
+            if table.startswith("lasso"):
+                assert sqrt.endswith("†")
+                assert lines[4:] == ["", footnote, ""]
+            else:
+                assert not sqrt.endswith("†")
+                assert lines[4:] == [""]
 
     @pytest.mark.parametrize("models", [("ridge",), ("ridge", "lasso")])
     @pytest.mark.parametrize("kinds, columns", [
