@@ -291,6 +291,7 @@ def _fit_deflate_rows(y, time, prices):
     """Deflate by each period's first price on the rows, to the earliest
     period; periods go in order of first appearance, so the base among
     tied sort keys ("1"/"1.0") is the one seen first."""
+    y = _finite_target(y, "deflate")
     time = _GroupedKeys(_factorize(time))
     y, (keys, codes, order, bounds) = _groups(y, time, "time vector")
     series = {keys[codes[i]]: float(prices[i])

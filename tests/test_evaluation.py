@@ -815,12 +815,16 @@ class TestFitTransformKind:
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("kind", core.KNOWN_KINDS)
     def test_non_finite_target_is_data_error(self, kind, bad):
-        ds = panel_dataset()
-        y = ds.target.copy()
-        y[[7, 11]] = bad
-        with pytest.raises(DataError) as info:
-            ev.fit_transform_kind(kind, y, ds)
-        assert str(info.value) == f"{kind}: non-finite target at index 7"
+        # The target is checked before the roles: a zero price on a
+        # non-finite row does not turn the error into a price error.
+        zero_price = panel_dataset()
+        zero_price.aux["price_index"][7] = 0.0
+        for ds in (panel_dataset(), zero_price):
+            y = ds.target.copy()
+            y[[7, 11]] = bad
+            with pytest.raises(DataError) as info:
+                ev.fit_transform_kind(kind, y, ds)
+            assert str(info.value) == f"{kind}: non-finite target at index 7"
 
 
 class TestBenchmark:
