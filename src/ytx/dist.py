@@ -260,25 +260,20 @@ register_kind("box-cox", lambda y: fit_box_cox(y),
 
 def _yj_split(y, shift=1.0):
     """``y``, flattened, as ``(y, pos, neg, up, down)``: ``pos`` and ``neg``
-    index its values ``>= 0`` and the others, ``up = y[pos] + shift`` and
-    ``down = shift - y[neg]``.  When every value is on one side of zero,
-    both index arrays are None, that side's array holds the whole sample
-    and the other side's array is None."""
+    index its values ``>= 0`` and the others (either may be empty),
+    ``up = y[pos] + shift`` and ``down = shift - y[neg]``."""
     y = y.reshape(-1)
     nonneg = y >= 0.0
-    n_pos = np.count_nonzero(nonneg)
-    if n_pos == y.shape[0]:
-        return y, None, None, y + shift, None
-    if n_pos == 0:
-        return y, None, None, None, shift - y
     pos, neg = np.flatnonzero(nonneg), np.flatnonzero(~nonneg)
     return y, pos, neg, y[pos] + shift, shift - y[neg]
 
 
 def _yj_join(y, pos, neg, up, down):
     """The halves a ``_yj_split`` of ``y`` gave, back in row order."""
-    if pos is None:
-        return down if up is None else up
+    if not neg.size:
+        return up
+    if not pos.size:
+        return down
     out = np.empty_like(y)
     out[pos] = up
     out[neg] = down
@@ -290,12 +285,10 @@ def _yj_map(split, lam):
     ``y + 1`` at ``lam`` where y >= 0, minus that of ``1 - y`` at
     ``2 - lam`` elsewhere."""
     y, pos, neg, up, down = split
-    if up is not None:
-        up = _box_cox_map(up, lam,
-                          lambda: np.log1p(y if pos is None else y[pos]))
-    if down is not None:
-        down = _box_cox_map(
-            down, 2.0 - lam, lambda: np.log1p(-(y if neg is None else y[neg])))
+    if pos.size:
+        up = _box_cox_map(up, lam, lambda: np.log1p(y[pos]))
+    if neg.size:
+        down = _box_cox_map(down, 2.0 - lam, lambda: np.log1p(-y[neg]))
         np.negative(down, out=down)
     return _yj_join(y, pos, neg, up, down)
 
@@ -336,12 +329,10 @@ def _yj_inverse(params, z, aux):
     lam = params["lambda"]
     # A shift of -0.0 makes up = z[pos] and down = -z[neg] bit for bit.
     flat, pos, neg, up, down = _yj_split(z, -0.0)
-    if up is not None:
-        up = _box_cox_root(up, lam, 1.0, np.expm1, "yeo-johnson", pos)
-    if down is not None:
-        # 1 - x as 0 - (x - 1): the same bits, +0.0 at x = 1 included.
-        down = 0.0 - _box_cox_root(down, 2.0 - lam, 1.0, np.expm1,
-                                   "yeo-johnson", neg)
+    up = _box_cox_root(up, lam, 1.0, np.expm1, "yeo-johnson", pos)
+    # 1 - x as 0 - (x - 1): the same bits, +0.0 at x = 1 included.
+    down = 0.0 - _box_cox_root(down, 2.0 - lam, 1.0, np.expm1,
+                               "yeo-johnson", neg)
     return _yj_join(flat, pos, neg, up, down).reshape(z.shape)
 
 

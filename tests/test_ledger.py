@@ -13,7 +13,8 @@ failure lists every moved entry.
 
 The ledger moves only in a change whose description names the result
 change.  Such a change rewrites it with ``python3 tests/test_ledger.py``
-and records the moved entries.
+and records the moved entries.  A move that no change names is a defect
+to mend, not a ledger to rewrite.
 """
 
 import json
