@@ -219,18 +219,27 @@ _CHUNK_HINT = 1 << 17
 _CSV_ROWS = 4096
 
 
-def read_rows(path):
-    """Yield the rows of a CSV file as Python's ``csv`` module (excel
-    dialect) reads them, in lists of consecutive rows.
+def _split_lines(lines):
+    """The rows of quote-free lines: each line is split at its commas, and
+    a bare line end is ``[]``."""
+    # A line break inside a line can only be its end.
+    return [line.rstrip("\r\n").split(",") if line[0] not in "\r\n" else []
+            for line in lines]
+
+
+def _read_chunks(path):
+    """Yield the records of a CSV file in chunks of consecutive records,
+    each as ``(True, lines)`` or ``(False, rows)``.
 
     The file is opened by :func:`_open_text` and read in chunks of lines.
     A chunk with no ``"``, no NUL and no line longer than
-    ``csv.field_size_limit()`` is split at its commas: each of its lines is
-    one record, and a bare line end is ``[]``.  From the first chunk that
-    fails that test, ``csv.reader`` reads the rest of the file; every line
-    before it was a whole record, so the reader starts on a record
-    boundary.  A record ``csv`` rejects is a DataError naming its row
-    (the first row, usually the header, is row 1).
+    ``csv.field_size_limit()`` is quote-free: each of its lines, end kept,
+    is one record, which :func:`_split_lines` splits as ``csv`` would.
+    From the first chunk that fails that test, ``csv.reader`` reads the
+    rest of the file into lists of rows; every line before it was a whole
+    record, so the reader starts on a record boundary.  A record ``csv``
+    rejects is a DataError naming its row (the first row, usually the
+    header, is row 1).
     """
     n_rows = 0
     with _open_text(path) as handle:
@@ -240,10 +249,8 @@ def read_rows(path):
             if '"' in text or "\0" in text or max(map(len, lines)) > limit:
                 break
             n_rows += len(lines)
-            # A line break inside a line can only be its end.
-            yield [line.rstrip("\r\n").split(",") if line[0] not in "\r\n"
-                   else [] for line in lines]
-        if not lines:  # every chunk was split
+            yield True, lines
+        if not lines:  # every chunk was quote-free
             return
         rows = []
         try:
@@ -251,13 +258,21 @@ def read_rows(path):
                 rows.append(row)
                 if len(rows) == _CSV_ROWS:
                     n_rows += len(rows)
-                    yield rows
+                    yield False, rows
                     rows = []
         except csv.Error as exc:
             raise DataError(
                 f"{path}: row {n_rows + len(rows) + 1}: {exc}") from None
         if rows:
-            yield rows
+            yield False, rows
+
+
+def read_rows(path):
+    """Yield the rows of a CSV file as Python's ``csv`` module (excel
+    dialect) reads them, in lists of consecutive rows, as read by
+    :func:`_read_chunks`."""
+    for quote_free, chunk in _read_chunks(path):
+        yield _split_lines(chunk) if quote_free else chunk
 
 
 def load_csv(path, roles):

@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -28,6 +29,7 @@ def skewed_csv(tmp_path):
 
 
 ROLES = '{"target": "y"}'
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 MESSY_CSV = ('id,y,note\n'
              ' a , 2 ,plain\n'     # space-padded tokens: kept
@@ -100,22 +102,89 @@ def _transform_input(draw):
     return "".join(lines)
 
 
+def _transform(tmp_path, path, kind, roles=ROLES):
+    """Run ``ytx transform`` on ``path``; returns the exit code and, on
+    success, the written bytes and the reference writer's bytes for the
+    fitted transform."""
+    out_csv = tmp_path / "out.csv"
+    out_json = tmp_path / "params.json"
+    code = main(["transform", "--input", str(path), "--roles", roles,
+                 "--transform", kind, "--out-csv", str(out_csv),
+                 "--out-json", str(out_json)])
+    if code:
+        return code, None, None
+    column_roles = core.ColumnRoles.from_json(roles)
+    dataset = ctx._group_keys(core.load_csv(str(path), column_roles), [kind])
+    fitted = core.FittedTransform.from_json(out_json.read_text())
+    expected = _reference_transform_csv(
+        str(path), column_roles.target, dataset.kept_rows,
+        core.forward(fitted, dataset.target,
+                     evaluation.aux_column(kind, dataset)))
+    return code, out_csv.read_bytes(), expected
+
+
 def _assert_same_bytes_as_reference_writer(tmp_path, kind, text, bom):
     """transform writes the bytes of the row-by-row reference writer."""
     path = tmp_path / "in.csv"
     path.write_bytes(b"\xef\xbb\xbf" * bom + text.encode("utf-8"))
-    out_csv = tmp_path / "out.csv"
-    out_json = tmp_path / "params.json"
-    code = main(["transform", "--input", str(path), "--roles", ROLES,
-                 "--transform", kind, "--out-csv", str(out_csv),
-                 "--out-json", str(out_json)])
+    code, written, expected = _transform(tmp_path, path, kind)
     assume(code == 0)
-    dataset = core.load_csv(str(path), core.ColumnRoles(target="y"))
-    fitted = core.FittedTransform.from_json(out_json.read_text())
-    expected = _reference_transform_csv(
-        str(path), "y", dataset.kept_rows,
-        core.forward(fitted, dataset.target))
-    assert out_csv.read_bytes() == expected
+    assert written == expected
+
+
+def _hand_over_csv(target_at, hint=core._CHUNK_HINT):
+    """CSV text whose quote-free lines fill three default-size chunks, with
+    CR, LF and CRLF ends and blank, ragged and missing-target rows; then a
+    quoted row, from which csv.reader reads the rest.  The target 'y' is
+    column ``target_at`` of six; ``hint`` is the default chunk size."""
+    header = ["a", "b", "c", "d", "e"]
+    header.insert(target_at, "y")
+    rows = [header]
+    ends = ["\n", "\r\n", "\r"]
+    n_quote_free = 3 * hint // 25
+    for i in range(n_quote_free + 40):
+        word = f"word{i % 13:03d}"
+        if i > n_quote_free and i % 3 == 0:
+            word = f'"w,{i % 4}"'                # csv.reader from here
+        elif i > n_quote_free and i % 5 == 0:
+            word = f'"two\nlines {i % 4}"'
+        fields = [f"{i:06d}", str(i % 7), f"{i * 0.25}",
+                  "" if i % 29 == 3 else str(i % 5), word]
+        fields.insert(target_at, f"{1.0 + (i * 37 % 101) / 8}")
+        if i % 17 == 5:
+            fields = []                          # blank
+        elif i % 19 == 7:
+            fields = fields[:3]                  # ragged
+        elif i % 23 == 11:
+            fields[target_at] = ("", "NA")[i % 2]  # missing target
+        rows.append(fields)
+    text = "".join(",".join(row) + ends[i % 3] for i, row in enumerate(rows))
+    assert text.index('"') > 3 * hint
+    return text
+
+
+@pytest.fixture(scope="module")
+def workload_tables():
+    """``{case: (workload, table)}``: each workload of ``bench/workloads.py``
+    with its seed-7 table, and skewed-session's table with its target
+    moved first and to the middle (field 11 of 22, split off from the
+    back)."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.syspath_prepend(os.path.join(ROOT, "bench"))
+        from workloads import WORKLOADS
+    cases = {}
+    for name, workload in WORKLOADS.items():
+        table = workload.generate(np.random.default_rng(7))
+        cases[name] = workload, table
+        if name == "skewed-session":
+            k = table.header.index(workload.roles["target"])
+            for tag, at in (("first", 0), ("middle", k // 2 + 1)):
+                order = list(range(len(table.header)))
+                order.insert(at, order.pop(k))
+                cases[f"{name}-{tag}"] = workload, replace(
+                    table, header=tuple(table.header[j] for j in order),
+                    columns=tuple(table.columns[j] for j in order))
+    return cases
 
 
 def count_writerows(mp):
@@ -347,6 +416,53 @@ class TestTransformCommand:
                      "--transform", "identity",
                      "--out-csv", skewed_csv]) == 2
         assert open(skewed_csv, "rb").read() == before
+
+    def test_output_over_input_is_checked_before_reading(self, tmp_path,
+                                                         capsys):
+        # The sqrt fit would fail first (exit 4) if the input were read.
+        path = tmp_path / "neg.csv"
+        path.write_text("x,y\n1,-4\n2,9\n")
+        before = path.read_bytes()
+        assert main(["transform", "--input", str(path), "--roles", ROLES,
+                     "--transform", "sqrt", "--out-csv", str(path)]) == 2
+        assert capsys.readouterr().err == (
+            "error: --out-csv must not be the input file\n")
+        assert path.read_bytes() == before
+
+    def test_missing_input_next_to_existing_output_is_data_error(
+            self, tmp_path, capsys):
+        out_csv = tmp_path / "out.csv"
+        out_csv.write_text("kept\n")
+        assert main(["transform", "--input", str(tmp_path / "none.csv"),
+                     "--roles", ROLES, "--transform", "identity",
+                     "--out-csv", str(out_csv)]) == 3
+        assert "cannot read" in capsys.readouterr().err
+        assert out_csv.read_text() == "kept\n"
+
+    @pytest.mark.parametrize("hint", [16, core._CHUNK_HINT])
+    @pytest.mark.parametrize("target_at", [0, 2, 3, 5], ids=[
+        "first", "middle-front", "middle-back", "last"])
+    def test_same_bytes_across_hand_over(self, tmp_path, monkeypatch, hint,
+                                         target_at):
+        path = tmp_path / "in.csv"
+        path.write_bytes(_hand_over_csv(target_at).encode("utf-8"))
+        monkeypatch.setattr(core, "_CHUNK_HINT", hint)
+        code, written, expected = _transform(tmp_path, path, "log-offset")
+        assert code == 0
+        assert written == expected
+
+    @pytest.mark.parametrize("case", [
+        "skewed-session", "skewed-session-first", "skewed-session-middle",
+        "panel-session", "wide-lasso"])
+    def test_same_bytes_on_workload_tables(self, tmp_path, workload_tables,
+                                           case):
+        workload, table = workload_tables[case]
+        path = tmp_path / f"{case}.csv"
+        table.write(path)
+        code, written, expected = _transform(
+            tmp_path, path, workload.transform, workload.roles_json())
+        assert code == 0
+        assert written == expected
 
     def test_sqrt_on_negative_target_is_domain_error(self, tmp_path):
         path = tmp_path / "neg.csv"

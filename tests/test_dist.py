@@ -254,6 +254,37 @@ def count_calls(mp, owner, name):
     return calls
 
 
+#: Tied and discrete targets; the last two have the n >= 10 that a
+#: quantile map needs.
+TIED_TARGETS = [
+    pytest.param([1.0, 2.0], id="two-points"),
+    pytest.param([3.0, 5.0, 3.0, 3.0, 5.0], id="two-values"),
+    pytest.param([0.0, 1.0, 2.0, 3.0], id="0-3"),
+    pytest.param(np.random.default_rng(30).integers(0, 4, 60), id="0-3-ties"),
+    pytest.param(np.random.default_rng(31).poisson(3.0, 200), id="poisson")]
+
+
+def assert_roundtrips(fit, y):
+    """The inverse of the forward map of ``fit(y)`` gives ``y`` back."""
+    y = np.asarray(y, dtype=float)
+    t = fit(y)
+    assert np.allclose(ytx.inverse(t, ytx.forward(t, y)), y,
+                       rtol=1e-9, atol=1e-9)
+
+
+@pytest.mark.parametrize("y", TIED_TARGETS)
+@pytest.mark.parametrize("fit", [ytx.identity_transform, ytx.fit_log_offset,
+                                 ytx.fit_sqrt])
+def test_tied_and_discrete_targets_roundtrip(fit, y):
+    assert_roundtrips(fit, y)
+
+
+@pytest.mark.parametrize("y", TIED_TARGETS[3:])
+@pytest.mark.parametrize("reference", ["normal", "uniform"])
+def test_tied_and_discrete_targets_roundtrip_quantile(reference, y):
+    assert_roundtrips(lambda y: ytx.fit_quantile(y, reference), y)
+
+
 class TestPowerFitsMatchReference:
     """The fits compute their lambda-free terms once and still give the
     reference's lambda, shift, log-likelihood and forward bytes under the
@@ -351,17 +382,10 @@ class TestPowerFitsMatchReference:
         assert len(calls) > 101
         assert fitted.params["lambda"] == 0.5120981213810838
 
-    @pytest.mark.parametrize("y", [
-        [1.0, 2.0], [3.0, 5.0, 3.0, 3.0, 5.0], [0.0, 1.0, 2.0, 3.0],
-        np.random.default_rng(30).integers(0, 4, 60),
-        np.random.default_rng(31).poisson(3.0, 200)],
-        ids=["two-points", "two-values", "0-3", "0-3-ties", "poisson"])
+    @pytest.mark.parametrize("y", TIED_TARGETS)
     @pytest.mark.parametrize("fit", [ytx.fit_box_cox, ytx.fit_yeo_johnson])
     def test_tied_and_discrete_targets_roundtrip(self, fit, y):
-        y = np.asarray(y, dtype=float)
-        t = fit(y)
-        assert np.allclose(ytx.inverse(t, ytx.forward(t, y)), y,
-                           rtol=1e-9, atol=1e-9)
+        assert_roundtrips(fit, y)
 
     def test_no_finite_likelihood_is_data_error(self):
         # Every lambda's variance underflows to zero.
