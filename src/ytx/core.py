@@ -505,7 +505,10 @@ def _finite_target(y, kind):
 
 
 def target_range(y):
+    """``(min(y), max(y))`` as floats; a DataError if ``y`` is empty."""
     y = np.asarray(y, dtype=float)
+    if y.size == 0:
+        raise DataError("empty target")
     return (float(np.min(y)), float(np.max(y)))
 
 

@@ -22,70 +22,65 @@ from .core import (FittedTransform, _finite_target, _raise_first_bad,
 from .errors import DataError
 
 
-def _factorize(keys):
-    """Group rows by ``str(key)`` in one dict pass.
+class _Grouping:
+    """A key column's rows grouped by key: the distinct ``keys`` in sorted
+    order (the order ``np.unique`` gives), each row's code into them, a
+    stable argsort ``order`` of the codes and the group ``bounds`` in it:
+    ``order[bounds[g]:bounds[g + 1]]`` are group g's rows in row order.
+    Built from sorted keys and codes into them, dropping the keys no row
+    has.  ``len()`` is the row count, and ``g[rows]`` (an intp array or a
+    slice) groups those rows, as ``_factorize`` groups their keys."""
 
-    Returns the distinct keys in sorted order (the order ``np.unique``
-    gives), each row's code into them, a stable argsort of the codes and
-    the group bounds in it: ``order[bounds[g]:bounds[g + 1]]`` are group
-    g's rows in row order.  A ``_GroupedKeys`` column gives its groups.
-    """
-    if isinstance(keys, _GroupedKeys):
-        return keys.groups
+    __slots__ = ("keys", "codes", "order", "bounds")
+
+    def __init__(self, keys, codes):
+        counts = np.bincount(codes, minlength=len(keys))
+        used = np.flatnonzero(counts)
+        # Codes of the narrowest unsigned type: numpy's stable sort of 8- and
+        # 16-bit integers is a radix sort, ten times faster than that of intp.
+        rank = np.empty(len(keys), dtype=np.min_scalar_type(len(used)))
+        rank[used] = np.arange(len(used))
+        self.keys = [keys[g] for g in used.tolist()]
+        self.codes = rank[codes]
+        self.order = np.argsort(self.codes, kind="stable")
+        self.bounds = np.zeros(len(used) + 1, dtype=np.intp)
+        np.cumsum(counts[used], out=self.bounds[1:])
+
+    def __len__(self):
+        return len(self.codes)
+
+    def __getitem__(self, rows):
+        return _Grouping(self.keys, self.codes[rows])
+
+
+def _factorize(keys):
+    """``keys`` grouped by ``str(key)`` in one dict pass, as a
+    ``_Grouping``; a ``_Grouping`` is returned as itself."""
+    if isinstance(keys, _Grouping):
+        return keys
     index = {}
     first_seen = [index.setdefault(str(k), len(index)) for k in keys]
     distinct = sorted(index)
-    # Codes of the narrowest unsigned type: numpy's stable sort of 8- and
-    # 16-bit integers is a radix sort, ten times faster than that of intp.
-    rank = np.empty(len(distinct), dtype=np.min_scalar_type(len(distinct)))
+    rank = np.empty(len(distinct), dtype=np.intp)
     rank[[index[k] for k in distinct]] = np.arange(len(distinct))
-    codes = rank[np.fromiter(first_seen, np.intp, len(first_seen))]
-    order = np.argsort(codes, kind="stable")
-    bounds = np.zeros(len(distinct) + 1, dtype=np.intp)
-    np.cumsum(np.bincount(codes, minlength=len(distinct)), out=bounds[1:])
-    return distinct, codes, order, bounds
-
-
-class _GroupedKeys:
-    """A key column held as its ``_factorize`` groups: ``len()`` is its row
-    count, and ``col[rows]`` (an intp array or a slice) is the grouped
-    column of those rows, equal to ``_factorize(keys[rows])`` and made with
-    numpy alone."""
-
-    def __init__(self, groups):
-        self.groups = groups
-
-    def __len__(self):
-        return len(self.groups[1])
-
-    def __getitem__(self, rows):
-        distinct, codes, _, _ = self.groups
-        codes = codes[rows]
-        counts = np.bincount(codes, minlength=len(distinct))
-        used = np.flatnonzero(counts)
-        rank = np.empty(len(distinct), dtype=np.min_scalar_type(len(used)))
-        rank[used] = np.arange(len(used))
-        codes = rank[codes]
-        bounds = np.zeros(len(used) + 1, dtype=np.intp)
-        np.cumsum(counts[used], out=bounds[1:])
-        return _GroupedKeys(([distinct[g] for g in used.tolist()], codes,
-                             np.argsort(codes, kind="stable"), bounds))
+    return _Grouping(
+        distinct, rank[np.fromiter(first_seen, np.intp, len(first_seen))])
 
 
 def _group_keys(dataset, kinds):
     """A copy of ``dataset`` whose key columns that ``kinds`` read (the
-    roles ``_groups`` reads) are ``_GroupedKeys``, so that each is grouped
+    roles ``_groups`` reads) are ``_Grouping``s, so that each is grouped
     once however many row subsets are taken of it."""
     keyed = {"subject", "trial", "time"}.intersection(
         itertools.chain.from_iterable(kind_fit(kind)[1] for kind in kinds))
-    aux = {role: _GroupedKeys(_factorize(col)) if role in keyed else col
+    aux = {role: _factorize(col) if role in keyed else col
            for role, col in dataset.aux.items()}
     return replace(dataset, aux=aux)
 
 
 def _check_length(values, y, name):
     """DataError unless ``values`` has one entry per target row."""
-    if values.shape[0] != y.shape[0]:
+    if len(values) != len(y):
         raise DataError(f"{name} length mismatch")
 
 
@@ -95,7 +90,7 @@ def _groups(y, keys, name):
     are no rows."""
     y = np.asarray(y, dtype=float)
     groups = _factorize(keys)
-    _check_length(groups[1], y, name)
+    _check_length(groups, y, name)
     if y.shape[0] == 0:
         raise DataError("empty dataset")
     return y, groups
@@ -103,12 +98,11 @@ def _groups(y, keys, name):
 
 def _require_keys(table, groups, missing):
     """DataError ``f"{missing} {key!r}"`` naming the key of the first row
-    (in row order) of ``groups`` (a ``_factorize``) not in ``table``."""
-    keys, codes, _, _ = groups
-    unseen = [k not in table for k in keys]
+    (in row order) of ``groups`` (a ``_Grouping``) not in ``table``."""
+    unseen = [k not in table for k in groups.keys]
     if any(unseen):
-        row = np.argmax(np.array(unseen)[codes])
-        raise DataError(f"{missing} {keys[codes[row]]!r}")
+        row = np.argmax(np.array(unseen)[groups.codes])
+        raise DataError(f"{missing} {groups.keys[groups.codes[row]]!r}")
 
 
 def _per_row(table, groups, missing=None, fallback=None):
@@ -117,24 +111,23 @@ def _per_row(table, groups, missing=None, fallback=None):
     or with none is ``_require_keys``'s DataError with ``missing``."""
     if fallback is None:
         _require_keys(table, groups, missing)
-    keys, codes, _, _ = groups
-    values = np.array([table.get(k, fallback) for k in keys], dtype=float)
+    values = [table.get(k, fallback) for k in groups.keys]
     # np.take, not values[codes]: ten times faster on a 2-D table's rows.
-    return np.take(values, codes, axis=0)
+    return np.take(np.array(values, dtype=float), groups.codes, axis=0)
 
 
 # --------------------------------------------------------------------------
 # Subject centering
 
 def fit_subject_center(y, subject):
-    y, (keys, _, order, bounds) = _groups(
+    y, subject = _groups(
         _finite_target(y, "subject-center"), subject, "subject vector")
     # A group's slice holds y[keys == key] in row order, so each mean is
     # bit-identical to np.mean(y[keys == key]).
-    grouped = y[order]
-    bounds = bounds.tolist()
+    grouped = y[subject.order]
+    bounds = subject.bounds.tolist()
     means = {key: float(np.mean(grouped[lo:hi]))
-             for key, lo, hi in zip(keys, bounds, bounds[1:])}
+             for key, lo, hi in zip(subject.keys, bounds, bounds[1:])}
     return FittedTransform(
         "subject-center",
         {"means": means, "global_mean": float(np.mean(y))},
@@ -154,13 +147,13 @@ register_kind(
 # Per-trial min-max
 
 def fit_trial_minmax(y, trial):
-    y, (keys, _, order, bounds) = _groups(
+    y, trial = _groups(
         _finite_target(y, "trial-minmax"), trial, "trial vector")
-    grouped = y[order]
-    lows = np.minimum.reduceat(grouped, bounds[:-1]).tolist()
-    highs = np.maximum.reduceat(grouped, bounds[:-1]).tolist()
+    grouped = y[trial.order]
+    lows = np.minimum.reduceat(grouped, trial.bounds[:-1]).tolist()
+    highs = np.maximum.reduceat(grouped, trial.bounds[:-1]).tolist()
     ranges = {}
-    for key, lo, hi in zip(keys, lows, highs):
+    for key, lo, hi in zip(trial.keys, lows, highs):
         if hi <= lo:
             raise DataError(f"constant trial {key!r}")
         ranges[key] = [lo, hi]
@@ -291,11 +284,9 @@ def _fit_deflate_rows(y, time, prices):
     """Deflate by each period's first price on the rows, to the earliest
     period; periods go in order of first appearance, so the base among
     tied sort keys ("1"/"1.0") is the one seen first."""
-    y = _finite_target(y, "deflate")
-    time = _GroupedKeys(_factorize(time))
-    y, (keys, codes, order, bounds) = _groups(y, time, "time vector")
-    series = {keys[codes[i]]: float(prices[i])
-              for i in np.sort(order[bounds[:-1]]).tolist()}
+    y, time = _groups(_finite_target(y, "deflate"), time, "time vector")
+    series = {time.keys[time.codes[i]]: float(prices[i])
+              for i in np.sort(time.order[time.bounds[:-1]]).tolist()}
     base = sorted(series, key=_time_sort_key)[0]
     return fit_deflate(y, time, DeflationIndex(series=series, base_time=base))
 

@@ -81,11 +81,11 @@ class DiagnosticReport:
 
 def detect_subjective(y, subject, thresholds=Thresholds()):
     """One-way ANOVA across subject groups."""
-    y, (_, _, order, bounds) = _groups(y, subject, "subject vector")
+    y, subject = _groups(y, subject, "subject vector")
     # Groups in sorted-key order, each in row order, so the sums below add
     # the same terms in the same order as over y[keys == key] per key.
-    grouped = y[order]
-    bounds = bounds.tolist()
+    grouped = y[subject.order]
+    bounds = subject.bounds.tolist()
     groups = [grouped[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
     if len(groups) < 2:
         raise DataError("need at least 2 subjects")
@@ -150,11 +150,11 @@ def detect_trend(y, time, thresholds=Thresholds()):
     """Spearman correlation between the target and the time order: periods
     in ``deflate``'s order (numeric keys by value, then the others), the
     rows of one period sharing their average rank."""
-    y, (keys, codes, _, _) = _groups(y, time, "time vector")
-    sort_keys = [_time_sort_key(k) for k in keys]
+    y, time = _groups(y, time, "time vector")
+    sort_keys = [_time_sort_key(k) for k in time.keys]
     position = {k: i for i, k in enumerate(sorted(set(sort_keys)))}
     periods = np.array([position[k] for k in sort_keys], dtype=float)
-    rho = _pearson(_average_ranks(y), _average_ranks(periods[codes]))
+    rho = _pearson(_average_ranks(y), _average_ranks(periods[time.codes]))
     if rho is None:
         return Verdict(flagged=False, statistic=0.0)
     return Verdict(flagged=abs(rho) > thresholds.trend_rho,

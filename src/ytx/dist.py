@@ -73,11 +73,9 @@ def fit_log_offset(y):
     """``ln(y + c)`` with ``c`` the smallest positive integer such that
     ``min(y) + c > 0``, so every training row has a finite forward value
     (``c = 1`` for a non-negative target)."""
-    y = _finite_target(y, "log-offset")
-    if y.shape[0] < 1:
-        raise DataError("empty target")
-    offset = float(max(math.floor(-np.min(y)) + 1, 1))
-    return FittedTransform("log-offset", {"offset": offset}, target_range(y))
+    lo, hi = target_range(_finite_target(y, "log-offset"))
+    offset = float(max(math.floor(-lo) + 1, 1))
+    return FittedTransform("log-offset", {"offset": offset}, (lo, hi))
 
 
 def _log_forward(params, y, aux):

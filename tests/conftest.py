@@ -12,7 +12,7 @@ def raw_factorize_calls(monkeypatch):
     factorize = ctx._factorize
 
     def counted(keys):
-        if not isinstance(keys, ctx._GroupedKeys):
+        if not isinstance(keys, ctx._Grouping):
             calls.append(len(keys))
         return factorize(keys)
 

@@ -7,6 +7,7 @@ import re
 import subprocess
 import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -315,7 +316,7 @@ class TestTransformCommand:
         main(["transform", "--input", skewed_csv, "--roles", ROLES,
               "--transform", "identity", "--out-csv", str(out_csv)])
         original = [float(line.split(",")[1])
-                    for line in open(skewed_csv).read().splitlines()[1:]]
+                    for line in Path(skewed_csv).read_text().splitlines()[1:]]
         written = [float(line.split(",")[1])
                    for line in out_csv.read_text().splitlines()[1:]]
         assert written == original
@@ -411,11 +412,11 @@ class TestTransformCommand:
         assert not out_csv.exists()
 
     def test_output_over_input_is_config_error(self, skewed_csv):
-        before = open(skewed_csv, "rb").read()
+        before = Path(skewed_csv).read_bytes()
         assert main(["transform", "--input", skewed_csv, "--roles", ROLES,
                      "--transform", "identity",
                      "--out-csv", skewed_csv]) == 2
-        assert open(skewed_csv, "rb").read() == before
+        assert Path(skewed_csv).read_bytes() == before
 
     def test_output_over_input_is_checked_before_reading(self, tmp_path,
                                                          capsys):

@@ -600,11 +600,12 @@ class TestUnicodeKeys:
     def test_factorize(self):
         _, variants = self.variants()
         got = [ctx._factorize(keys) for keys in variants]
-        for distinct, codes, order, bounds in got[1:]:
-            assert distinct == got[0][0]
-            assert all(type(k) is str for k in distinct)
-            for mine, theirs in ((codes, got[0][1]), (order, got[0][2]),
-                                 (bounds, got[0][3])):
+        for groups in got[1:]:
+            assert groups.keys == got[0].keys
+            assert all(type(k) is str for k in groups.keys)
+            for mine, theirs in ((groups.codes, got[0].codes),
+                                 (groups.order, got[0].order),
+                                 (groups.bounds, got[0].bounds)):
                 assert mine.dtype == theirs.dtype
                 assert mine.tobytes() == theirs.tobytes()
 
@@ -659,31 +660,50 @@ def _key_rows(draw):
     return keys, np.array(draw(rows), dtype=np.intp)
 
 
+def _reference_factorize(keys):
+    """The grouping as one function, kept frozen: the sorted distinct
+    ``str`` keys, each row's code into them in the narrowest unsigned type,
+    the stable argsort of the codes and the group bounds in it."""
+    index = {}
+    first_seen = [index.setdefault(str(k), len(index)) for k in keys]
+    distinct = sorted(index)
+    rank = np.empty(len(distinct), dtype=np.min_scalar_type(len(distinct)))
+    rank[[index[k] for k in distinct]] = np.arange(len(distinct))
+    codes = rank[np.fromiter(first_seen, np.intp, len(first_seen))]
+    order = np.argsort(codes, kind="stable")
+    bounds = np.zeros(len(distinct) + 1, dtype=np.intp)
+    np.cumsum(np.bincount(codes, minlength=len(distinct)), out=bounds[1:])
+    return distinct, codes, order, bounds
+
+
 def _assert_same_groups(got, want):
-    assert got[0] == want[0]
-    assert all(type(k) is str for k in got[0])
-    for mine, theirs in zip(got[1:], want[1:]):
+    """``got`` (a ``_Grouping``) holds the ``_reference_factorize``
+    ``want``: equal keys, and codes, order and bounds of equal dtype and
+    bytes."""
+    assert got.keys == want[0]
+    assert all(type(k) is str for k in got.keys)
+    for mine, theirs in zip((got.codes, got.order, got.bounds), want[1:]):
         assert mine.dtype == theirs.dtype
         assert mine.tobytes() == theirs.tobytes()
 
 
 class TestGroupedKeys:
-    """A grouped key column's row subsets group as ``_factorize`` groups
-    the same rows of the keys."""
+    """A grouped key column and its row subsets group as the frozen
+    reference groups the same rows of the keys."""
 
     @given(case=_key_rows())
     @settings(max_examples=400, derandomize=True, deadline=None)
     def test_rows_match_factorize(self, case):
         keys, rows = case
-        col = ctx._GroupedKeys(ctx._factorize(keys))
+        col = ctx._factorize(keys)
         assert len(col) == len(keys)
+        _assert_same_groups(col, _reference_factorize(keys))
         sub = col[rows]
         assert len(sub) == len(keys[rows])
-        _assert_same_groups(sub.groups, ctx._factorize(keys[rows]))
+        _assert_same_groups(sub, _reference_factorize(keys[rows]))
         # A subset of a subset is grouped as the keys of those rows.
-        _assert_same_groups(sub[::-1].groups,
-                            ctx._factorize(keys[rows][::-1]))
+        _assert_same_groups(sub[::-1], _reference_factorize(keys[rows][::-1]))
 
     def test_factorize_passes_groups_through(self):
-        col = ctx._GroupedKeys(ctx._factorize(["b", 1, "a", 1.0]))
-        assert ctx._factorize(col) is col.groups
+        col = ctx._factorize(["b", 1, "a", 1.0])
+        assert ctx._factorize(col) is col

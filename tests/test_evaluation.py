@@ -629,9 +629,9 @@ def _reference_fit_transform_kind(kind, y, dataset=None, idx=None):
         if "price_index" not in dataset.aux:
             raise ConfigError("deflate requires the price_index role")
         prices = dataset.aux["price_index"][np.asarray(idx, dtype=np.intp)]
-        _, _, order, bounds = ctx._factorize(aux)
+        groups = ctx._factorize(aux)
         series = {str(aux[i]): float(prices[i])
-                  for i in np.sort(order[bounds[:-1]])}
+                  for i in np.sort(groups.order[groups.bounds[:-1]])}
         base = sorted(series, key=ctx._time_sort_key)[0]
         index = ctx.DeflationIndex(series=series, base_time=base)
         return ctx.fit_deflate(y, aux, index)
@@ -825,6 +825,24 @@ class TestFitTransformKind:
             with pytest.raises(DataError) as info:
                 ev.fit_transform_kind(kind, y, ds)
             assert str(info.value) == f"{kind}: non-finite target at index 7"
+
+    @pytest.mark.parametrize("kind", core.KNOWN_KINDS)
+    def test_empty_target_is_data_error(self, kind):
+        # A kind with no earlier check fails at the target range.
+        messages = {
+            "box-cox": "box-cox needs at least 2 samples",
+            "yeo-johnson": "degenerate target",
+            "quantile-normal": "too few samples for quantile map",
+            "quantile-uniform": "too few samples for quantile map",
+            "subject-center": "empty dataset",
+            "trial-minmax": "empty dataset",
+            "deflate": "empty dataset",
+            "expectation-norm": "too few rows for the context model",
+            "regression-norm": "too few rows for the context model"}
+        with pytest.raises(DataError) as info:
+            ev.fit_transform_kind(kind, np.array([]), panel_dataset(),
+                                  np.array([], dtype=int))
+        assert str(info.value) == messages.get(kind, "empty target")
 
 
 class TestBenchmark:
