@@ -115,27 +115,6 @@ class Dataset:
         return self.features.shape[1]
 
 
-def _read_columns(chunks, width):
-    """Per-column token lists of the data rows, ragged rows set aside.
-
-    ``chunks`` yields lists of rows, as :func:`read_rows` does; one chunk's
-    rows are alive at a time.
-    """
-    columns = [[] for _ in range(width)]
-    ragged = []
-    n_rows = 0
-    for chunk in chunks:
-        rows = chunk
-        if set(map(len, chunk)) != {width}:
-            ragged.extend(i for i, row in enumerate(chunk, n_rows)
-                          if len(row) != width)
-            rows = [row for row in chunk if len(row) == width]
-        for column, tokens in zip(columns, zip(*rows)):
-            column.extend(tokens)
-        n_rows += len(chunk)
-    return columns, ragged, n_rows
-
-
 def _floats(tokens, rows=None, strip=True):
     """Parse a column of tokens as floats, nan where a token is not one.
 
@@ -166,13 +145,14 @@ def _floats(tokens, rows=None, strip=True):
     return values
 
 
-def _labels(tokens):
-    """A column's stripped tokens, deduplicated, and which are not missing.
+def _labels(tokens, seen):
+    """A column's stripped tokens and which are not missing.
 
-    Keeping the token strings themselves would pin the memory of the
+    Each label is interned through ``seen``, one dict shared by every
+    chunk of a load, so an equal label is one object wherever it is read;
+    keeping the token strings themselves would pin the memory of the
     tokens read around them.
     """
-    seen = {}
     values = [seen.setdefault(s, s) for s in map(str.strip, tokens)]
     present = [v not in _MISSING for v in values]
     return np.array(values, dtype=object), np.array(present, dtype=bool)
@@ -268,11 +248,33 @@ def _read_chunks(path):
 
 
 def read_rows(path):
-    """Yield the rows of a CSV file as Python's ``csv`` module (excel
-    dialect) reads them, in lists of consecutive rows, as read by
+    """An iterator over the rows of a CSV file as Python's ``csv`` module
+    (excel dialect) reads them, in lists of consecutive rows, one list
+    per chunk of :func:`_read_chunks`."""
+    return map(_rows, _read_chunks(path))
+
+
+def _rows(chunk):
+    """The rows of one ``(quote_free, records)`` chunk of
     :func:`_read_chunks`."""
-    for quote_free, chunk in _read_chunks(path):
-        yield _split_lines(chunk) if quote_free else chunk
+    quote_free, records = chunk
+    return _split_lines(records) if quote_free else records
+
+
+#: Most distinct labels a categorical feature column may one-hot encode.
+_MAX_LEVELS = 1000
+
+
+def _header_error(path, header, roles):
+    """The DataError of a header with a repeated name or without a role
+    column, else None."""
+    if len(set(header)) != len(header):
+        repeated = sorted({c for c in header if header.count(c) > 1})
+        return DataError(f"{path}: repeated column names {repeated}")
+    for col in [roles.target, *roles.role_columns()]:
+        if col not in header:
+            return DataError(f"missing role column {col!r}")
+    return None
 
 
 def load_csv(path, roles):
@@ -280,81 +282,132 @@ def load_csv(path, roles):
 
     Rows whose target, role, or numeric feature values are missing or
     unparseable are dropped and counted.  Non-numeric feature columns are
-    one-hot encoded with categories in lexicographic order.  The file is
-    read by :func:`read_rows`; repeated header names are a
-    :class:`DataError`.
+    one-hot encoded with categories in lexicographic order; one with more
+    than :data:`_MAX_LEVELS` categories is a :class:`DataError`.  The file
+    is read by :func:`_read_chunks`, and each chunk's columns are parsed
+    as it is read, so one chunk's tokens are alive at a time.  A feature
+    column is numeric when every token on a row kept by the target and
+    role columns parses or is missing, over the whole file: a column that
+    meets another token after earlier chunks parsed as numbers is parsed
+    again from those chunks' records, held until the load ends.  Repeated
+    header names and a missing role column are a :class:`DataError`
+    raised once the whole file has been read, so that a malformed record
+    is reported first.
     """
-    chunks = read_rows(path)
-    first = next(chunks, None)
-    if first is None:
+    chunks = _read_chunks(path)
+    quote_free, records = next(chunks, (True, []))
+    if not records:
         raise DataError(f"{path}: empty file")
-    header = first[0]
-    columns, ragged, n_rows = _read_columns(
-        itertools.chain([first[1:]], chunks), len(header))
-    if len(set(header)) != len(header):
-        repeated = sorted({c for c in header if header.count(c) > 1})
-        raise DataError(f"{path}: repeated column names {repeated}")
-    columns = dict(zip(header, columns))
-    role_cols = roles.role_columns()
-    for col in [roles.target, *role_cols]:
-        if col not in columns:
-            raise DataError(f"missing role column {col!r}")
+    header = _rows((quote_free, records[:1]))[0]
+    chunks = itertools.chain([(quote_free, records[1:])], chunks)
+    error = _header_error(path, header, roles)
+    if error is not None:
+        for _ in chunks:
+            pass
+        raise error
 
-    # Each column is parsed once and its tokens released; a missing token
-    # never parses finite, so every drop is a mask over the full-width rows.
-    target = _floats(columns.pop(roles.target), strip=False)
-    keep = np.isfinite(target)
+    width = len(header)
+    col = {name: j for j, name in enumerate(header)}
+    role_cols = list(dict.fromkeys(roles.role_columns()))
     numeric_roles = {roles.frame, roles.price_index, *roles.context}
-    role_values = {}
-    for col in dict.fromkeys(role_cols):
-        if col in numeric_roles:
-            values = _floats(columns.pop(col))
-            present = np.isfinite(values)
-        else:
-            values, present = _labels(columns.pop(col))
-        keep &= present
-        role_values[col] = values
+    feature_cols = [j for j, name in enumerate(header)
+                    if name != roles.target and name not in role_cols]
+    seen = {}
+    read = []           # each chunk's records, for a column turned categorical
+    n_rows = 0
+    ragged = []
+    targets, keeps = [], []
+    role_parts = {name: [] for name in role_cols}
+    # Per feature column, each chunk's (values, present); a column in
+    # `categorical` holds labels, any other floats.
+    feature_parts = {j: [] for j in feature_cols}
+    categorical = set()
 
-    # A feature column is numeric when every token on a row kept so far
-    # parses or is missing; rows dropped by other features do not count.
+    for chunk in chunks:
+        rows = _rows(chunk)
+        whole = [row for row in rows if len(row) == width]
+        if len(whole) != len(rows):
+            ragged.extend(i for i, row in enumerate(rows, n_rows)
+                          if len(row) != width)
+        n_rows += len(rows)
+        columns = list(zip(*whole)) or [()] * width
+
+        # A missing token never parses finite, so every drop is a mask
+        # over the chunk's full-width rows.
+        target = _floats(columns[col[roles.target]], strip=False)
+        keep = np.isfinite(target)
+        for name in role_cols:
+            if name in numeric_roles:
+                values = _floats(columns[col[name]])
+                present = np.isfinite(values)
+            else:
+                values, present = _labels(columns[col[name]], seen)
+            keep &= present
+            role_parts[name].append(values)
+        targets.append(target)
+        keeps.append(keep)
+
+        # Rows that other feature columns drop still enter the decision.
+        for j in feature_cols:
+            tokens = columns[j]
+            values = None if j in categorical else _floats(tokens, rows=keep)
+            if values is not None:
+                feature_parts[j].append((values, np.isfinite(values)))
+                continue
+            if j not in categorical:
+                categorical.add(j)
+                feature_parts[j] = [
+                    _labels([row[j] for row in _rows(old)
+                             if len(row) == width], seen)
+                    for old in read]
+            feature_parts[j].append(_labels(tokens, seen))
+        read.append(chunk)
+    del read  # before the one-hot blocks are allocated
+
+    keep = np.concatenate(keeps)
     final = keep.copy()
     parsed = []
-    for col in list(columns):
-        values = _floats(columns[col], rows=keep)
-        if values is None:
-            values, present = _labels(columns[col])
-        else:
-            present = np.isfinite(values)
-        del columns[col]
+    for j in feature_cols:
+        values, present = (np.concatenate(part)
+                           for part in zip(*feature_parts.pop(j)))
         final &= present
-        parsed.append((col, values))
+        parsed.append((j, values))
     rows = np.flatnonzero(final)
     if rows.size == 0:
         raise DataError(f"{path}: zero usable rows")
 
     blocks = []
     names = []
-    for col, values in parsed:
-        values = values[rows]
-        if values.dtype == object:
-            cats = sorted(set(values))
+    for j, values in parsed:
+        kept = values[rows]
+        if j in categorical:
+            cats = sorted(set(kept))
+            if len(cats) > _MAX_LEVELS:
+                text = next(v for v in values[keep]
+                            if _floats([v], rows=[True]) is None)
+                raise DataError(
+                    f"{path}: categorical column {header[j]!r} has "
+                    f"{len(cats)} levels, more than {_MAX_LEVELS}; its first "
+                    f"non-float token is {text!r}")
             code = {cat: k for k, cat in enumerate(cats)}
-            blocks.append(np.eye(len(cats))[[code[v] for v in values]])
-            names.extend(f"{col}={cat}" for cat in cats)
+            blocks.append(np.eye(len(cats))[[code[v] for v in kept]])
+            names.extend(f"{header[j]}={cat}" for cat in cats)
         else:
-            blocks.append(values)
-            names.append(col)
+            blocks.append(kept)
+            names.append(header[j])
     features = np.column_stack([np.empty((rows.size, 0)), *blocks])
 
-    aux = {name: role_values[getattr(roles, name)][rows]
+    role_values = {name: np.concatenate(parts)[rows]
+                   for name, parts in role_parts.items()}
+    aux = {name: role_values[getattr(roles, name)]
            for name in ROLE_NAMES if getattr(roles, name) is not None}
     if roles.context:
         aux["context"] = np.column_stack(
-            [role_values[c][rows] for c in roles.context])
+            [role_values[c] for c in roles.context])
 
     return Dataset(
         features=features,
-        target=target[rows],
+        target=np.concatenate(targets)[rows],
         column_names=tuple(names),
         roles=roles,
         aux=aux,
@@ -496,8 +549,11 @@ def _raise_first_bad(bad, message, rows=None):
 
 def _finite_target(y, kind):
     """``y`` as floats, checked first by every registered fit; a DataError
-    names its first non-finite row."""
+    names the shape of a ``y`` that is not 1-D, or its first non-finite
+    row."""
     y = np.asarray(y, dtype=float)
+    if y.ndim != 1:
+        raise DataError(f"{kind}: target must be 1-D, got shape {y.shape}")
     bad = np.flatnonzero(~np.isfinite(y))
     if bad.size:
         raise DataError(f"{kind}: non-finite target at index {bad[0]}")

@@ -78,17 +78,29 @@ def _group_keys(dataset, kinds):
     return replace(dataset, aux=aux)
 
 
+def _check_sized(values, name):
+    """DataError naming ``name`` and its shape if ``values`` is 0-d (a
+    scalar or a string) rather than one entry per row."""
+    if not isinstance(values, _Grouping) and np.ndim(values) == 0:
+        raise DataError(f"{name} must have one entry per row, got shape "
+                        f"{np.shape(values)}")
+
+
 def _check_length(values, y, name):
-    """DataError unless ``values`` has one entry per target row."""
+    """DataError unless ``values`` and ``y`` are not 0-d and ``values``
+    has one entry per target row."""
+    _check_sized(values, name)
+    _check_sized(y, "target")
     if len(values) != len(y):
         raise DataError(f"{name} length mismatch")
 
 
 def _groups(y, keys, name):
     """``y`` as floats and the ``_factorize`` of ``keys``; a DataError if
-    ``keys`` is not one per row (``"<name> length mismatch"``), then if there
-    are no rows."""
+    either is 0-d or ``keys`` is not one per row (``"<name> length
+    mismatch"``), then if there are no rows."""
     y = np.asarray(y, dtype=float)
+    _check_sized(keys, name)
     groups = _factorize(keys)
     _check_length(groups, y, name)
     if y.shape[0] == 0:

@@ -360,7 +360,9 @@ def fit_quantile(y, reference="normal"):
         raise DataError("too few samples for quantile map")
     q = min(1000, n)
     probs = np.linspace(0.0, 1.0, q)
-    knots = np.quantile(y, probs)
+    # On sorted values the selection inside np.quantile does no work; it
+    # picks the same order statistics.
+    knots = np.quantile(np.sort(y), probs)
     return FittedTransform(
         f"quantile-{reference}",
         {"quantile_knots": [float(k) for k in knots],

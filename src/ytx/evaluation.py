@@ -78,7 +78,10 @@ def _standardize(X):
     # column so that no model can give it weight.
     varying = stds > 16.0 * np.spacing(np.abs(means))
     stds = np.where(varying, stds, 1.0)
-    return np.where(varying, (X - means) / stds, 0.0), means, stds
+    Xs = X - means
+    Xs /= stds
+    Xs[:, ~varying] = 0.0
+    return Xs, means, stds
 
 
 @dataclass(frozen=True)
@@ -459,7 +462,9 @@ def _evaluate_fold(dataset, plan, fold_index, model_kinds, transforms, alpha):
     tr, te = (np.asarray(idx, dtype=np.intp) for idx in plan.folds[fold_index])
     y_train, y_test = dataset.target[tr], dataset.target[te]
     design = _design(dataset.features[tr])
-    Xs_test = (dataset.features[te] - design.means) / design.stds
+    Xs_test = dataset.features[te]
+    Xs_test -= design.means
+    Xs_test /= design.stds
     out = {}
     for kind in transforms:
         t = fit_transform_kind(kind, y_train, dataset, tr)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import ytx
-from ytx import core
+from ytx import core, diagnostics
 from ytx.core import _MISSING, ROLE_NAMES, Dataset
 from ytx.errors import ConfigError, DataError, TransformDomainError
 
@@ -481,6 +481,147 @@ class TestLoadCsvEquivalence:
         ds = ytx.load_csv(path, roles)
         assert set(ds.column_names) == {"a=1", "a=3", "b"}
         assert ds.kept_rows == (0, 2)
+
+
+#: Quote-free rows of column x, a feature, and y, the target, long enough
+#: to fill several of read_rows's chunks at the default size hint.
+_EARLY = "".join(f"{i % 11}.5,{i}\n" for i in range(30000))
+
+
+def _streamed(tmp_path, text, quoted):
+    """Write ``"x,y"`` and ``text``; a quoted header hands the whole file
+    to csv.reader."""
+    path = tmp_path / "streamed.csv"
+    path.write_text(('"x",y\n' if quoted else "x,y\n") + text)
+    return str(path)
+
+
+@pytest.mark.parametrize("quoted", [False, True], ids=["lines", "csv"])
+@pytest.mark.parametrize("hint", [16, 1 << 17])
+class TestStreamedColumns:
+    """Columns are parsed chunk by chunk, and decided over the whole file."""
+
+    @pytest.fixture(autouse=True)
+    def _hint(self, monkeypatch, hint):
+        monkeypatch.setattr(core, "_CHUNK_HINT", hint)
+
+    def test_late_kept_text_makes_column_categorical(self, tmp_path, quoted):
+        path = _streamed(tmp_path, _EARLY + "abc,1\n2.5,3\n", quoted)
+        _assert_same_load(path, ytx.ColumnRoles(target="y"))
+        ds = ytx.load_csv(path, ytx.ColumnRoles(target="y"))
+        assert ds.column_names == tuple(
+            sorted([f"x={k}.5" for k in range(11)] + ["x=abc"]))
+
+    def test_late_text_on_dropped_rows_stays_numeric(self, tmp_path, quoted):
+        path = _streamed(tmp_path, _EARLY + "abc,\nabc,NA\n2.5,3\n", quoted)
+        _assert_same_load(path, ytx.ColumnRoles(target="y"))
+        ds = ytx.load_csv(path, ytx.ColumnRoles(target="y"))
+        assert ds.column_names == ("x",)
+        assert ds.n_dropped == 2
+
+    def test_ragged_rows_in_several_chunks(self, tmp_path, quoted):
+        lines = _EARLY.splitlines(keepends=True)
+        for i in (3, 9000, 17001, 29999):
+            lines[i] = lines[i].rstrip("\n") + ",extra\n"
+        lines[12000] = "7\n"
+        lines[25000] = "\n"
+        path = _streamed(tmp_path, "".join(lines), quoted)
+        _assert_same_load(path, ytx.ColumnRoles(target="y"))
+        ds = ytx.load_csv(path, ytx.ColumnRoles(target="y"))
+        assert ds.n_dropped == 6
+        assert 9000 not in ds.kept_rows and 9001 in ds.kept_rows
+
+    @pytest.mark.parametrize("header, roles, error", [
+        ("x,x,y", {"target": "y"}, "repeated column names"),
+        ("x,y", {"target": "y", "subject": "s"}, "missing role column"),
+    ], ids=["repeated", "missing-role"])
+    def test_header_error_yields_to_a_later_bad_record(
+            self, tmp_path, quoted, header, roles, error):
+        width = header.count(",")
+        rows = "".join(f"{i}" + ",1" * width + "\n" for i in range(30000))
+        if quoted:
+            header = '"' + header.replace(",", '",', 1)
+        path = tmp_path / "header.csv"
+        roles = ytx.ColumnRoles(**roles)
+        path.write_text(f"{header}\n{rows}")
+        with pytest.raises(DataError, match=error):
+            ytx.load_csv(str(path), roles)
+        path.write_text(f'{header}\n{rows}"{"a" * 200000}",1\n')
+        with pytest.raises(DataError, match="row 30002: field larger than "
+                                            "field limit"):
+            ytx.load_csv(str(path), roles)
+
+    def test_equal_labels_are_one_object(self, tmp_path, quoted):
+        text = "".join(f"{'ab'[i % 2]}{i % 3},{i}\n" for i in range(30000))
+        path = _streamed(tmp_path, text, quoted)
+        roles = ytx.ColumnRoles(target="y", subject="x")
+        _assert_same_load(path, roles)
+        subjects = ytx.load_csv(path, roles).aux["subject"]
+        first = {}
+        assert all(first.setdefault(s, s) is s for s in subjects)
+        assert len(first) == 6
+
+
+class TestOneHotLevelCap:
+    def _write(self, tmp_path, ids):
+        return write(tmp_path, "id,y\n" + "".join(
+            f"{token},{i}\n" for i, token in enumerate(ids)))
+
+    def test_unique_id_column_is_data_error(self, tmp_path):
+        path = self._write(tmp_path, [f"id{i}" for i in range(2000)])
+        with pytest.raises(DataError, match=r"column 'id' has 2000 levels, "
+                           r"more than 1000; its first non-float token is "
+                           r"'id0'$"):
+            ytx.load_csv(path, ytx.ColumnRoles(target="y"))
+
+    def test_one_stray_token_names_it(self, tmp_path):
+        ids = [str(i) for i in range(1500)]
+        ids[700] = " n/a? "
+        path = self._write(tmp_path, ids)
+        with pytest.raises(DataError, match=r"1500 levels, more than 1000; "
+                           r"its first non-float token is 'n/a\?'$"):
+            ytx.load_csv(path, ytx.ColumnRoles(target="y"))
+
+    def test_cap_levels_pass(self, tmp_path):
+        ids = [f"id{i % core._MAX_LEVELS}" for i in range(2000)]
+        ds = ytx.load_csv(self._write(tmp_path, ids),
+                          ytx.ColumnRoles(target="y"))
+        assert core._MAX_LEVELS == 1000
+        assert ds.features.shape == (2000, 1000)
+
+    def test_levels_are_counted_on_kept_rows(self, tmp_path):
+        path = write(tmp_path, "id,y\n" + "".join(
+            f"id{i},{i if i < 1000 else 'NA'}\n" for i in range(2000)))
+        ds = ytx.load_csv(path, ytx.ColumnRoles(target="y"))
+        assert ds.features.shape == (1000, 1000)
+
+
+class TestTargetShape:
+    @pytest.mark.parametrize("call, message", [
+        (lambda: ytx.fit_sqrt(5.0), r"^sqrt: target must be 1-D, got shape "
+                                    r"\(\)$"),
+        (lambda: ytx.fit_box_cox(5.0), r"^box-cox: target must be 1-D"),
+        (lambda: ytx.fit_quantile(5.0), r"^quantile-normal: target must be "
+                                        r"1-D"),
+        (lambda: ytx.fit_frame_normalize(5.0, 2.0), r"^frame: target must "
+                                                    r"be 1-D, got shape"),
+        (lambda: ytx.fit_subject_center(5.0, "a"), r"^subject-center: "
+                                                   r"target must be 1-D"),
+        (lambda: diagnostics.detect_frame(5.0, 2.0),
+         r"^frame vector must have one entry per row, got shape \(\)$"),
+        (lambda: diagnostics.detect_frame([1.0, 2.0], 2.0),
+         r"^frame vector must have one entry per row, got shape \(\)$"),
+        (lambda: diagnostics.detect_frame(5.0, [2.0]),
+         r"^target must have one entry per row, got shape \(\)$"),
+        (lambda: ytx.fit_subject_center([1.0, 2.0], "ab"),
+         r"^subject vector must have one entry per row, got shape \(\)$"),
+        (lambda: ytx.identity_transform([[1.0], [2.0]]),
+         r"^identity: target must be 1-D, got shape \(2, 1\)$"),
+    ], ids=["sqrt", "box-cox", "quantile", "frame", "subject-center",
+            "detect-frame", "0-d-frame", "0-d-y", "string-key", "2-d"])
+    def test_not_1d_is_data_error(self, call, message):
+        with pytest.raises(DataError, match=message):
+            call()
 
 
 class TestTransformContract:

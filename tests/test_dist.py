@@ -745,3 +745,21 @@ class TestNormalPpf:
     def test_extreme_tails(self):
         for p in (1e-12, 1.0 - 1e-12):
             assert ytx.normal_ppf(p) == pytest.approx(bisect_ppf(p), abs=1e-8)
+
+
+def _reference_quantile_knots(y):
+    """``fit_quantile``'s knots as it took them from the unsorted sample."""
+    y = np.asarray(y, dtype=float)
+    return np.quantile(y, np.linspace(0.0, 1.0, min(1000, y.shape[0])))
+
+
+@pytest.mark.parametrize("y", [
+    pytest.param(np.random.default_rng(40).lognormal(size=9900), id="9900"),
+    pytest.param(np.random.default_rng(41).integers(0, 6, 2500), id="ties"),
+    pytest.param(np.random.default_rng(42).normal(size=999), id="999"),
+    pytest.param(np.full(50, 0.1), id="constant"),
+    pytest.param(np.array([3.0, -0.0, 0.0, 2.0, -0.0, 1.0, 0.0, 3.0, 1.0,
+                           2.0]), id="signed-zeros")])
+def test_quantile_knots_match_unsorted_reference(y):
+    knots = np.asarray(dist.fit_quantile(y).params["quantile_knots"])
+    assert knots.tobytes() == _reference_quantile_knots(y).tobytes()

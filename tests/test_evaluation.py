@@ -535,7 +535,72 @@ class TestPublicFitInput:
         assert str(info.value) == f"{model} {problem}"
 
 
+def _reference_standardize(X):
+    """``evaluation._standardize`` as one ``np.where`` over the matrix."""
+    means = X.mean(axis=0)
+    stds = X.std(axis=0)
+    varying = stds > 16.0 * np.spacing(np.abs(means))
+    stds = np.where(varying, stds, 1.0)
+    return np.where(varying, (X - means) / stds, 0.0), means, stds
+
+
+def _reference_evaluate_fold(dataset, plan, fold_index, model_kinds,
+                             transforms, alpha):
+    """``evaluation._evaluate_fold`` as it was before it standardized in
+    place, on the reference standardization."""
+    tr, te = (np.asarray(idx, dtype=np.intp) for idx in plan.folds[fold_index])
+    y_train, y_test = dataset.target[tr], dataset.target[te]
+    Xs, means, stds = _reference_standardize(dataset.features[tr])
+    design = ev._Design(Xs, means, stds, Xs.T @ Xs)
+    Xs_test = (dataset.features[te] - design.means) / design.stds
+    out = {}
+    for kind in transforms:
+        t = ev.fit_transform_kind(kind, y_train, dataset, tr)
+        z_train = core.forward(t, y_train, ev.aux_column(kind, dataset, tr))
+        aux_te = ev.aux_column(kind, dataset, te)
+        for model_kind in model_kinds:
+            model = ev._MODEL_FITTERS[model_kind](design, z_train, alpha)
+            z_pred = Xs_test @ model.coefficients + model.intercept
+            z_pred, n_clamped = core.clamp_to_inverse_range(t, z_pred)
+            y_pred = core.inverse(t, z_pred, aux_te)
+            out[(model_kind, kind)] = {
+                "rse": ev.rse(y_test, y_pred),
+                "smape": ev.smape(y_test, y_pred),
+                "clamped": n_clamped, "converged": model.converged}
+    return out
+
+
+def _constant_column_dataset(n=200, seed=12):
+    """Varying, exactly constant and inexactly constant (0.1) features,
+    and a target with ties."""
+    rng = np.random.default_rng(seed)
+    X = np.column_stack([rng.normal(size=(n, 3)), np.full(n, 2.0),
+                         np.full(n, 0.1), rng.integers(0, 3, n),
+                         np.full(n, -7.25)])
+    y = np.round(np.exp(X[:, :3] @ [0.4, -0.2, 0.1]
+                        + rng.normal(scale=0.3, size=n)), 1)
+    return ytx.Dataset(features=X, target=y,
+                       column_names=tuple("abcdefg"),
+                       roles=ytx.ColumnRoles(target="y"))
+
+
 class TestStandardize:
+    @pytest.mark.parametrize("rows", [slice(None), slice(0, 7), slice(3, 4)])
+    def test_matches_reference_bytes(self, rows):
+        X = _constant_column_dataset().features[rows]
+        for got, want in zip(ev._standardize(X), _reference_standardize(X)):
+            assert got.tobytes() == want.tobytes()
+
+    def test_fold_cells_match_reference(self):
+        ds = _constant_column_dataset()
+        assert len(np.unique(ds.target)) < ds.n   # tied targets
+        plan = ytx.make_fold_plan(ds.n, seed=3)
+        kinds = ("identity", "log-offset", "box-cox", "quantile-normal")
+        for fold in (0, 7):
+            assert ev._evaluate_fold(ds, plan, fold, ev.MODELS, kinds,
+                                     1.0) == _reference_evaluate_fold(
+                ds, plan, fold, ev.MODELS, kinds, 1.0)
+
     def test_inexact_constant_column_gets_no_weight(self):
         rng = np.random.default_rng(10)
         X = np.column_stack([rng.normal(size=(60, 3)), np.full(60, 0.1)])

@@ -12,9 +12,10 @@ order must be equal, and floats must agree within 1e-9 relative.  A
 failure lists every moved entry.
 
 The ledger moves only in a change whose description names the result
-change.  Such a change rewrites it with ``python3 tests/test_ledger.py``
-and records the moved entries.  A move that no change names is a defect
-to mend, not a ledger to rewrite.
+change.  Such a change rewrites it with ``python3 tests/test_ledger.py``,
+which first prints each moved entry (path, old -> new) and the largest
+relative move, and records those entries.  A move that no change names
+is a defect to mend, not a ledger to rewrite.
 """
 
 import json
@@ -72,15 +73,38 @@ def _same(old, new):
     return type(old) is type(new) and old == new
 
 
+def moved_entries(expected, actual):
+    """``"path: old -> new"`` for every entry of two ledgers (parsed JSON)
+    that differs, is new or is gone, in path order, and the largest
+    relative move of a float entry (0.0 when none moved)."""
+    expected, actual = _entries(expected), _entries(actual)
+    moved, largest = [], 0.0
+    for path in sorted(expected.keys() | actual.keys()):
+        old, new = expected.get(path, "absent"), actual.get(path, "absent")
+        if path in expected and path in actual and _same(old, new):
+            continue
+        moved.append(f"{path}: {old!r} -> {new!r}")
+        if type(old) is float and type(new) is float:
+            largest = max(largest, abs(new - old) / abs(old) if old else
+                          math.inf)
+    return moved, largest
+
+
+def test_moved_entries_lists_each_move():
+    old = {"a": {"x": 1.0, "s": "k", "n": 3}, "b": [2.0, 0.0]}
+    new = {"a": {"x": 1.25, "s": "k", "n": 3.0}, "b": [2.0 + 1e-12, 0.0],
+           "c": 1}
+    moved, largest = moved_entries(old, new)
+    assert moved == ["/a/n: 3 -> 3.0", "/a/x: 1.0 -> 1.25",
+                     "/c: 'absent' -> 1"]
+    assert largest == 0.25
+    assert moved_entries(old, old) == ([], 0.0)
+
+
 def test_results_match_ledger(tmp_path):
     with open(LEDGER) as handle:
-        expected = _entries(json.load(handle))
-    actual = _entries(run_sessions(str(tmp_path)))
-    moved = [f"{path}: {expected.get(path, 'absent')!r} -> "
-             f"{actual.get(path, 'absent')!r}"
-             for path in sorted(expected.keys() | actual.keys())
-             if path not in expected or path not in actual
-             or not _same(expected[path], actual[path])]
+        expected = json.load(handle)
+    moved, _ = moved_entries(expected, run_sessions(str(tmp_path)))
     assert not moved, f"{len(moved)} ledger entries moved:\n" + "\n".join(
         moved)
 
@@ -88,6 +112,11 @@ def test_results_match_ledger(tmp_path):
 if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
         results = run_sessions(tmp)
+    with open(LEDGER) as handle:
+        moved, largest = moved_entries(json.load(handle), results)
+    print("\n".join(moved))
+    print(f"{len(moved)} entries moved; largest relative move of a float "
+          f"entry: {largest:.3g}")
     with open(LEDGER, "w") as handle:
         json.dump(results, handle, indent=1, sort_keys=True)
         handle.write("\n")
