@@ -16,8 +16,9 @@ from .core import (FittedTransform, _finite_target, _raise_first_bad,
 from .errors import DataError, TransformDomainError
 
 LAMBDA_BOUNDS = (-5.0, 5.0)
+NEAR_ZERO_LAMBDA = 1e-6
 CLIP_EPSILON = 1e-7
-_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+_GOLDEN = (3.0 - math.sqrt(5.0)) / 2.0
 
 
 # --------------------------------------------------------------------------
@@ -114,51 +115,121 @@ register_kind("sqrt", lambda y: fit_sqrt(y), _sqrt_forward,
 
 def _maximize_unimodal(fn, lo, hi):
     """``(fn(x), x)`` at the maximum of a unimodal ``fn`` on [lo, hi], by
-    golden-section search to a bracket narrower than 1e-9.
+    Brent's search to a bracket narrower than 1e-9 (Brent 1973,
+    *Algorithms for Minimization without Derivatives*, ch. 5): each probe
+    is the vertex of the parabola through the three best points so far,
+    or a golden-section step into the larger side of the bracket when that
+    vertex is refused.  A flat parabola, or one whose vertex lies at or
+    beyond the bracket's nearer end, gives a step of 1e-9/3 into the
+    larger side instead.  The result is the best of the last best point and
+    the final bracket's ends and midpoint, so an optimum at ``lo`` or
+    ``hi`` is found.
 
-    If two probes do not compare strictly (a tie, as on a -inf plateau, or
-    NaN) while the bracket is wider than 0.01, the search scans a 101-point
-    grid once and goes on between the best grid point's neighbours, keeping
-    that point as a candidate; in a narrower bracket a tie is the flat top
-    of the peak.  ``fn`` is evaluated once per distinct ``x``.  Unimodality
-    is assumed, not checked: with two peaks the search may keep the lower
-    one."""
+    If a probe does not compare strictly with the best point (a tie, as on
+    a -inf plateau, or NaN) while the bracket is wider than 0.01, the
+    search scans a 101-point grid once and starts again between the best
+    grid point's neighbours, keeping that point as a candidate.  In a
+    narrower bracket a tied probe becomes an end of the bracket, and a NaN
+    probe counts as the better one if it lies to the right, so such a pair
+    drops the bracket's left side.  ``fn`` is evaluated once per distinct
+    ``x``.  Unimodality is assumed, not checked: with two peaks the search
+    may keep the lower one."""
     values = {}
 
     def f(x):
         if x not in values:
-            values[x] = fn(x)
+            values[x] = float(fn(x))
         return values[x]
 
+    # Two probes ``tol`` from the best point, one on each side, close the
+    # bracket below 1e-9.
+    tol = 1e-9 / 3.0
     a, b, kept = lo, hi, ()
-    c, d = b - _INVPHI * (b - a), a + _INVPHI * (b - a)
-    fc, fd = f(c), f(d)
+    x = w = v = a + _GOLDEN * (b - a)
+    fx = fw = fv = f(x)
+    step = last = 0.0
     while b - a > 1e-9:
-        if not (fc > fd or fd > fc) and b - a > 0.01 and not kept:
-            grid = np.linspace(lo, hi, 101)
+        mid = (a + b) / 2.0
+        parabolic = stuck = False
+        if abs(last) > tol:
+            r = (x - w) * (fx - fv)
+            q = (x - v) * (fx - fw)
+            p = (x - v) * q - (x - w) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            # The vertex must lie inside the bracket and move less than
+            # half the step before last; the comparisons are False on NaN.
+            parabolic = (abs(p) < abs(0.5 * q * last)
+                         and q * (a - x) < p < q * (b - x))
+            # A flat parabola, or a vertex at or beyond the nearer end (a
+            # point already known to be lower), means the three points
+            # cannot place the peak more finely than their spacing, as
+            # when rounding decides the comparisons near the top; a step
+            # of ``tol`` then closes the larger side or moves the best
+            # point, where a golden step would only shrink the larger
+            # side to 0.382 of its length per call.
+            near = a - x if x - a < b - x else b - x
+            stuck = (x != w and w != v and v != x
+                     and (p - q * near) * near >= 0.0)
+            last = step
+        if stuck:
+            step = tol if x <= mid else -tol
+        elif parabolic:
+            step = p / q
+            if x + step - a < 2.0 * tol or b - (x + step) < 2.0 * tol:
+                step = tol if x <= mid else -tol
+        else:
+            last = (b if x < mid else a) - x
+            step = _GOLDEN * last
+        u = x + (step if abs(step) >= tol else math.copysign(tol, step))
+        fu = f(u)
+        if fu > fx or fx > fu:
+            better = fu > fx
+        elif b - a > 0.01 and not kept:
+            grid = np.linspace(lo, hi, 101).tolist()
             best = int(np.argmax([f(g) for g in grid]))
             a, b = grid[max(best - 1, 0)], grid[min(best + 1, 100)]
             kept = (grid[best],)
-            c, d = b - _INVPHI * (b - a), a + _INVPHI * (b - a)
-            fc, fd = f(c), f(d)
-        elif fc > fd:
-            b, d, fd = d, c, fc
-            c = b - _INVPHI * (b - a)
-            fc = f(c)
+            x = w = v = a + _GOLDEN * (b - a)
+            fx = fw = fv = f(x)
+            step = last = 0.0
+            continue
         else:
-            a, c, fc = c, d, fd
-            d = a + _INVPHI * (b - a)
-            fd = f(d)
-    return max((f(x), x) for x in (a, (a + b) / 2.0, b, *kept))
+            # A tie bounds the peak; NaN on the right counts as better.
+            better = fu != fx and u > x
+        if better:
+            if u < x:
+                b = x
+            else:
+                a = x
+            v, fv, w, fw, x, fx = w, fw, x, fx, u, fu
+        else:
+            if u < x:
+                a = u
+            else:
+                b = u
+            if fu >= fw or w == x:
+                v, fv, w, fw = w, fw, u, fu
+            elif fu >= fv or v == x or v == w:
+                v, fv = u, fu
+    return max((f(t), t) for t in (x, a, (a + b) / 2.0, b, *kept))
 
 
 def _box_cox_map(x, lam, log_branch):
     """The Box-Cox map ``(x**lam - 1) / lam``, computed in place; within
-    1e-12 of lam = 0, its limit ``log x`` as ``log_branch()`` gives it."""
+    1e-12 of lam = 0, its limit ``log x`` as ``log_branch()`` gives it.
+
+    Below ``NEAR_ZERO_LAMBDA`` the power form cancels (it loses about
+    1e-16/|lam| relative), so there the map is ``expm1(lam log x) / lam``."""
     if abs(lam) < 1e-12:
         return log_branch()
-    z = np.power(x, lam)
-    z -= 1.0
+    if abs(lam) < NEAR_ZERO_LAMBDA:
+        z = np.expm1(lam * log_branch())
+    else:
+        z = np.power(x, lam)
+        z -= 1.0
     z /= lam
     return z
 
@@ -166,13 +237,16 @@ def _box_cox_map(x, lam, log_branch):
 def _box_cox_root(z, lam, offset, exp_branch, kind, rows=None):
     """The map's inverse less ``offset``, ``(lam * z + 1)**(1 / lam) -
     offset``, or ``exp_branch(z)`` within 1e-12 of lam = 0; a base <= 0 is
-    a TransformDomainError naming its row (its entry of ``rows``, if any)."""
+    a TransformDomainError naming its row (its entry of ``rows``, if any).
+    Below ``NEAR_ZERO_LAMBDA`` it is ``exp_branch(log1p(lam z) / lam)``."""
     if abs(lam) < 1e-12:
         return exp_branch(z)
     base = lam * z + 1.0
     _raise_first_bad(base <= 0.0,
                      kind + ": value at index {index} outside inverse domain",
                      rows)
+    if abs(lam) < NEAR_ZERO_LAMBDA:
+        return exp_branch(np.log1p(lam * z) / lam)
     return np.power(base, 1.0 / lam) - offset
 
 
