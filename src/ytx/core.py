@@ -494,27 +494,39 @@ def kind_fit(kind):
     return _lookup(_FITS, kind)
 
 
-def _check_aux(t, aux, n):
+def _check_values(t, values, aux):
+    """A DataError naming the kind and the shape of 0-d ``values``, or of
+    ``values`` that are not 1-D when the kind reads a role column; then a
+    ConfigError for such a kind's missing ``aux`` or one of another
+    length."""
     if t.kind in AUX_KINDS:
+        if values.ndim != 1:
+            raise DataError(
+                f"{t.kind}: values must be 1-D, got shape {values.shape}")
         if aux is None:
             raise ConfigError(f"{t.kind} requires per-row auxiliary values")
-        if len(aux) != n:
-            raise ConfigError(
-                f"{t.kind}: auxiliary length {len(aux)} != {n} values")
+        if len(aux) != values.shape[0]:
+            raise ConfigError(f"{t.kind}: auxiliary length {len(aux)} != "
+                              f"{values.shape[0]} values")
+    elif values.ndim == 0:
+        raise DataError(f"{t.kind}: values must have at least one "
+                        f"dimension, got shape {values.shape}")
 
 
 def forward(t, y, aux=None):
     """Apply the fitted forward map elementwise."""
     y = np.asarray(y, dtype=float)
-    _check_aux(t, aux, y.shape[0])
-    return _lookup(_REGISTRY, t.kind)[0](t.params, y, aux)
+    map_fn = _lookup(_REGISTRY, t.kind)[0]
+    _check_values(t, y, aux)
+    return map_fn(t.params, y, aux)
 
 
 def inverse(t, z, aux=None):
     """Apply the fitted inverse map elementwise."""
     z = np.asarray(z, dtype=float)
-    _check_aux(t, aux, z.shape[0])
-    return _lookup(_REGISTRY, t.kind)[1](t.params, z, aux)
+    map_fn = _lookup(_REGISTRY, t.kind)[1]
+    _check_values(t, z, aux)
+    return map_fn(t.params, z, aux)
 
 
 def inverse_range(t):

@@ -4,6 +4,7 @@ import sys
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 from scipy import special
 
 import ytx
@@ -542,11 +543,12 @@ EDGE_LAMBDAS = [0.0, 1e-12, -1e-12, 5e-13, -5e-13, 1e-11, -1e-11,
 
 
 def _outcome(fn, *args):
-    """An inverse's bytes, or the type of the error it raised."""
+    """A map's shape and bytes, or the type of the error it raised."""
     try:
-        return fn(*args).tobytes()
+        out = fn(*args)
     except TransformDomainError as exc:
         return type(exc)
+    return out.shape, out.tobytes()
 
 
 class TestPowerInversesMatchReference:
@@ -701,39 +703,78 @@ def _quantile_fits():
                                   wide.training_target_range)
 
 
+_QUANTILE_FITS = list(_quantile_fits())
+
+
+def _shuffled_with_specials(values, rng):
+    """``values`` and NaN, +-inf and +-0.0, in a random order."""
+    return rng.permutation(np.concatenate(
+        [values, [np.nan, np.inf, -np.inf, 0.0, -0.0]]))
+
+
+def _blind(t):
+    """``t`` without its ``reference`` entry: the kind alone decides the
+    maps, so such a bag (or one with another reference) maps the same."""
+    return ytx.FittedTransform(
+        t.kind, {k: v for k, v in t.params.items() if k != "reference"},
+        t.training_target_range)
+
+
+def _assert_quantile_maps_match(t, y_probes, z_probes):
+    """Each quantile map gives the reference's shape and bytes on every
+    probe, for ``t`` and for ``_blind(t)``."""
+    params, blind = t.params, _blind(t)
+    for y in y_probes:
+        expected = _outcome(_reference_q_forward, params, y)
+        assert _outcome(ytx.forward, t, y) == expected
+        assert _outcome(ytx.forward, blind, y) == expected
+    for z in z_probes:
+        expected = _outcome(_reference_q_inverse, params, z)
+        assert _outcome(ytx.inverse, t, z) == expected
+        assert _outcome(ytx.inverse, blind, z) == expected
+
+
 class TestQuantileMapsMatchReference:
-    @pytest.mark.parametrize("t", list(_quantile_fits()),
-                             ids=lambda t: t.kind)
+    """The maps look their values up in ascending order and scatter the
+    results back; sorted, shuffled and matrix probes must all give the
+    reference's bytes in the probe's shape."""
+
+    @pytest.mark.parametrize("t", _QUANTILE_FITS, ids=lambda t: t.kind)
     def test_maps_and_range_are_equal(self, t):
         params = t.params
         lo, hi = t.training_target_range
         span = hi - lo
         knots = np.asarray(params["quantile_knots"])
+        rng = np.random.default_rng(32)
         y_probes = [np.linspace(lo, hi, 257), knots,
                     np.array([lo - span, hi + span, -1e300, 1e300, -0.0]),
-                    np.array([-np.inf, np.inf]), np.array([np.nan])]
+                    np.array([-np.inf, np.inf]), np.array([np.nan]),
+                    rng.permutation(np.linspace(lo, hi, 257)),
+                    _shuffled_with_specials(knots, rng),
+                    rng.uniform(lo - span, hi + span, size=(17, 13))]
         z_probes = [np.linspace(-8.0, 8.0, 401), np.linspace(-0.5, 1.5, 401),
                     np.array([0.0, -0.0, 1.0, 1e-7, 1.0 - 1e-7, 0.25, 0.75,
                               -1e300, 1e300]),
-                    np.array([-np.inf, np.inf]), np.array([np.nan])]
-        # The kind alone decides the maps: a bag without "reference" (or
-        # with another one) maps the same.
-        blind = ytx.FittedTransform(
-            t.kind, {k: v for k, v in params.items() if k != "reference"},
-            t.training_target_range)
-        for y in y_probes:
-            expected = _outcome(_reference_q_forward, params, y)
-            assert _outcome(ytx.forward, t, y) == expected
-            assert _outcome(ytx.forward, blind, y) == expected
-        for z in z_probes:
-            expected = _outcome(_reference_q_inverse, params, z)
-            assert _outcome(ytx.inverse, t, z) == expected
-            assert _outcome(ytx.inverse, blind, z) == expected
+                    np.array([-np.inf, np.inf]), np.array([np.nan]),
+                    rng.permutation(np.linspace(-8.0, 8.0, 401)),
+                    _shuffled_with_specials(np.linspace(-0.5, 1.5, 401), rng),
+                    rng.normal(scale=3.0, size=(17, 13)),
+                    rng.uniform(-0.5, 1.5, size=(13, 17))]
+        _assert_quantile_maps_match(t, y_probes, z_probes)
         expected = _reference_q_inverse_range(params)
-        for fitted in (t, blind):
+        for fitted in (t, _blind(t)):
             got = ytx.inverse_range(fitted)
             assert got == expected
             assert [type(v) for v in got] == [float, float]
+
+
+@given(st.sampled_from(_QUANTILE_FITS),
+       hnp.arrays(np.float64, st.integers(0, 3000), fill=st.nothing(),
+                  elements=st.one_of(st.floats(-10.0, 10.0),
+                                     st.floats(-0.5, 1.5), st.floats())))
+@settings(max_examples=40, deadline=None)
+def test_quantile_maps_match_reference_on_any_draw(t, values):
+    _assert_quantile_maps_match(t, [values], [values])
 
 
 class TestSkewness:

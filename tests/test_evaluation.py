@@ -910,6 +910,60 @@ class TestFitTransformKind:
         assert str(info.value) == messages.get(kind, "empty target")
 
 
+class TestMapValueShape:
+    """``forward`` and ``inverse`` name the kind and the shape of a 0-d
+    value, and of a value that is not 1-D for a kind with roles; a kind
+    without roles maps a matrix elementwise."""
+
+    @staticmethod
+    def _fit(kind):
+        ds = panel_dataset()
+        t = ev.fit_transform_kind(kind, ds.target, ds)
+        aux = ev.aux_column(kind, ds)
+        return ds, t, aux, ytx.forward(t, ds.target, aux)
+
+    @pytest.mark.parametrize("kind", core.KNOWN_KINDS)
+    def test_scalar_is_data_error(self, kind):
+        ds, t, aux, _ = self._fit(kind)
+        if kind in core.AUX_KINDS:
+            message = f"{kind}: values must be 1-D, got shape ()"
+        else:
+            message = (f"{kind}: values must have at least one dimension, "
+                       f"got shape ()")
+        for fn in (ytx.forward, ytx.inverse):
+            for value in (5.0, np.float64(5.0), np.array(5.0)):
+                for column in (aux, None):
+                    with pytest.raises(DataError) as info:
+                        fn(t, value, column)
+                    assert str(info.value) == message
+
+    @pytest.mark.parametrize("kind", sorted(core.AUX_KINDS))
+    def test_role_kind_rejects_values_not_1d(self, kind):
+        ds, t, aux, z = self._fit(kind)
+        for fn, values in ((ytx.forward, ds.target), (ytx.inverse, z)):
+            # A (2, n/2) key matrix passes the length check against a
+            # (2, n/2) value; a column of the same length against (n, 1).
+            for shape, column in (((ds.n, 1), aux),
+                                  ((2, -1), aux.reshape(2, -1, *aux.shape[1:])),
+                                  ((2, -1), None)):
+                shaped = values.reshape(shape)
+                with pytest.raises(DataError) as info:
+                    fn(t, shaped, column)
+                assert str(info.value) == (
+                    f"{kind}: values must be 1-D, got shape {shaped.shape}")
+
+    @pytest.mark.parametrize("kind", [k for k in core.KNOWN_KINDS
+                                      if k not in core.AUX_KINDS])
+    def test_kind_without_roles_maps_a_matrix(self, kind):
+        ds, t, _, z = self._fit(kind)
+        for fn, values, want in ((ytx.forward, ds.target, z),
+                                 (ytx.inverse, z, ytx.inverse(t, z))):
+            for shape in ((2, -1), (ds.n, 1), (4, 5, -1)):
+                got = fn(t, values.reshape(shape))
+                assert got.shape == values.reshape(shape).shape
+                assert got.tobytes() == want.tobytes()
+
+
 class TestBenchmark:
     def test_identity_matches_direct_run(self):
         ds = toy_dataset()
