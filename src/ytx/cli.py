@@ -7,8 +7,6 @@ Exit codes: 0 success, 2 configuration error, 3 data error,
 from __future__ import annotations
 
 import argparse
-import csv
-import itertools
 import json
 import os
 import sys
@@ -46,7 +44,7 @@ def _thresholds(pairs):
         overrides[key.strip()] = number
     try:
         return diagnostics.Thresholds().replace(**overrides)
-    except (DataError, TypeError) as exc:
+    except DataError as exc:
         raise ConfigError(str(exc)) from exc
 
 
@@ -99,26 +97,6 @@ def cmd_diagnose(args):
     return 0
 
 
-def _splicer(width, k):
-    """A function of a quote-free line of ``width`` fields and a token that
-    returns the line with field ``k`` replaced by the token and ended by
-    ``\\r\\n``: what csv.writer writes for the row, since no field of the
-    line and no repr(float) holds a comma, a quote or a line break.  Only
-    the fields between the target and the nearer end are split off."""
-    if k == width - 1:
-        return lambda line, token: line[:line.rfind(",") + 1] + token + "\r\n"
-    front = k < width - 1 - k
-    at = k if front else 1
-
-    def splice(line, token):
-        parts = (line.split(",", k + 1) if front
-                 else line.rsplit(",", width - k))
-        parts[at] = token
-        parts[-1] = parts[-1].rstrip("\r\n")
-        return ",".join(parts) + "\r\n"
-    return splice
-
-
 def cmd_transform(args):
     kinds = args.transform or []
     if len(kinds) != 1:
@@ -135,46 +113,15 @@ def cmd_transform(args):
     if same:
         raise ConfigError("--out-csv must not be the input file")
     roles = _load_roles(args.roles)
-    dataset = ctx._group_keys(core.load_csv(args.input, roles), [kind])
+    records = []
+    dataset = ctx._group_keys(core.load_csv(args.input, roles, records),
+                              [kind])
     fitted = evaluation.fit_transform_kind(kind, dataset.target, dataset)
     transformed = core.forward(fitted, dataset.target,
                                evaluation.aux_column(kind, dataset))
-
-    # One pass over the input writes the header and the kept rows, with the
-    # target replaced; load_csv has already validated the header.
-    kept = set(dataset.kept_rows)
-    tokens = map(repr, transformed.tolist())
     with _open_out(out_csv, newline="") as dst:
-        writer = csv.writer(dst)
-        chunks = core._read_chunks(args.input)
-        quote_free, chunk = next(chunks)
-        header = core._split_lines(chunk[:1])[0] if quote_free else chunk[0]
-        writer.writerow(header)
-        target_col = header.index(roles.target)
-        splice = _splicer(len(header), target_col)
-        first = -1  # the data-row index of the chunk's first record
-        for quote_free, chunk in itertools.chain([(quote_free, chunk)],
-                                                 chunks):
-            rows = enumerate(chunk, first)
-            first += len(chunk)
-            if quote_free:
-                dst.write("".join([splice(line, next(tokens))
-                                   for i, line in rows if i in kept]))
-                continue
-            for i, row in rows:
-                if i in kept:
-                    row[target_col] = next(tokens)
-                    # A non-empty line with one comma per field separator
-                    # and no quote or line break is exactly what
-                    # csv.writer (excel dialect, minimal quoting) writes
-                    # for the row; any other row goes through it.
-                    line = ",".join(row)
-                    if (line and line.count(",") == len(row) - 1
-                            and '"' not in line and "\r" not in line
-                            and "\n" not in line):
-                        dst.write(line + "\r\n")
-                    else:
-                        writer.writerow(row)
+        core.write_records(dst, records, dataset.kept_rows, roles.target,
+                           map(repr, transformed.tolist()))
     if args.out_json:
         _write(args.out_json, fitted.to_json() + "\n")
     print(f"wrote {out_csv} ({dataset.n} rows, kind={kind})")

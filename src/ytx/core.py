@@ -199,14 +199,6 @@ _CHUNK_HINT = 1 << 17
 _CSV_ROWS = 4096
 
 
-def _split_lines(lines):
-    """The rows of quote-free lines: each line is split at its commas, and
-    a bare line end is ``[]``."""
-    # A line break inside a line can only be its end.
-    return [line.rstrip("\r\n").split(",") if line[0] not in "\r\n" else []
-            for line in lines]
-
-
 def _read_chunks(path):
     """Yield the records of a CSV file in chunks of consecutive records,
     each as ``(True, lines)`` or ``(False, rows)``.
@@ -214,7 +206,7 @@ def _read_chunks(path):
     The file is opened by :func:`_open_text` and read in chunks of lines.
     A chunk with no ``"``, no NUL and no line longer than
     ``csv.field_size_limit()`` is quote-free: each of its lines, end kept,
-    is one record, which :func:`_split_lines` splits as ``csv`` would.
+    is one record, which :func:`_rows` splits as ``csv`` would.
     From the first chunk that fails that test, ``csv.reader`` reads the
     rest of the file into lists of rows; every line before it was a whole
     record, so the reader starts on a record boundary.  A record ``csv``
@@ -256,9 +248,67 @@ def read_rows(path):
 
 def _rows(chunk):
     """The rows of one ``(quote_free, records)`` chunk of
-    :func:`_read_chunks`."""
+    :func:`_read_chunks`: a quote-free line is split at its commas, and a
+    bare line end is ``[]``."""
     quote_free, records = chunk
-    return _split_lines(records) if quote_free else records
+    if not quote_free:
+        return records
+    # A line break inside a line can only be its end.
+    return [line.rstrip("\r\n").split(",") if line[0] not in "\r\n" else []
+            for line in records]
+
+
+def _splicer(width, k):
+    """A function of a quote-free line of ``width`` fields and a token that
+    returns the line, field ``k`` replaced by the token and split off from
+    the nearer end, ended by ``\\r\\n``: what csv.writer writes, since no
+    field and no repr(float) holds a comma, a quote or a line break."""
+    if k == width - 1:
+        return lambda line, token: line[:line.rfind(",") + 1] + token + "\r\n"
+    front = k < width - 1 - k
+    at = k if front else 1
+
+    def splice(line, token):
+        parts = (line.split(",", k + 1) if front
+                 else line.rsplit(",", width - k))
+        parts[at] = token
+        parts[-1] = parts[-1].rstrip("\r\n")
+        return ",".join(parts) + "\r\n"
+    return splice
+
+
+def write_records(dst, records, kept_rows, target, tokens):
+    """Write to ``dst`` the header and the data records that :func:`load_csv`
+    put in ``records`` and ``kept_rows`` numbers (from 0), as csv.writer
+    (excel dialect) writes them, each ``target`` field replaced by the next
+    of the ``tokens`` iterator."""
+    header, *chunks = records
+    writer = csv.writer(dst)
+    writer.writerow(header)
+    target_col = header.index(target)
+    splice = _splicer(len(header), target_col)
+    kept = set(kept_rows)
+    first = 0  # the data-row index of the chunk's first record
+    for quote_free, chunk in chunks:
+        rows = enumerate(chunk, first)
+        first += len(chunk)
+        if quote_free:
+            dst.write("".join([splice(line, next(tokens))
+                               for i, line in rows if i in kept]))
+            continue
+        for i, row in rows:
+            if i in kept:
+                row[target_col] = next(tokens)
+                # A non-empty line with one comma per field separator and
+                # no quote or line break is what csv.writer writes for the
+                # row; any other row goes through it.
+                line = ",".join(row)
+                if (line and line.count(",") == len(row) - 1
+                        and '"' not in line and "\r" not in line
+                        and "\n" not in line):
+                    dst.write(line + "\r\n")
+                else:
+                    writer.writerow(row)
 
 
 #: Most distinct labels a categorical feature column may one-hot encode.
@@ -277,7 +327,7 @@ def _header_error(path, header, roles):
     return None
 
 
-def load_csv(path, roles):
+def load_csv(path, roles, records=None):
     """Load a headered CSV into a :class:`Dataset`.
 
     Rows whose target, role, or numeric feature values are missing or
@@ -292,14 +342,15 @@ def load_csv(path, roles):
     again from those chunks' records, held until the load ends.  Repeated
     header names and a missing role column are a :class:`DataError`
     raised once the whole file has been read, so that a malformed record
-    is reported first.
+    is reported first.  Given a list ``records``, the load appends the
+    header row and the chunks of data records to it, for write_records.
     """
     chunks = _read_chunks(path)
-    quote_free, records = next(chunks, (True, []))
-    if not records:
+    quote_free, head = next(chunks, (True, []))
+    if not head:
         raise DataError(f"{path}: empty file")
-    header = _rows((quote_free, records[:1]))[0]
-    chunks = itertools.chain([(quote_free, records[1:])], chunks)
+    header = _rows((quote_free, head[:1]))[0]
+    chunks = itertools.chain([(quote_free, head[1:])], chunks)
     error = _header_error(path, header, roles)
     if error is not None:
         for _ in chunks:
@@ -362,6 +413,8 @@ def load_csv(path, roles):
                     for old in read]
             feature_parts[j].append(_labels(tokens, seen))
         read.append(chunk)
+    if records is not None:
+        records.extend([header, *read])
     del read  # before the one-hot blocks are allocated
 
     keep = np.concatenate(keeps)

@@ -32,7 +32,7 @@ class Thresholds:
     gap_score: float = 0.1
     hetero_p: float = 0.05
 
-    def replace(self, **overrides):
+    def replace(self, /, **overrides):
         values = asdict(self)
         unknown = set(overrides) - set(values)
         if unknown:

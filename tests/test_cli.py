@@ -189,7 +189,7 @@ def workload_tables():
 
 
 def count_writerows(mp):
-    """Route cli's csv.writer through a proxy that records each writerow."""
+    """Route core's csv.writer through a proxy that records each writerow."""
     calls = []
     make = csv.writer
 
@@ -201,7 +201,7 @@ def count_writerows(mp):
             calls.append(row)
             return self._writer.writerow(row)
 
-    mp.setattr(cli.csv, "writer", Counted)
+    mp.setattr(core.csv, "writer", Counted)
     return calls
 
 
@@ -225,9 +225,15 @@ class TestDiagnoseCommand:
         assert main(["diagnose", "--input", skewed_csv,
                      "--roles", '{"target": "zzz"}']) == 3
 
-    def test_bad_threshold_is_config_error(self, skewed_csv):
+    def test_bad_threshold_is_config_error(self, skewed_csv, capsys):
         assert main(["diagnose", "--input", skewed_csv, "--roles", ROLES,
                      "--threshold", "skew_gamma=abc"]) == 2
+        # "self" is no threshold, though Thresholds.replace is a method.
+        capsys.readouterr()
+        assert main(["diagnose", "--input", skewed_csv, "--roles", ROLES,
+                     "--threshold", "self=1"]) == 2
+        assert capsys.readouterr().err == (
+            "error: unknown thresholds: ['self']\n")
 
     @pytest.mark.parametrize("value", ["nan", "-NaN", " nan "])
     def test_nan_threshold_is_config_error(self, value, skewed_csv, capsys):
@@ -464,6 +470,42 @@ class TestTransformCommand:
             tmp_path, path, workload.transform, workload.roles_json())
         assert code == 0
         assert written == expected
+
+    def test_rows_keep_their_targets_when_the_input_changes(
+            self, tmp_path, monkeypatch):
+        # fit_transform_kind runs between the load and the write; a line
+        # deleted from the input there must not move any target.
+        path = tmp_path / "in.csv"
+        lines = ["i,y"] + [f"{i},{1.0 + i / 8}" for i in range(2000)]
+        path.write_text("\n".join(lines) + "\n")
+        fit = evaluation.fit_transform_kind
+
+        def fit_after_deleting_a_line(*args):
+            path.write_text("\n".join(lines[:6] + lines[7:]) + "\n")
+            return fit(*args)
+
+        monkeypatch.setattr(evaluation, "fit_transform_kind",
+                            fit_after_deleting_a_line)
+        out_csv = tmp_path / "out.csv"
+        assert main(["transform", "--input", str(path), "--roles", ROLES,
+                     "--transform", "identity",
+                     "--out-csv", str(out_csv)]) == 0
+        assert out_csv.read_bytes() == "".join(
+            line + "\r\n" for line in lines).encode("utf-8")
+
+    def test_reads_the_input_once(self, skewed_csv, tmp_path, monkeypatch):
+        paths = []
+        read_chunks = core._read_chunks
+
+        def counted(path):
+            paths.append(path)
+            return read_chunks(path)
+
+        monkeypatch.setattr(core, "_read_chunks", counted)
+        assert main(["transform", "--input", skewed_csv, "--roles", ROLES,
+                     "--transform", "log-offset",
+                     "--out-csv", str(tmp_path / "out.csv")]) == 0
+        assert paths == [skewed_csv]
 
     def test_sqrt_on_negative_target_is_domain_error(self, tmp_path):
         path = tmp_path / "neg.csv"

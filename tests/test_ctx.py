@@ -329,6 +329,62 @@ class TestRoundTrips:
             assert err <= 1e-9, t.kind
 
 
+#: The tied and discrete targets of test_dist.TIED_TARGETS that repeat a
+#: value.
+_TIED_TARGETS = [
+    pytest.param([3.0, 5.0, 3.0, 3.0, 5.0], id="two-values"),
+    pytest.param(np.random.default_rng(30).integers(0, 4, 60), id="0-3-ties"),
+    pytest.param(np.random.default_rng(31).poisson(3.0, 200), id="poisson")]
+
+
+def _cycling_case(kind, y):
+    """The fitted ``kind`` and its role values for ``y``, each role cycling
+    over a few values: three subjects, two trials, three frames, three
+    priced periods and four rows of a 2-column context."""
+    n = len(y)
+    if kind == "subject-center":
+        aux = np.resize(["a", "b", "c"], n)
+        return ytx.fit_subject_center(y, aux), aux
+    if kind == "trial-minmax":
+        aux = np.resize(["a", "b"], n)
+        return ytx.fit_trial_minmax(y, aux), aux
+    if kind == "frame":
+        aux = np.resize([0.5, 1.0, 2.5], n)
+        return ytx.fit_frame_normalize(y, aux), aux
+    if kind == "deflate":
+        aux = np.resize(["2019", "2020", "2021"], n)
+        index = ytx.DeflationIndex(
+            series={"2019": 1.0, "2020": 1.05, "2021": 1.12},
+            base_time="2019")
+        return ytx.fit_deflate(y, aux, index), aux
+    aux = np.resize([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0], [2.0, 0.5]], (n, 2))
+    if kind == "expectation-norm":
+        return ytx.fit_expectation_normalize(y, aux), aux
+    return ytx.fit_regression_normalize(y, aux), aux
+
+
+class TestTiedRoundTrips:
+    """The contextual kinds invert their forward maps on tied and discrete
+    targets, zeros included."""
+
+    @pytest.mark.parametrize("y", _TIED_TARGETS)
+    @pytest.mark.parametrize("kind", [
+        "subject-center", "trial-minmax", "frame", "deflate",
+        "expectation-norm", "regression-norm"])
+    def test_round_trip(self, kind, y):
+        y = np.asarray(y, dtype=float)
+        fitted, aux = _cycling_case(kind, y)
+        assert fitted.kind == kind
+        back = ytx.inverse(fitted, ytx.forward(fitted, y, aux=aux), aux=aux)
+        np.testing.assert_allclose(back, y, rtol=1e-9, atol=0.0)
+
+    def test_constant_trial_is_data_error(self):
+        # Three trials over five rows: trial 'a' holds rows 0 and 3, both 3.
+        trial = np.resize(["a", "b", "c"], 5)
+        with pytest.raises(DataError, match=r"^constant trial 'a'$"):
+            ytx.fit_trial_minmax([3.0, 5.0, 3.0, 3.0, 5.0], trial)
+
+
 # The per-group-mask and per-row code that key factorization replaced, kept
 # verbatim (names prefixed) as the oracle of TestGroupedEquivalence.
 def _reference_as_keys(keys):

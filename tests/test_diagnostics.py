@@ -681,3 +681,6 @@ class TestDiagnose:
     def test_thresholds_replace_rejects_unknown(self):
         with pytest.raises(DataError):
             dg.Thresholds().replace(bogus=1.0)
+        with pytest.raises(DataError,
+                           match=r"^unknown thresholds: \['self'\]$"):
+            dg.Thresholds().replace(self=1.0)
