@@ -116,9 +116,9 @@ def cmd_transform(args):
     records = []
     dataset = ctx._group_keys(core.load_csv(args.input, roles, records),
                               [kind])
-    fitted = evaluation.fit_transform_kind(kind, dataset.target, dataset)
+    fitted = evaluation.fit_transform_kind(kind, dataset.target, dataset.aux)
     transformed = core.forward(fitted, dataset.target,
-                               evaluation.aux_column(kind, dataset))
+                               evaluation.aux_column(kind, dataset.aux))
     with _open_out(out_csv, newline="") as dst:
         core.write_records(dst, records, dataset.kept_rows, roles.target,
                            map(repr, transformed.tolist()))

@@ -25,6 +25,9 @@ _MISSING = {"", "?", "NA", "N/A", "NaN", "nan", "null", "None"}
 _AS_NAN = dict.fromkeys(_MISSING, "nan")
 
 ROLE_NAMES = ("subject", "time", "frame", "trial", "price_index")
+#: the roles whose columns hold group keys, read as labels; every other
+#: role's column is read as floats
+KEY_ROLES = ("subject", "time", "trial")
 
 
 @dataclass(frozen=True)
@@ -57,6 +60,15 @@ class ColumnRoles:
         if self.target in self.role_columns():
             raise ConfigError(
                 f"target column {self.target!r} cannot carry another role")
+        numeric = dict.fromkeys(self.context, "context")
+        numeric.update((getattr(self, name), name) for name in ROLE_NAMES
+                       if name not in KEY_ROLES)
+        for name in KEY_ROLES:
+            column = getattr(self, name)
+            if column is not None and column in numeric:
+                raise ConfigError(
+                    f"column {column!r} cannot carry both the {name!r} role "
+                    f"and the numeric {numeric[column]!r} role")
 
     def role_columns(self):
         """All non-target columns referenced by a role, in a stable order."""
@@ -360,7 +372,7 @@ def load_csv(path, roles, records=None):
     width = len(header)
     col = {name: j for j, name in enumerate(header)}
     role_cols = list(dict.fromkeys(roles.role_columns()))
-    numeric_roles = {roles.frame, roles.price_index, *roles.context}
+    key_cols = {getattr(roles, name) for name in KEY_ROLES}
     feature_cols = [j for j, name in enumerate(header)
                     if name != roles.target and name not in role_cols]
     seen = {}
@@ -388,11 +400,11 @@ def load_csv(path, roles, records=None):
         target = _floats(columns[col[roles.target]], strip=False)
         keep = np.isfinite(target)
         for name in role_cols:
-            if name in numeric_roles:
+            if name in key_cols:
+                values, present = _labels(columns[col[name]], seen)
+            else:
                 values = _floats(columns[col[name]])
                 present = np.isfinite(values)
-            else:
-                values, present = _labels(columns[col[name]], seen)
             keep &= present
             role_parts[name].append(values)
         targets.append(target)

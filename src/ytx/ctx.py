@@ -17,8 +17,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import (FittedTransform, _finite_target, _raise_first_bad,
-                   kind_fit, read_rows, register_kind, target_range)
+from .core import (KEY_ROLES, FittedTransform, _finite_target,
+                   _raise_first_bad, kind_fit, read_rows, register_kind,
+                   target_range)
 from .errors import DataError
 
 
@@ -68,13 +69,13 @@ def _factorize(keys):
 
 
 def _group_keys(dataset, kinds):
-    """A copy of ``dataset`` whose key columns that ``kinds`` read (the
-    roles ``_groups`` reads) are ``_Grouping``s, so that each is grouped
-    once however many row subsets are taken of it."""
-    keyed = {"subject", "trial", "time"}.intersection(
-        itertools.chain.from_iterable(kind_fit(kind)[1] for kind in kinds))
-    aux = {role: _factorize(col) if role in keyed else col
-           for role, col in dataset.aux.items()}
+    """A copy of ``dataset`` whose ``aux`` keeps the roles ``kinds`` read,
+    key columns as ``_Grouping``s, so that each is grouped once however
+    many row subsets are taken of it."""
+    read = set(itertools.chain.from_iterable(kind_fit(kind)[1]
+                                             for kind in kinds))
+    aux = {role: _factorize(col) if role in KEY_ROLES else col
+           for role, col in dataset.aux.items() if role in read}
     return replace(dataset, aux=aux)
 
 

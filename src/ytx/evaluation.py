@@ -302,30 +302,26 @@ def make_fold_plan(n, seed):
 # --------------------------------------------------------------------------
 # Transform fitting inside the harness
 
-def _role_columns(kind, roles, dataset, idx):
-    """``dataset``'s columns of ``roles`` at rows ``idx`` (all if None)."""
+def _role_columns(kind, roles, columns):
+    """``columns``' entries for ``roles``; ``columns`` maps role to column."""
     for role in roles:
-        if dataset is None or role not in dataset.aux:
+        if columns is None or role not in columns:
             raise ConfigError(f"{kind} requires the {role!r} role")
-    rows = slice(None) if idx is None else np.asarray(idx, dtype=np.intp)
-    return [dataset.aux[role][rows] for role in roles]
+    return [columns[role] for role in roles]
 
 
-def aux_column(kind, dataset, idx=None):
-    """The column a kind's forward and inverse read (its first role), or
-    None for a kind without roles; rows ``idx``, all if None."""
-    columns = _role_columns(kind, core.kind_fit(kind)[1][:1], dataset, idx)
+def aux_column(kind, columns):
+    """The column a kind's forward and inverse read (its first role's
+    entry of ``columns``), or None for a kind without roles."""
+    columns = _role_columns(kind, core.kind_fit(kind)[1][:1], columns)
     return columns[0] if columns else None
 
 
-def fit_transform_kind(kind, y, dataset=None, idx=None):
-    """Fit a transform of the given kind on training targets only.
-
-    ``y`` holds the targets of ``dataset``'s rows ``idx`` (every row if
-    None); the kind's role columns are sliced to the same rows.
-    """
+def fit_transform_kind(kind, y, columns=None):
+    """Fit a transform of the given kind on training targets only; the
+    role columns in ``columns``, as in ``Dataset.aux``, hold ``y``'s rows."""
     fit, roles = core.kind_fit(kind)
-    return fit(y, *_role_columns(kind, roles, dataset, idx))
+    return fit(y, *_role_columns(kind, roles, columns))
 
 
 # --------------------------------------------------------------------------
@@ -465,11 +461,13 @@ def _evaluate_fold(dataset, plan, fold_index, model_kinds, transforms, alpha):
     Xs_test = dataset.features[te]
     Xs_test -= design.means
     Xs_test /= design.stds
+    cols_tr, cols_te = ({role: col[rows] for role, col in dataset.aux.items()}
+                        for rows in (tr, te))
     out = {}
     for kind in transforms:
-        t = fit_transform_kind(kind, y_train, dataset, tr)
-        z_train = core.forward(t, y_train, aux_column(kind, dataset, tr))
-        aux_te = aux_column(kind, dataset, te)
+        t = fit_transform_kind(kind, y_train, cols_tr)
+        z_train = core.forward(t, y_train, aux_column(kind, cols_tr))
+        aux_te = aux_column(kind, cols_te)
         for model_kind in model_kinds:
             model = _MODEL_FITTERS[model_kind](design, z_train, alpha)
             z_pred = Xs_test @ model.coefficients + model.intercept
@@ -491,11 +489,8 @@ def run_benchmark(dataset, models=MODELS, transforms=(),
     for model in models:
         if model not in _MODEL_FITTERS:
             raise ConfigError(f"unknown or untrainable model {model!r}")
-    for kind in kinds:
-        if kind not in core.KNOWN_KINDS:
-            raise ConfigError(f"unknown transform kind {kind!r}")
-    plan = make_fold_plan(dataset.n, seed)
     dataset = ctx._group_keys(dataset, kinds)
+    plan = make_fold_plan(dataset.n, seed)
 
     def work(i):
         return _evaluate_fold(dataset, plan, i, models, kinds, alpha)

@@ -120,7 +120,7 @@ def _transform(tmp_path, path, kind, roles=ROLES):
     expected = _reference_transform_csv(
         str(path), column_roles.target, dataset.kept_rows,
         core.forward(fitted, dataset.target,
-                     evaluation.aux_column(kind, dataset)))
+                     evaluation.aux_column(kind, dataset.aux)))
     return code, out_csv.read_bytes(), expected
 
 
@@ -270,6 +270,28 @@ class TestDiagnoseCommand:
         captured = capsys.readouterr()
         assert captured.err.startswith(f"error: role {role!r} must be ")
         assert captured.out == ""
+
+    @pytest.mark.parametrize("roles, column, key, numeric, labels", [
+        ({"subject": "s", "frame": "s"}, "s", "subject", "frame", "ab"),
+        ({"time": "s", "price_index": "s"}, "s", "time", "price_index",
+         "12"),
+    ], ids=["subject-frame-labels", "time-price-numbers"])
+    def test_key_role_sharing_a_numeric_column_is_config_error(
+            self, tmp_path, capsys, roles, column, key, numeric, labels):
+        # Parsed as floats for both roles, labels dropped every row and
+        # numeric keys became "1.0" where the file says 1.
+        path = tmp_path / "shared.csv"
+        path.write_text("x,s,y\n" + "".join(
+            f"{i},{labels[i % 2]},{1.0 + i}\n" for i in range(40)))
+        roles = json.dumps({"target": "y", **roles})
+        for command in ("diagnose", "benchmark"):
+            assert main([command, "--input", str(path),
+                         "--roles", roles]) == 2
+            captured = capsys.readouterr()
+            assert captured.err == (
+                f"error: column {column!r} cannot carry both the {key!r} "
+                f"role and the numeric {numeric!r} role\n")
+            assert captured.out == ""
 
     def test_repeated_header_is_data_error(self, tmp_path, capsys):
         path = tmp_path / "dup.csv"

@@ -89,6 +89,37 @@ class TestLoadCsv:
             ytx.ColumnRoles(target="y", frame="y")
 
     @pytest.mark.parametrize("roles, message", [
+        ({"subject": "s", "frame": "s"},
+         "column 's' cannot carry both the 'subject' role and the numeric "
+         "'frame' role"),
+        ({"time": "x", "price_index": "x"},
+         "column 'x' cannot carry both the 'time' role and the numeric "
+         "'price_index' role"),
+        ({"trial": "c", "context": ["a", "c"]},
+         "column 'c' cannot carry both the 'trial' role and the numeric "
+         "'context' role"),
+    ], ids=["subject-frame", "time-price", "trial-context"])
+    def test_key_role_cannot_share_a_numeric_column(self, roles, message):
+        for build in (lambda: ytx.ColumnRoles(target="y", **roles),
+                      lambda: ytx.ColumnRoles.from_json(
+                          json.dumps({"target": "y", **roles}))):
+            with pytest.raises(ConfigError) as exc:
+                build()
+            assert str(exc.value) == message
+
+    def test_roles_of_one_kind_may_share_a_column(self, tmp_path):
+        # Key roles read the column as labels, numeric roles as floats.
+        path = write(tmp_path, "k,p,y\n1,2.5,3\n1.0,4,5\n")
+        ds = ytx.load_csv(path, ytx.ColumnRoles(
+            target="y", subject="k", trial="k", frame="p", price_index="p",
+            context=("p",)))
+        assert ds.aux["subject"].tolist() == ds.aux["trial"].tolist() == [
+            "1", "1.0"]
+        assert ds.aux["frame"].tolist() == [2.5, 4.0]
+        assert ds.aux["price_index"].tolist() == [2.5, 4.0]
+        assert ds.aux["context"].tolist() == [[2.5], [4.0]]
+
+    @pytest.mark.parametrize("roles, message", [
         ({"target": ["y"]}, "role 'target' must be a string, got ['y']"),
         ({"target": None}, "role 'target' must be a string, got None"),
         ({"target": "y", "subject": 5},

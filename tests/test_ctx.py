@@ -145,7 +145,8 @@ class TestDeflate:
                  "price_index": np.array([1.0, 1.1])})
         with pytest.raises(DataError, match="empty dataset"):
             ytx.evaluation.fit_transform_kind(
-                "deflate", np.array([]), ds, np.array([], dtype=int))
+                "deflate", np.array([]),
+                {role: col[:0] for role, col in ds.aux.items()})
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_index_value_is_data_error(self, bad):
@@ -363,14 +364,16 @@ def _cycling_case(kind, y):
     return ytx.fit_regression_normalize(y, aux), aux
 
 
+_CONTEXTUAL_KINDS = ["subject-center", "trial-minmax", "frame", "deflate",
+                     "expectation-norm", "regression-norm"]
+
+
 class TestTiedRoundTrips:
     """The contextual kinds invert their forward maps on tied and discrete
     targets, zeros included."""
 
     @pytest.mark.parametrize("y", _TIED_TARGETS)
-    @pytest.mark.parametrize("kind", [
-        "subject-center", "trial-minmax", "frame", "deflate",
-        "expectation-norm", "regression-norm"])
+    @pytest.mark.parametrize("kind", _CONTEXTUAL_KINDS)
     def test_round_trip(self, kind, y):
         y = np.asarray(y, dtype=float)
         fitted, aux = _cycling_case(kind, y)
@@ -383,6 +386,34 @@ class TestTiedRoundTrips:
         trial = np.resize(["a", "b", "c"], 5)
         with pytest.raises(DataError, match=r"^constant trial 'a'$"):
             ytx.fit_trial_minmax([3.0, 5.0, 3.0, 3.0, 5.0], trial)
+
+
+class TestOffRangeRoundTrips:
+    """The contextual kinds invert their forward maps on values far outside
+    the training range: 1e3 below and above it, and +-1e6."""
+
+    @staticmethod
+    def _assert_round_trip(fitted, aux):
+        lo, hi = fitted.training_target_range
+        probe = np.resize([lo - 1e3, hi + 1e3, -1e6, 1e6], len(aux))
+        back = ytx.inverse(fitted, ytx.forward(fitted, probe, aux=aux),
+                           aux=aux)
+        err = np.abs(back - probe) / np.maximum(1.0, np.abs(probe))
+        assert err.max() <= 1e-9, fitted.kind
+
+    @pytest.mark.parametrize("kind", _CONTEXTUAL_KINDS)
+    def test_round_trip(self, kind):
+        y = np.asarray(_TIED_TARGETS[-1].values[0], dtype=float)  # poisson
+        fitted, aux = _cycling_case(kind, y)
+        self._assert_round_trip(fitted, aux)
+
+    def test_unseen_subject_takes_the_global_mean(self):
+        y = np.asarray(_TIED_TARGETS[-1].values[0], dtype=float)
+        fitted, aux = _cycling_case("subject-center", y)
+        unseen = np.resize(["d", "e"], len(y))
+        z = ytx.forward(fitted, y, aux=unseen)
+        np.testing.assert_array_equal(z, y - fitted.params["global_mean"])
+        self._assert_round_trip(fitted, unseen)
 
 
 # The per-group-mask and per-row code that key factorization replaced, kept

@@ -544,6 +544,12 @@ def _reference_standardize(X):
     return np.where(varying, (X - means) / stds, 0.0), means, stds
 
 
+def aux_rows(dataset, idx):
+    """``dataset.aux`` with each role column sliced to rows ``idx``."""
+    rows = np.asarray(idx, dtype=np.intp)
+    return {role: col[rows] for role, col in dataset.aux.items()}
+
+
 def _reference_evaluate_fold(dataset, plan, fold_index, model_kinds,
                              transforms, alpha):
     """``evaluation._evaluate_fold`` as it was before it standardized in
@@ -555,9 +561,10 @@ def _reference_evaluate_fold(dataset, plan, fold_index, model_kinds,
     Xs_test = (dataset.features[te] - design.means) / design.stds
     out = {}
     for kind in transforms:
-        t = ev.fit_transform_kind(kind, y_train, dataset, tr)
-        z_train = core.forward(t, y_train, ev.aux_column(kind, dataset, tr))
-        aux_te = ev.aux_column(kind, dataset, te)
+        t = ev.fit_transform_kind(kind, y_train, aux_rows(dataset, tr))
+        z_train = core.forward(t, y_train,
+                               ev.aux_column(kind, aux_rows(dataset, tr)))
+        aux_te = ev.aux_column(kind, aux_rows(dataset, te))
         for model_kind in model_kinds:
             model = ev._MODEL_FITTERS[model_kind](design, z_train, alpha)
             z_pred = Xs_test @ model.coefficients + model.intercept
@@ -767,8 +774,9 @@ class TestRegistry:
     @pytest.mark.parametrize("kind", core.KNOWN_KINDS)
     def test_inverse_range_matches_reference(self, kind):
         ds = panel_dataset()
-        for y, idx in ((ds.target, None), (ds.target[5:95], np.arange(5, 95))):
-            t = ev.fit_transform_kind(kind, y, ds, idx)
+        for y, columns in ((ds.target, ds.aux),
+                           (ds.target[5:95], aux_rows(ds, np.arange(5, 95)))):
+            t = ev.fit_transform_kind(kind, y, columns)
             assert core.inverse_range(t) == _reference_inverse_range(t)
 
     def test_every_known_kind_is_registered(self):
@@ -795,27 +803,27 @@ class TestRegistry:
             aux={k: v for k, v in ds.aux.items() if k != "price_index"})
         with pytest.raises(ConfigError,
                            match="deflate requires the 'price_index' role"):
-            ev.fit_transform_kind("deflate", ds.target, no_prices)
+            ev.fit_transform_kind("deflate", ds.target, no_prices.aux)
 
     def test_unknown_kind_is_config_error(self):
         with pytest.raises(ConfigError, match="unknown transform kind 'nope'"):
             ev.fit_transform_kind("nope", np.arange(5.0))
         with pytest.raises(ConfigError, match="unknown transform kind 'nope'"):
-            ev.aux_column("nope", panel_dataset())
+            ev.aux_column("nope", panel_dataset().aux)
 
     @pytest.mark.parametrize("kind", core.KNOWN_KINDS)
     def test_matches_reference_if_chain(self, kind):
         ds = panel_dataset()
         every = tuple(range(ds.n))
-        assert (ev.fit_transform_kind(kind, ds.target, ds).to_json()
+        assert (ev.fit_transform_kind(kind, ds.target, ds.aux).to_json()
                 == _reference_fit_transform_kind(
                     kind, ds.target, ds, every).to_json())
         for idx in (tuple(range(0, ds.n, 2)), np.arange(5, 95)):
             y = ds.target[np.asarray(idx)]
-            assert (ev.fit_transform_kind(kind, y, ds, idx).to_json()
+            assert (ev.fit_transform_kind(kind, y, aux_rows(ds, idx)).to_json()
                     == _reference_fit_transform_kind(
                         kind, y, ds, idx).to_json())
-            new = ev.aux_column(kind, ds, idx)
+            new = ev.aux_column(kind, aux_rows(ds, idx))
             old = _reference_aux_slice(kind, ds, idx)
             assert (new is None) == (old is None)
             if new is not None:
@@ -846,7 +854,7 @@ class TestRegistry:
 
         monkeypatch.setattr(module, name, wrapped)
         ds = panel_dataset()
-        ev.fit_transform_kind(kind, ds.target, ds)
+        ev.fit_transform_kind(kind, ds.target, ds.aux)
         assert calls == [name]
 
 
@@ -861,19 +869,21 @@ class TestFitTransformKind:
             column_names=(),
             roles=ytx.ColumnRoles(target="y", time="t", price_index="p"),
             aux={"time": time, "price_index": price})
-        t = ev.fit_transform_kind("deflate", ds.target, ds, (0, 1, 2, 3, 4))
+        t = ev.fit_transform_kind("deflate", ds.target,
+                                  aux_rows(ds, (0, 1, 2, 3, 4)))
         assert list(t.params["series"].items()) == [
             ("1.0", 2.0), ("2", 3.0), ("1", 1.0)]
         assert t.params["base_time"] == "1.0"
-        t = ev.fit_transform_kind("deflate", ds.target[[2, 3, 4]], ds,
-                                  np.array([2, 3, 4]))
+        t = ev.fit_transform_kind("deflate", ds.target[[2, 3, 4]],
+                                  aux_rows(ds, np.array([2, 3, 4])))
         assert t.params["series"] == {"1": 1.0, "1.0": 9.0, "2": 4.0}
         assert t.params["base_time"] == "1"
 
     def test_deflate_groups_its_time_column_once(self, raw_factorize_calls):
         ds = panel_dataset()
-        ev.fit_transform_kind("deflate", ds.target, ds)
-        ev.fit_transform_kind("deflate", ds.target[:50], ds, np.arange(50))
+        ev.fit_transform_kind("deflate", ds.target, ds.aux)
+        ev.fit_transform_kind("deflate", ds.target[:50],
+                              aux_rows(ds, np.arange(50)))
         assert raw_factorize_calls == [ds.n, 50]
 
 
@@ -888,7 +898,7 @@ class TestFitTransformKind:
             y = ds.target.copy()
             y[[7, 11]] = bad
             with pytest.raises(DataError) as info:
-                ev.fit_transform_kind(kind, y, ds)
+                ev.fit_transform_kind(kind, y, ds.aux)
             assert str(info.value) == f"{kind}: non-finite target at index 7"
 
     @pytest.mark.parametrize("kind", core.KNOWN_KINDS)
@@ -905,8 +915,8 @@ class TestFitTransformKind:
             "expectation-norm": "too few rows for the context model",
             "regression-norm": "too few rows for the context model"}
         with pytest.raises(DataError) as info:
-            ev.fit_transform_kind(kind, np.array([]), panel_dataset(),
-                                  np.array([], dtype=int))
+            ev.fit_transform_kind(kind, np.array([]),
+                                  aux_rows(panel_dataset(), []))
         assert str(info.value) == messages.get(kind, "empty target")
 
 
@@ -918,8 +928,8 @@ class TestMapValueShape:
     @staticmethod
     def _fit(kind):
         ds = panel_dataset()
-        t = ev.fit_transform_kind(kind, ds.target, ds)
-        aux = ev.aux_column(kind, ds)
+        t = ev.fit_transform_kind(kind, ds.target, ds.aux)
+        aux = ev.aux_column(kind, ds.aux)
         return ds, t, aux, ytx.forward(t, ds.target, aux)
 
     @pytest.mark.parametrize("kind", core.KNOWN_KINDS)
@@ -1038,6 +1048,10 @@ class TestBenchmark:
     def test_unknown_transform_rejected(self):
         with pytest.raises(ConfigError):
             ytx.run_benchmark(toy_dataset(), transforms=("nope",), seed=0)
+        # The kind is checked before the fold plan, which needs n >= 4.
+        with pytest.raises(ConfigError) as exc:
+            ytx.run_benchmark(toy_dataset(n=3), transforms=("nope",), seed=0)
+        assert str(exc.value) == "unknown transform kind 'nope'"
 
     def test_markdown_shape(self):
         ds = toy_dataset()
@@ -1137,6 +1151,43 @@ class TestBenchmark:
         ytx.run_benchmark(ds, models=models, transforms=kinds)
         assert raw_factorize_calls == [ds.n] * columns
 
+    def test_slices_each_role_column_once_per_fold_side(self, monkeypatch):
+        # Every (fold, kind) reads the fold's one slice of each role column
+        # on each side: the fit and its forward get the same column object.
+        slices, fit_columns, forward_columns = [], [], []
+        getitem = ctx._Grouping.__getitem__
+
+        def counted_getitem(grouping, rows):
+            slices.append(len(grouping))
+            return getitem(grouping, rows)
+
+        def recorded(fit):
+            def fit_recording(y, *columns):
+                fit_columns.append(columns[0] if columns else None)
+                return fit(y, *columns)
+            return fit_recording
+
+        forward = core.forward
+
+        def forward_recording(t, y, aux=None):
+            forward_columns.append(aux)
+            return forward(t, y, aux)
+
+        kinds = ("subject-center", "trial-minmax", "deflate")
+        monkeypatch.setattr(ctx._Grouping, "__getitem__", counted_getitem)
+        for kind in ("identity", *kinds):
+            fit, roles = core._FITS[kind]
+            monkeypatch.setitem(core._FITS, kind, (recorded(fit), roles))
+        monkeypatch.setattr(core, "forward", forward_recording)
+        ds = panel_dataset()
+        ytx.run_benchmark(ds, models=("ridge",), transforms=kinds, seed=5)
+        key_roles = 3   # subject, trial and time
+        assert slices == [ds.n] * (2 * 10 * key_roles)
+        assert len(fit_columns) == len(forward_columns) == 10 * 4
+        assert all(fitted is mapped for fitted, mapped
+                   in zip(fit_columns, forward_columns))
+        assert sum(column is None for column in fit_columns) == 10
+
     def test_repeated_models_and_kinds_are_scored_once(self):
         ds = toy_dataset(seed=8)
         repeated = ytx.run_benchmark(
@@ -1182,10 +1233,11 @@ def _reference_run_benchmark(dataset, models, transforms, seed, alpha=1.0,
         Xs_test = (X_test - design.means) / design.stds
         fitted = {}
         for kind in kinds:
-            t = ev.fit_transform_kind(kind, y_train, dataset, tr)
+            t = ev.fit_transform_kind(kind, y_train, aux_rows(dataset, tr))
             z_train = core.forward(t, y_train,
-                                   ev.aux_column(kind, dataset, tr))
-            fitted[kind] = (t, z_train, ev.aux_column(kind, dataset, te))
+                                   ev.aux_column(kind, aux_rows(dataset, tr)))
+            fitted[kind] = (t, z_train,
+                            ev.aux_column(kind, aux_rows(dataset, te)))
         out = {}
         for model_kind in models:
             fitter = ev._MODEL_FITTERS[model_kind]
