@@ -146,6 +146,10 @@ def cmd_benchmark(args):
     roles = _load_roles(args.roles)
     dataset = core.load_csv(args.input, roles)
     if "auto" in kinds:
+        # diagnose groups the subject and time keys: group them once here,
+        # so that the kinds that read them take the same groupings.
+        for role in dataset.aux.keys() & {"subject", "time"}:
+            dataset.aux[role] = ctx._factorize(dataset.aux[role])
         report = diagnostics.diagnose(dataset, thresholds)
         kinds = [k for k in kinds if k != "auto"]
         kinds.extend(k for k, _ in report.recommendations)

@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import math
 import warnings
 from unittest import mock
@@ -320,39 +321,73 @@ def alpha_max(X, y):
     return float(np.max(np.abs(Xs.T @ (y - y.mean())))) / X.shape[0]
 
 
+def assert_plain_or_accelerated(model, X, y, alpha):
+    """``model`` has the plain kernel's bits where that stops before the
+    first extrapolation (which follows sweep ``ANDERSON_DEPTH + 1``);
+    otherwise it converged, with a gap computed here from the residual,
+    in no more sweeps and to no higher an objective than the plain kernel."""
+    ref = _reference_gram_lasso(X, y, alpha)
+    if ref.n_sweeps <= ev.ANDERSON_DEPTH + 1:
+        assert_same_lasso_bits(model, ref)
+        return ref
+    Xs, _, _ = ev._standardize(X)
+    yc = y - y.mean()
+    tol = ev.LASSO_GAP_TOL * (yc @ yc / len(y)) / 2
+    assert model.converged
+    assert _residual_gap(Xs, yc, model.coefficients, alpha) <= tol
+    assert model.n_sweeps <= ref.n_sweeps
+    assert (ev.lasso_objective(Xs, yc, model.coefficients, alpha)
+            <= ev.lasso_objective(Xs, yc, ref.coefficients, alpha) + tol)
+    return ref
+
+
+def _fit_lasso_with_extrapolations(X, y, alpha):
+    """``fit_lasso``'s model and how many Anderson points it accepted."""
+    accepted, extrapolate = [], ev._extrapolate
+
+    def recorded(*args):
+        point = extrapolate(*args)
+        accepted.append(point is not None)
+        return point
+
+    with mock.patch.object(ev, "_extrapolate", recorded):
+        model = ytx.fit_lasso(X, y, alpha)
+    return model, sum(accepted)
+
+
 class TestLassoKernel:
-    """The Gram-matrix kernel retraces the residual-update iterates."""
+    """The Gram-matrix kernel retraces the residual-update iterates until
+    its first extrapolation, and then converges no later than they do."""
 
     def assert_matches_reference(self, X, y, alpha):
         model = ytx.fit_lasso(X, y, alpha)
+        gram = assert_plain_or_accelerated(model, X, y, alpha)
         ref = _reference_fit_lasso(X, y, alpha)
-        assert model.n_sweeps == ref.n_sweeps
-        assert model.converged == ref.converged
-        assert np.max(np.abs(model.coefficients - ref.coefficients)) <= 1e-10
-        assert_same_lasso_bits(model, _reference_gram_lasso(X, y, alpha))
-        return model
+        assert (gram.n_sweeps, gram.converged) == (ref.n_sweeps, ref.converged)
+        assert np.max(np.abs(gram.coefficients - ref.coefficients)) <= 1e-10
+        return model, ref
 
     def test_factor_correlated_wide_design(self):
         X, y = factor_design()
-        model = self.assert_matches_reference(X, y, 0.1)
-        assert model.n_sweeps > 50
+        _, ref = self.assert_matches_reference(X, y, 0.1)
+        assert ref.n_sweeps > 50
 
     def test_zero_variance_column(self):
         X, y = factor_design(n=200, d=8, factors=3, seed=1)
         X[:, 3] = 2.5
-        model = self.assert_matches_reference(X, y, 0.05)
+        model, _ = self.assert_matches_reference(X, y, 0.05)
         assert model.coefficients[3] == 0.0
 
     def test_alpha_at_alpha_max_kills_all(self):
         X, y = factor_design(n=300, d=12, factors=4, seed=2)
-        model = self.assert_matches_reference(X, y, alpha_max(X, y))
+        model, _ = self.assert_matches_reference(X, y, alpha_max(X, y))
         assert np.all(model.coefficients == 0.0)
         assert model.n_sweeps == 1
 
     def test_small_alpha_needs_hundreds_of_sweeps(self):
         X, y = factor_design(n=400, d=30, factors=6, seed=3)
-        model = self.assert_matches_reference(X, y, 1e-3)
-        assert model.n_sweeps >= 200
+        _, ref = self.assert_matches_reference(X, y, 1e-3)
+        assert ref.n_sweeps >= 200
 
     def test_harness_fit_skips_only_the_objective_history(self):
         X, y = factor_design(n=300, d=12, factors=4, seed=4)
@@ -365,17 +400,95 @@ class TestLassoKernel:
             public.n_sweeps, public.converged)
 
     def test_unconverged_after_the_sweep_cap(self):
-        # Two columns 3e-3 apart, weighted +100 and -100: at a tiny alpha,
-        # coordinate descent creeps along the narrow valley between them.
+        # Eight columns 1e-3 apart, weighted +100 and -100 in turn: at a
+        # tiny alpha, coordinate descent creeps along the narrow valleys
+        # between them, and an extrapolation over five differences cannot
+        # span them all.
         rng = np.random.default_rng(0)
         x = rng.normal(size=60)
-        X = np.column_stack([x, x + 3e-3 * rng.normal(size=60)])
-        y = 100.0 * X[:, 0] - 100.0 * X[:, 1] + 0.1 * rng.normal(size=60)
+        X = np.column_stack([x + 1e-3 * rng.normal(size=60)
+                             for _ in range(8)])
+        y = X @ (100.0 * np.array([1, -1] * 4)) + 0.1 * rng.normal(size=60)
         model = ytx.fit_lasso(X, y, 1e-4)
         assert not model.converged
         assert model.n_sweeps == 10000
         assert len(model.objective_history) == 10000
-        assert_same_lasso_bits(model, _reference_gram_lasso(X, y, 1e-4))
+        ref = _reference_gram_lasso(X, y, 1e-4)
+        assert not ref.converged and ref.n_sweeps == 10000
+        Xs, _, _ = ev._standardize(X)
+        yc = y - y.mean()
+        tol = ev.LASSO_GAP_TOL * (yc @ yc / 60) / 2
+        assert _residual_gap(Xs, yc, model.coefficients, 1e-4) > tol
+        assert model.objective_history[-1] <= ref.objective_history[-1]
+
+    def test_extrapolation_fires_on_a_factor_correlated_design(self):
+        # wide-lasso's shape: 2,000 rows of 50 features driven by 10
+        # factors, alpha 0.1.
+        X, y = factor_design(n=2000)
+        model, accepted = _fit_lasso_with_extrapolations(X, y, 0.1)
+        assert accepted >= 1
+        assert np.all(np.diff(model.objective_history) <= 1e-12)
+        assert model.n_sweeps < _reference_gram_lasso(X, y, 0.1).n_sweeps
+
+
+class TestExtrapolate:
+    """The Anderson point of six iterates, kept only when its objective is
+    strictly below the last iterate's; an undefined point is skipped, and
+    skipping raises no numpy warning."""
+
+    X, y = factor_design(n=200, d=8, factors=3, seed=1)
+    alpha = 0.05
+
+    def extrapolate(self, iterates):
+        design = ev._design(self.X)
+        n = self.X.shape[0]
+        zc = self.y - self.y.mean()
+        G = design.gram / n
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            return G, ev._extrapolate(
+                iterates, G, design.Xs.T @ zc / n,
+                G @ np.array(iterates[-1]), float(zc @ zc) / n, self.alpha)
+
+    def objective(self, beta):
+        Xs, _, _ = ev._standardize(self.X)
+        return ev.lasso_objective(Xs, self.y - self.y.mean(), beta,
+                                  self.alpha)
+
+    @staticmethod
+    def toward(point, seed):
+        """Six iterates of a linear iteration that closes on ``point`` at
+        a different rate in each coordinate, from zero."""
+        rate = np.random.default_rng(seed).uniform(0.6, 0.95, len(point))
+        return [(point * (1.0 - rate ** k)).tolist() for k in range(6)]
+
+    @pytest.mark.parametrize("target", ["optimum", "far"])
+    def test_kept_only_below_the_last_iterate(self, target):
+        optimum = ytx.fit_lasso(self.X, self.y, self.alpha).coefficients
+        point = {"optimum": optimum,
+                 "far": 50.0 * np.random.default_rng(5).normal(size=8)}
+        iterates = self.toward(point[target], seed=6)
+        B = np.array(iterates)
+        U = np.diff(B, axis=0)
+        w = np.linalg.solve(U @ U.T, np.ones(ev.ANDERSON_DEPTH))
+        anderson = (w / w.sum()) @ B[1:]
+        lower = self.objective(anderson) < self.objective(B[-1])
+        assert lower is (target == "optimum")
+        G, kept = self.extrapolate(iterates)
+        if lower:
+            assert kept[0].tobytes() == anderson.tobytes()
+            assert kept[1].tobytes() == (G @ anderson).tobytes()
+        else:
+            assert kept is None
+
+    @pytest.mark.parametrize("steps", [
+        [0.0] * 6, [0.0, 1.0, 2.0, 3.0, 4.0, 5.0],
+        [0.0, 1e300, -1e300, 1e300, -1e300, 1e300]],
+        ids=["equal", "one-direction", "overflowing"])
+    def test_undefined_point_is_skipped(self, steps):
+        base = np.linspace(-1.0, 1.0, 8)
+        iterates = [(base + step).tolist() for step in steps]
+        assert self.extrapolate(iterates)[1] is None
 
 
 @st.composite
@@ -400,14 +513,14 @@ def _small_lasso_case(draw):
 
 
 class TestLassoKernelBits:
-    """The list-state kernel gives the numpy-state kernel's bits."""
+    """The list-state kernel gives the plain numpy-state kernel's bits
+    until its first extrapolation, and converges no later after it."""
 
     @given(case=_small_lasso_case())
     @settings(max_examples=150, derandomize=True, deadline=None)
     def test_matches_frozen_gram_kernel(self, case):
         X, y, alpha = case
-        assert_same_lasso_bits(ytx.fit_lasso(X, y, alpha),
-                               _reference_gram_lasso(X, y, alpha))
+        assert_plain_or_accelerated(ytx.fit_lasso(X, y, alpha), X, y, alpha)
 
     @pytest.mark.parametrize("alpha", [np.float16(0.05), np.float32(0.05),
                                        np.float64(0.05), 0.05])
@@ -417,8 +530,7 @@ class TestLassoKernelBits:
         X, y = factor_design(n=200, d=8, factors=3, seed=1)
         model = ytx.fit_lasso(X, y, alpha)
         assert_same_lasso_bits(model, ytx.fit_lasso(X, y, float(alpha)))
-        assert_same_lasso_bits(model,
-                               _reference_gram_lasso(X, y, float(alpha)))
+        assert_plain_or_accelerated(model, X, y, float(alpha))
 
 
 def _fit_lasso_with_gaps(X, y, alpha):
@@ -1066,7 +1178,6 @@ class TestBenchmark:
         ds = toy_dataset()
         report = ytx.run_benchmark(ds, models=("ridge",),
                                    transforms=("sqrt",), seed=1)
-        import json
         again = ev.BenchmarkReport.from_dict(json.loads(report.to_json()))
         assert again.to_json() == report.to_json()
 
@@ -1150,6 +1261,26 @@ class TestBenchmark:
         ds = panel_dataset()
         ytx.run_benchmark(ds, models=models, transforms=kinds)
         assert raw_factorize_calls == [ds.n] * columns
+
+    def test_auto_benchmark_groups_each_key_column_once(
+            self, monkeypatch, raw_factorize_calls, capsys):
+        # diagnose reads the subject and time keys, and subject-center and
+        # deflate read them again: one grouping of each serves both.
+        argv = ["benchmark", "--input", "panel.csv", "--roles", json.dumps(
+            {"target": "y", "subject": "s", "time": "t", "frame": "f",
+             "trial": "r", "context": ["c1", "c2"], "price_index": "p"}),
+            "--transform", "auto", "--transform", "subject-center",
+            "--transform", "deflate"]
+        monkeypatch.setattr(core, "load_csv",
+                            lambda path, roles: panel_dataset())
+        assert cli.main(argv) == 0
+        assert raw_factorize_calls == [120, 120]
+        ds = panel_dataset()
+        kinds = ["subject-center", "deflate"] + [
+            kind for kind, _ in ytx.diagnose(ds).recommendations]
+        report = ytx.run_benchmark(ds, transforms=kinds, dataset_name="panel")
+        assert capsys.readouterr().out == "\n".join(
+            map(report.to_markdown, ev.METRICS)) + "\n"
 
     def test_slices_each_role_column_once_per_fold_side(self, monkeypatch):
         # Every (fold, kind) reads the fold's one slice of each role column
