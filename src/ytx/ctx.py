@@ -118,6 +118,24 @@ def _require_keys(table, groups, missing):
         raise DataError(f"{missing} {groups.keys[groups.codes[row]]!r}")
 
 
+def _affine(coefficients):
+    """A kind's ``(forward, inverse)`` maps from ``coefficients(params,
+    aux) -> (shift, scale)``, each per row: forward ``(y - shift) / scale``
+    and inverse ``z * scale + shift``.  A None shift or scale leaves its
+    step out, so that no ``+ 0.0`` turns an inverse's -0.0 into +0.0."""
+    def forward(params, y, aux):
+        shift, scale = coefficients(params, aux)
+        z = y if shift is None else y - shift
+        return z if scale is None else z / scale
+
+    def inverse(params, z, aux):
+        shift, scale = coefficients(params, aux)
+        y = z if scale is None else z * scale
+        return y if shift is None else y + shift
+
+    return forward, inverse
+
+
 def _per_row(table, groups, missing=None, fallback=None):
     """Each row's entry of the per-key ``table`` as floats, one lookup per
     distinct key of ``groups``; a key not in ``table`` takes ``fallback``,
@@ -149,10 +167,8 @@ def fit_subject_center(y, subject):
 
 register_kind(
     "subject-center", lambda y, subject: fit_subject_center(y, subject),
-    lambda p, y, aux: y - _per_row(p["means"], _factorize(aux),
-                                   fallback=p["global_mean"]),
-    lambda p, z, aux: z + _per_row(p["means"], _factorize(aux),
-                                   fallback=p["global_mean"]),
+    *_affine(lambda p, aux: (_per_row(p["means"], _factorize(aux),
+                                      fallback=p["global_mean"]), None)),
     roles=("subject",))
 
 
@@ -175,23 +191,14 @@ def fit_trial_minmax(y, trial):
 
 
 def _trial_bounds(params, keys):
+    """Each row's trial low and range, ``(lo, hi - lo)``."""
     bounds = _per_row(params["ranges"], _factorize(keys), "unseen trial")
     bounds = bounds.reshape(-1, 2)  # no rows give a 1-D empty array
-    return bounds[:, 0], bounds[:, 1]
-
-
-def _trial_forward(params, y, aux):
-    lo, hi = _trial_bounds(params, aux)
-    return (y - lo) / (hi - lo)
-
-
-def _trial_inverse(params, z, aux):
-    lo, hi = _trial_bounds(params, aux)
-    return z * (hi - lo) + lo
+    return bounds[:, 0], bounds[:, 1] - bounds[:, 0]
 
 
 register_kind("trial-minmax", lambda y, trial: fit_trial_minmax(y, trial),
-              _trial_forward, _trial_inverse, roles=("trial",))
+              *_affine(_trial_bounds), roles=("trial",))
 
 
 # --------------------------------------------------------------------------
@@ -217,8 +224,8 @@ def _checked_frame(frame):
 
 
 register_kind("frame", lambda y, frame: fit_frame_normalize(y, frame),
-              lambda p, y, aux: y / _checked_frame(aux),
-              lambda p, z, aux: z * _checked_frame(aux), roles=("frame",))
+              *_affine(lambda p, aux: (None, _checked_frame(aux))),
+              roles=("frame",))
 
 
 # --------------------------------------------------------------------------
@@ -304,6 +311,8 @@ def _fit_deflate_rows(y, time, prices):
     return fit_deflate(y, time, DeflationIndex(series=series, base_time=base))
 
 
+# Not an _affine kind: its forward multiplies by base / price, and dividing
+# by a scale of price / base rounds differently.
 register_kind(
     "deflate", _fit_deflate_rows,
     lambda p, y, aux: y * _deflate_factors(p, aux),
@@ -366,6 +375,7 @@ def fit_expectation_normalize(y, context):
 
 
 def _en_moments(params, context):
+    """Each row's conditional mean and floored spread."""
     X = _design(context)
     mu = X @ np.asarray(params["beta_mean"])
     sigma = X @ np.asarray(params["beta_sigma"])
@@ -373,19 +383,9 @@ def _en_moments(params, context):
     return mu, sigma
 
 
-def _en_forward(params, y, aux):
-    mu, sigma = _en_moments(params, aux)
-    return (y - mu) / sigma
-
-
-def _en_inverse(params, z, aux):
-    mu, sigma = _en_moments(params, aux)
-    return z * sigma + mu
-
-
 register_kind("expectation-norm",
               lambda y, context: fit_expectation_normalize(y, context),
-              _en_forward, _en_inverse, roles=("context",))
+              *_affine(_en_moments), roles=("context",))
 
 
 def fit_regression_normalize(y, context):
@@ -411,7 +411,7 @@ def _rn_denominator(params, context):
     small = np.abs(denom) < floor
     if np.any(small):
         warnings.warn("regression-norm: clamping near-zero denominators",
-                      RuntimeWarning, stacklevel=3)
+                      RuntimeWarning, stacklevel=4)  # core.forward/inverse
         denom = np.where(small, np.where(denom < 0, -floor, floor), denom)
     return denom
 
@@ -419,6 +419,5 @@ def _rn_denominator(params, context):
 register_kind(
     "regression-norm",
     lambda y, context: fit_regression_normalize(y, context),
-    lambda p, y, aux: y / _rn_denominator(p, aux),
-    lambda p, z, aux: z * _rn_denominator(p, aux),
+    *_affine(lambda p, aux: (None, _rn_denominator(p, aux))),
     roles=("context",))

@@ -13,6 +13,7 @@ from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
+from .core import kind_fit
 from .ctx import _check_length, _design, _groups, _lstsq, _time_sort_key
 from .dist import skewness
 from .errors import DataError
@@ -284,7 +285,8 @@ def recommend(report):
 
 
 def diagnose(dataset, thresholds=Thresholds()):
-    """Run every detector the dataset's roles permit and attach advice."""
+    """Run every detector the dataset's roles permit and attach advice,
+    keeping only the kinds whose roles the dataset has."""
     y = dataset.target
     subjective = frame = trend = context = None
     if "subject" in dataset.aux:
@@ -299,4 +301,6 @@ def diagnose(dataset, thresholds=Thresholds()):
     report = DiagnosticReport(
         subjective=subjective, frame=frame, trend=trend, context=context,
         distribution=distribution)
-    return replace(report, recommendations=recommend(report))
+    runnable = tuple((kind, reason) for kind, reason in recommend(report)
+                     if set(kind_fit(kind)[1]) <= dataset.aux.keys())
+    return replace(report, recommendations=runnable)

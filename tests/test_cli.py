@@ -235,6 +235,14 @@ class TestDiagnoseCommand:
         assert capsys.readouterr().err == (
             "error: unknown thresholds: ['self']\n")
 
+    @pytest.mark.parametrize("pair", ["skew_gamma", "skew_gamma:1", ""])
+    def test_threshold_without_equals_is_config_error(self, pair, skewed_csv,
+                                                      capsys):
+        assert main(["diagnose", "--input", skewed_csv, "--roles", ROLES,
+                     "--threshold", pair]) == 2
+        assert capsys.readouterr().err == (
+            f"error: --threshold expects KEY=VALUE, got {pair!r}\n")
+
     @pytest.mark.parametrize("value", ["nan", "-NaN", " nan "])
     def test_nan_threshold_is_config_error(self, value, skewed_csv, capsys):
         with pytest.raises(ytx.ConfigError) as exc:
@@ -304,6 +312,13 @@ class TestDiagnoseCommand:
         path.write_bytes(b"a,y\n1,2\n\xff,3\n")
         assert main(["diagnose", "--input", str(path), "--roles", ROLES]) == 3
         assert "not UTF-8 text at byte 8" in capsys.readouterr().err
+
+    def test_empty_input_is_data_error(self, tmp_path, capsys):
+        path = tmp_path / "empty.csv"
+        path.write_text("")
+        assert main(["diagnose", "--input", str(path),
+                     "--roles", ROLES]) == 3
+        assert capsys.readouterr().err == f"error: {path}: empty file\n"
 
     def test_json_roundtrips(self, skewed_csv, tmp_path):
         out = tmp_path / "report.json"
@@ -606,6 +621,42 @@ class TestBenchmarkCommand:
         assert captured.out == ""
         assert not out_json.exists()
 
+    @pytest.mark.parametrize("role, dropped", [
+        ("subject", "trial-minmax"), ("time", "deflate")])
+    def test_auto_runs_with_one_keyed_role(self, role, dropped, tmp_path,
+                                           capsys):
+        # The subject effect or trend is flagged, but the dataset has no
+        # 'trial' or 'price_index' role: auto leaves that kind out.
+        rng = np.random.default_rng(9)
+        level = np.repeat(np.arange(10), 40)
+        y = 3.0 * level + rng.normal(size=400)
+        x = rng.normal(size=400)
+        path = tmp_path / "keyed.csv"
+        path.write_text("x,k,y\n" + "".join(
+            f"{a},{k},{b}\n" for a, k, b in zip(x, level, y)))
+        out_json = tmp_path / "bench.json"
+        roles = json.dumps({"target": "y", role: "k"})
+        assert main(["diagnose", "--input", str(path), "--roles",
+                     roles]) == 0
+        assert " FLAGGED " in capsys.readouterr().out.splitlines()[1]
+        assert main(["benchmark", "--input", str(path), "--roles", roles,
+                     "--model", "ridge", "--transform", "auto",
+                     "--out-json", str(out_json)]) == 0
+        assert capsys.readouterr().err == ""
+        transforms = json.loads(out_json.read_text())["transforms"]
+        assert dropped not in transforms
+        assert ("subject-center" in transforms) == (role == "subject")
+
+    def test_threads_env_not_an_integer_is_config_error(
+            self, skewed_csv, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("YTX_THREADS", "two")
+        out_json = tmp_path / "bench.json"
+        assert main(["benchmark", "--input", skewed_csv, "--roles", ROLES,
+                     "--model", "ridge", "--out-json", str(out_json)]) == 2
+        assert capsys.readouterr().err == (
+            "error: YTX_THREADS='two' is not an integer\n")
+        assert not out_json.exists()
+
     def test_threads_env(self, skewed_csv, tmp_path, monkeypatch):
         out = []
         for value in ("1", "4"):
@@ -776,6 +827,26 @@ class TestTextFiles:
                      "--roles", str(path)]) == 2
         assert f"cannot read {path}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("text, inline, message", [
+        ('{"target": "y"', True, "invalid roles JSON: "),
+        ('{"target": "y"', False, "invalid roles JSON: "),
+        ('["y"]', False, 'roles JSON must be an object with a "target" key'),
+        ('{"subject": "x"}', True,
+         'roles JSON must be an object with a "target" key'),
+    ], ids=["unparsed-inline", "unparsed-file", "list-file",
+            "no-target-inline"])
+    def test_bad_roles_json_is_config_error(self, text, inline, message,
+                                            skewed_csv, tmp_path, capsys):
+        spec = text
+        if not inline:  # a spec not starting with "{" is a file path
+            spec = str(tmp_path / "roles.json")
+            Path(spec).write_text(text)
+        assert main(["diagnose", "--input", skewed_csv,
+                     "--roles", spec]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {message}")
+        assert "Traceback" not in err
+
     def test_roles_file_with_bom(self, skewed_csv, tmp_path):
         path = tmp_path / "roles.json"
         path.write_bytes(b"\xef\xbb\xbf" + ROLES.encode())
@@ -868,6 +939,30 @@ class TestUnwritableOutput:
         assert os.listdir(outs) == []
         assert not os.path.exists(skewed_csv + ".transformed.csv")
         return captured.err
+
+    @pytest.mark.parametrize("command, flag", [
+        ("diagnose", "--out-json"), ("transform", "--out-csv"),
+        ("benchmark", "--out-json"), ("report", "--out-md")])
+    def test_path_that_cannot_be_opened_is_config_error(
+            self, command, flag, skewed_csv, tmp_path, capsys):
+        # Its directory exists and it is no directory, so only open()
+        # finds that the name is too long.
+        bad = str(tmp_path / ("x" * 300))
+        if command == "report":
+            bench = tmp_path / "bench.json"
+            main(["benchmark", "--input", skewed_csv, "--roles", ROLES,
+                  "--model", "ridge", "--out-json", str(bench)])
+            argv = ["report", "--in-json", str(bench)]
+        else:
+            argv = [command, "--input", skewed_csv, "--roles", ROLES]
+        argv += {"benchmark": ["--model", "ridge"],
+                 "transform": ["--transform", "identity"]}.get(command, [])
+        capsys.readouterr()
+        assert main(argv + [flag, bad]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: cannot write {bad}: ")
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
 
     def test_missing_input_is_still_data_error(self, tmp_path, capsys):
         # The default --out-csv would sit in the input's missing directory;

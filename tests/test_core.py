@@ -84,6 +84,23 @@ class TestLoadCsv:
         with pytest.raises(ConfigError, match=r"unknown role keys: \['sub'\]"):
             ytx.ColumnRoles.from_json('{"target": "y", "sub": "s"}')
 
+    def test_roles_json_that_does_not_parse_is_config_error(self):
+        text = '{"target": "y",}'
+        with pytest.raises(json.JSONDecodeError) as parse:
+            json.loads(text)
+        with pytest.raises(ConfigError) as err:
+            ytx.ColumnRoles.from_json(text)
+        assert str(err.value) == f"invalid roles JSON: {parse.value}"
+
+    @pytest.mark.parametrize("text", ['["y"]', '"target"', "null",
+                                      '{"subject": "s"}'])
+    def test_roles_json_not_an_object_with_target_is_config_error(self,
+                                                                  text):
+        with pytest.raises(ConfigError) as err:
+            ytx.ColumnRoles.from_json(text)
+        assert str(err.value) == (
+            'roles JSON must be an object with a "target" key')
+
     def test_target_cannot_hold_two_roles(self):
         with pytest.raises(ConfigError):
             ytx.ColumnRoles(target="y", frame="y")
@@ -157,6 +174,12 @@ class TestLoadCsvHeader:
         ds = ytx.load_csv(str(path), ytx.ColumnRoles(target="y"))
         assert ds.target.tolist() == [1.0, 3.0]
         assert ds.column_names == ("x",)
+
+    def test_empty_file_is_data_error(self, tmp_path):
+        path = write(tmp_path, "")
+        with pytest.raises(DataError) as err:
+            ytx.load_csv(path, ytx.ColumnRoles(target="y"))
+        assert str(err.value) == f"{path}: empty file"
 
     def test_repeated_header_names_rejected(self, tmp_path):
         path = write(tmp_path, "x,z,x,y,z\n1,2,3,4,5\n")
@@ -718,6 +741,23 @@ class TestTransformContract:
             call()
         assert str(err.value) == message
         assert err.value.index == index
+
+    @pytest.mark.parametrize("apply", [ytx.forward, ytx.inverse])
+    @pytest.mark.parametrize("fitted, aux", [
+        (lambda: ytx.fit_frame_normalize([1.0, 2.0, 3.0], [1.0, 2.0, 4.0]),
+         [1.0, 2.0]),
+        (lambda: ytx.fit_subject_center([1.0, 2.0, 3.0], ["a", "b", "a"]),
+         ["a", "b"]),
+    ], ids=["frame", "subject-center"])
+    def test_contextual_map_needs_aux_of_its_length(self, apply, fitted,
+                                                     aux):
+        t = fitted()
+        with pytest.raises(ConfigError) as err:
+            apply(t, [1.0, 2.0, 3.0])
+        assert str(err.value) == f"{t.kind} requires per-row auxiliary values"
+        with pytest.raises(ConfigError) as err:
+            apply(t, [1.0, 2.0, 3.0], aux=aux)
+        assert str(err.value) == f"{t.kind}: auxiliary length 2 != 3 values"
 
     def test_log_offset_inverse_of_zero(self):
         t = ytx.fit_log_offset(np.array([0.5, 2.0]))

@@ -206,6 +206,31 @@ class TestDeflate:
         assert ytx.DeflationIndex.from_csv(str(path)).series == {
             "2019": 1.0, "2020": 1.1}
 
+    @pytest.mark.parametrize("series, base, message", [
+        ({"2019": 1.0, "2020": 1.1}, "2018", "base time '2018' not in index"),
+        ({"2019": 1.0, "2020": 0.0}, "2019",
+         "price index values must be positive"),
+        ({"2019": -1.0, "2020": 1.1}, "2020",
+         "price index values must be positive"),
+    ], ids=["base-not-in-index", "zero-price", "negative-price"])
+    def test_invalid_index_is_data_error(self, series, base, message):
+        with pytest.raises(DataError) as err:
+            ytx.DeflationIndex(series=series, base_time=base)
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize("text, message", [
+        ("year,cpi\n2019\n2020,1.1\n", "malformed index row ['2019']"),
+        ("year,cpi\n", "no usable index rows"),
+        ("\n\n", "no usable index rows"),
+    ], ids=["one-field-row", "header-only", "blank-lines-only"])
+    def test_index_from_csv_without_values_is_data_error(self, tmp_path,
+                                                          text, message):
+        path = tmp_path / "cpi.csv"
+        path.write_text(text)
+        with pytest.raises(DataError) as err:
+            ytx.DeflationIndex.from_csv(str(path))
+        assert str(err.value) == f"{path}: {message}"
+
     def test_forward_linear_in_y(self):
         t = ytx.fit_deflate([110.0, 55.0], ["2020", "2019"], self.index())
         aux = ["2020", "2019"]
@@ -300,6 +325,14 @@ class TestContextLength:
         rng = np.random.default_rng(15)
         with pytest.raises(DataError, match="context matrix length mismatch"):
             fit(rng.uniform(1.0, 2.0, size=50), rng.normal(size=(40, 2)))
+
+    @pytest.mark.parametrize("fit", [ytx.fit_expectation_normalize,
+                                     ytx.fit_regression_normalize])
+    def test_three_dimensional_context_is_data_error(self, fit):
+        rng = np.random.default_rng(16)
+        with pytest.raises(DataError) as err:
+            fit(rng.uniform(1.0, 2.0, size=50), rng.normal(size=(50, 2, 2)))
+        assert str(err.value) == "context must be a 2-D matrix"
 
 
 class TestRoundTrips:

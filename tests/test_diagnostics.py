@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 import re
 import warnings
 
@@ -8,7 +9,7 @@ import pytest
 from scipy import special
 
 import ytx
-from ytx import ctx, diagnostics as dg
+from ytx import core, ctx, diagnostics as dg
 from ytx.cli import main
 from ytx.errors import DataError
 
@@ -28,6 +29,13 @@ class TestSubjective:
         verdict = dg.detect_subjective(y, keys)
         assert verdict.flagged
         assert verdict.p_value < 1e-6
+
+    def test_perfectly_separated_groups(self):
+        # No spread within a subject: F is infinite and p is 0.
+        verdict = dg.detect_subjective([1.0, 1.0, 1.0, 4.0, 4.0, 4.0],
+                                       ["a", "a", "a", "b", "b", "b"])
+        assert verdict == dg.Verdict(flagged=True, statistic=math.inf,
+                                     p_value=0.0)
 
     def test_single_subject_rejected(self):
         with pytest.raises(DataError):
@@ -72,6 +80,14 @@ class TestTrend:
         time = list(range(1000))
         verdict = dg.detect_trend(rng.normal(size=1000), time)
         assert verdict.statistic < 0.1
+
+    @pytest.mark.parametrize("y, time", [
+        (np.arange(10.0), ["2000"] * 10),
+        (np.full(10, 3.0), [str(2000 + i) for i in range(10)]),
+    ], ids=["one-period", "constant-target"])
+    def test_constant_ranks_degenerate(self, y, time):
+        verdict = dg.detect_trend(y, time)
+        assert verdict == dg.Verdict(flagged=False, statistic=0.0)
 
     def test_uses_time_keys_not_row_order(self):
         rng = np.random.default_rng(3)
@@ -204,6 +220,11 @@ class TestContext:
         verdict = dg.detect_context(rng.normal(size=1000), phi)
         assert verdict.statistic < 0.05
         assert not verdict.flagged
+
+    def test_no_context_column_is_data_error(self):
+        with pytest.raises(DataError) as err:
+            dg.detect_context(np.arange(5.0), np.ones((5, 0)))
+        assert str(err.value) == "need at least one context column"
 
     def test_singular_design_warns(self):
         with pytest.warns(RuntimeWarning):
@@ -393,6 +414,12 @@ class TestDistribution:
         verdict = dg.detect_distribution(y, x.reshape(-1, 1))
         assert not verdict.details["skew_flag"]
         assert not verdict.details["hetero_flag"]
+
+    def test_fewer_than_twenty_samples_rejected(self):
+        with pytest.raises(DataError) as err:
+            dg.detect_distribution(np.arange(19.0), np.zeros((19, 0)))
+        assert str(err.value) == (
+            "distribution detector needs at least 20 samples")
 
     def test_constant_target_rejected(self):
         with pytest.raises(DataError):
@@ -666,6 +693,29 @@ class TestDiagnose:
         assert _summary_verdicts(capsys.readouterr().out) == [
             (name, "FLAGGED" if report.verdicts[name].flagged else "ok")
             for name in order]
+
+    @pytest.mark.parametrize("role, dropped", [
+        ("subject", "trial-minmax"), ("time", "deflate")])
+    def test_advice_names_only_kinds_the_roles_run(self, role, dropped):
+        # A planted subject effect or trend, with no 'trial' or
+        # 'price_index' role to run the second kind its flag suggests.
+        rng = np.random.default_rng(9)
+        n = 400
+        level = np.repeat(np.arange(10), n // 10)
+        y = 3.0 * level + rng.normal(size=n)
+        ds = ytx.Dataset(
+            features=rng.normal(size=(n, 1)), target=y, column_names=("x",),
+            roles=ytx.ColumnRoles(target="y", **{role: "k"}),
+            aux={role: np.array([str(k) for k in level], dtype=object)})
+        report = ytx.diagnose(ds)
+        assert report.verdicts["subjective" if role == "subject"
+                               else "trend"].flagged
+        advised = [kind for kind, _ in dg.recommend(report)]
+        kinds = [kind for kind, _ in report.recommendations]
+        assert dropped in advised and dropped not in kinds
+        assert kinds == [kind for kind in advised if kind != dropped]
+        for kind in kinds:
+            assert set(core.kind_fit(kind)[1]) <= set(ds.aux), kind
 
     def test_permutation_invariance(self):
         rng = np.random.default_rng(8)

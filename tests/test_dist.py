@@ -636,6 +636,12 @@ class TestQuantile:
         ks = stats.kstest(ytx.forward(t, y), "norm").statistic
         assert ks <= 0.05
 
+    @pytest.mark.parametrize("reference", ["cauchy", "Normal", ""])
+    def test_unknown_reference_rejected(self, reference):
+        with pytest.raises(DataError) as err:
+            ytx.fit_quantile(np.arange(20.0), reference)
+        assert str(err.value) == f"unknown quantile reference {reference!r}"
+
     def test_too_few_samples(self):
         with pytest.raises(DataError, match="too few samples"):
             ytx.fit_quantile(np.arange(5.0), "normal")
@@ -784,6 +790,12 @@ class TestSkewness:
     def test_constant_rejected(self):
         with pytest.raises(DataError, match="zero variance"):
             ytx.skewness(np.full(5, 2.0))
+
+    @pytest.mark.parametrize("y", [[], [1.0], [1.0, 2.0]])
+    def test_fewer_than_three_samples_rejected(self, y):
+        with pytest.raises(DataError) as err:
+            ytx.skewness(np.array(y))
+        assert str(err.value) == "skewness needs at least 3 samples"
 
     @given(st.floats(0.01, 100.0), st.floats(-50.0, 50.0))
     @settings(max_examples=25, deadline=None)

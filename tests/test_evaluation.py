@@ -28,6 +28,15 @@ class TestMetrics:
         with pytest.raises(DataError, match="zero denominator"):
             ytx.rse([2.0, 2.0], [1.0, 3.0])
 
+    @pytest.mark.parametrize("actual, predicted", [
+        ([1.0, 2.0, 3.0], [1.0, 2.0]), ([1.0], [1.0]), ([], []),
+        ([[1.0, 2.0]], [[1.0, 2.0]])])
+    def test_rse_needs_equal_vectors_of_two(self, actual, predicted):
+        with pytest.raises(DataError) as err:
+            ytx.rse(actual, predicted)
+        assert str(err.value) == (
+            "rse needs two equal-length vectors of length >= 2")
+
     def test_smape_perfect(self):
         assert ytx.smape([1.0, 2.0], [1.0, 2.0]) == 0.0
 
@@ -36,6 +45,14 @@ class TestMetrics:
 
     def test_smape_double_zero_convention(self):
         assert ytx.smape([0.0], [0.0]) == 0.0
+
+    @pytest.mark.parametrize("actual, predicted", [
+        ([1.0, 2.0], [1.0]), ([], []), ([[1.0]], [1.0])])
+    def test_smape_needs_equal_non_empty_vectors(self, actual, predicted):
+        with pytest.raises(DataError) as err:
+            ytx.smape(actual, predicted)
+        assert str(err.value) == (
+            "smape needs two equal-length non-empty vectors")
 
     def test_smape_bounded(self):
         rng = np.random.default_rng(0)
