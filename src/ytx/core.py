@@ -127,15 +127,15 @@ class Dataset:
         return self.features.shape[1]
 
 
-def _floats(tokens, rows=None, strip=True):
+def _floats(tokens, rows=None):
     """Parse a column of tokens as floats, nan where a token is not one.
 
     A column whose one-pass parse raises is parsed once more with each
     exact missing token read as nan; only when that also raises is it
-    parsed token by token: a rejected token is then stripped and, if
-    ``strip``, parsed again (float() refuses the ``\\x1c``-``\\x1f``
-    padding that str.strip() removes).  Returns None when a token on a row
-    set in ``rows`` is neither a float nor a missing marker: the column is
+    parsed token by token: a rejected token is then stripped and parsed
+    again (float() refuses the ``\\x1c``-``\\x1f`` padding that
+    str.strip() removes).  Returns None when a token on a row set in
+    ``rows`` is neither a float nor a missing marker: the column is
     categorical.
     """
     for parsed in (tokens, map(_AS_NAN.get, tokens, tokens)):
@@ -145,14 +145,14 @@ def _floats(tokens, rows=None, strip=True):
             pass
     values = np.full(len(tokens), math.nan)
     for i, token in enumerate(tokens):
-        for text in (token, token.strip()) if strip else (token,):
+        for text in (token, token.strip()):
             try:
                 values[i] = float(text)
                 break
             except ValueError:
                 pass
         else:
-            if rows is not None and rows[i] and text.strip() not in _MISSING:
+            if rows is not None and rows[i] and text not in _MISSING:
                 return None
     return values
 
@@ -345,42 +345,41 @@ def load_csv(path, roles, records=None):
     Rows whose target, role, or numeric feature values are missing or
     unparseable are dropped and counted.  Non-numeric feature columns are
     one-hot encoded with categories in lexicographic order; one with more
-    than :data:`_MAX_LEVELS` categories is a :class:`DataError`.  The file
-    is read by :func:`_read_chunks`, and each chunk's columns are parsed
-    as it is read, so one chunk's tokens are alive at a time.  A feature
-    column is numeric when every token on a row kept by the target and
-    role columns parses or is missing, over the whole file: a column that
-    meets another token after earlier chunks parsed as numbers is parsed
-    again from those chunks' records, held until the load ends.  Repeated
-    header names and a missing role column are a :class:`DataError`
-    raised once the whole file has been read, so that a malformed record
-    is reported first.  Given a list ``records``, the load appends the
-    header row and the chunks of data records to it, for write_records.
+    than :data:`_MAX_LEVELS` categories is a :class:`DataError`.  Each
+    chunk of :func:`_read_chunks` is parsed as it is read, every token
+    stripped first.  A feature column is numeric when every token on a row
+    kept by the target and role columns parses or is missing, over the
+    whole file: a column that meets another token after earlier chunks
+    parsed as numbers is parsed again from those chunks' records, so every
+    record read is held until the load ends (a ``csv.reader`` row as its
+    list of fields).  Repeated header names and a missing role column are
+    a :class:`DataError` raised at the header.  Given a list ``records``,
+    the load appends the header row and the chunks of data records to it,
+    for write_records.
     """
     chunks = _read_chunks(path)
     quote_free, head = next(chunks, (True, []))
     if not head:
         raise DataError(f"{path}: empty file")
     header = _rows((quote_free, head[:1]))[0]
-    chunks = itertools.chain([(quote_free, head[1:])], chunks)
     error = _header_error(path, header, roles)
     if error is not None:
-        for _ in chunks:
-            pass
+        chunks.close()
         raise error
+    chunks = itertools.chain([(quote_free, head[1:])], chunks)
 
     width = len(header)
     col = {name: j for j, name in enumerate(header)}
-    role_cols = list(dict.fromkeys(roles.role_columns()))
+    value_cols = list(dict.fromkeys([roles.target, *roles.role_columns()]))
     key_cols = {getattr(roles, name) for name in KEY_ROLES}
     feature_cols = [j for j, name in enumerate(header)
-                    if name != roles.target and name not in role_cols]
+                    if name not in value_cols]
     seen = {}
     read = []           # each chunk's records, for a column turned categorical
     n_rows = 0
     ragged = []
-    targets, keeps = [], []
-    role_parts = {name: [] for name in role_cols}
+    keeps = []
+    value_parts = {name: [] for name in value_cols}
     # Per feature column, each chunk's (values, present); a column in
     # `categorical` holds labels, any other floats.
     feature_parts = {j: [] for j in feature_cols}
@@ -397,17 +396,15 @@ def load_csv(path, roles, records=None):
 
         # A missing token never parses finite, so every drop is a mask
         # over the chunk's full-width rows.
-        target = _floats(columns[col[roles.target]], strip=False)
-        keep = np.isfinite(target)
-        for name in role_cols:
+        keep = np.ones(len(whole), dtype=bool)
+        for name in value_cols:
             if name in key_cols:
                 values, present = _labels(columns[col[name]], seen)
             else:
                 values = _floats(columns[col[name]])
                 present = np.isfinite(values)
             keep &= present
-            role_parts[name].append(values)
-        targets.append(target)
+            value_parts[name].append(values)
         keeps.append(keep)
 
         # Rows that other feature columns drop still enter the decision.
@@ -462,17 +459,17 @@ def load_csv(path, roles, records=None):
             names.append(header[j])
     features = np.column_stack([np.empty((rows.size, 0)), *blocks])
 
-    role_values = {name: np.concatenate(parts)[rows]
-                   for name, parts in role_parts.items()}
-    aux = {name: role_values[getattr(roles, name)]
+    by_name = {name: np.concatenate(parts)[rows]
+               for name, parts in value_parts.items()}
+    aux = {name: by_name[getattr(roles, name)]
            for name in ROLE_NAMES if getattr(roles, name) is not None}
     if roles.context:
         aux["context"] = np.column_stack(
-            [role_values[c] for c in roles.context])
+            [by_name[c] for c in roles.context])
 
     return Dataset(
         features=features,
-        target=np.concatenate(targets)[rows],
+        target=by_name[roles.target],
         column_names=tuple(names),
         roles=roles,
         aux=aux,
@@ -483,6 +480,23 @@ def load_csv(path, roles, records=None):
 
 # --------------------------------------------------------------------------
 # Fitted transforms
+
+#: how an error names each JSON type an entry read from JSON may hold
+_JSON_NAMES = {dict: "a JSON object", str: "a string", int: "an integer",
+               bool: "a boolean", list[str]: "a list of strings",
+               list[float]: "a list of numbers"}
+
+
+def _is_json(value, kind):
+    """Whether ``value`` is of the JSON ``kind`` (a key of ``_JSON_NAMES``,
+    or float for a number); true and false are neither integers nor
+    numbers."""
+    if kind in (list[str], list[float]):
+        return (isinstance(value, list)
+                and all(_is_json(v, *kind.__args__) for v in value))
+    return (isinstance(value, (int, float) if kind is float else kind)
+            and (kind is bool or not isinstance(value, bool)))
+
 
 KNOWN_KINDS = (
     "identity", "log-offset", "sqrt", "box-cox", "yeo-johnson",
@@ -509,9 +523,28 @@ class FittedTransform:
 
     @classmethod
     def from_json(cls, text):
-        obj = json.loads(text)
+        """Read what :meth:`to_json` writes.  A DataError names the first
+        problem of malformed text, and an unknown kind is a ConfigError."""
+        try:
+            obj = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise DataError(f"transform sidecar is not JSON: {exc}") from None
+        if not isinstance(obj, dict):
+            raise DataError("transform sidecar is not a JSON object")
+        for key, kind in (("kind", str), ("params", dict),
+                          ("training_target_range", list[float])):
+            if key not in obj:
+                raise DataError(f"transform sidecar lacks key {key!r}")
+            if not _is_json(obj[key], kind):
+                raise DataError(f"transform sidecar {key!r} is not "
+                                f"{_JSON_NAMES[kind]}")
+        bounds = obj["training_target_range"]
+        if len(bounds) != 2:
+            raise DataError("transform sidecar 'training_target_range' "
+                            "does not hold two numbers")
+        _lookup(_REGISTRY, obj["kind"])
         return cls(kind=obj["kind"], params=obj["params"],
-                   training_target_range=tuple(obj["training_target_range"]))
+                   training_target_range=tuple(bounds))
 
 
 #: kind -> (forward, inverse, inverse_range), filled by register_kind

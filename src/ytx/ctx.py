@@ -33,6 +33,7 @@ class _Grouping:
     slice) groups those rows, as ``_factorize`` groups their keys."""
 
     __slots__ = ("keys", "codes", "order", "bounds")
+    ndim = 1  # what np.ndim reads: it stands for a 1-D key column
 
     def __init__(self, keys, codes):
         counts = np.bincount(codes, minlength=len(keys))
@@ -82,7 +83,7 @@ def _group_keys(dataset, kinds):
 def _check_sized(values, name):
     """DataError naming ``name`` and its shape if ``values`` is 0-d (a
     scalar or a string) rather than one entry per row."""
-    if not isinstance(values, _Grouping) and np.ndim(values) == 0:
+    if np.ndim(values) == 0:
         raise DataError(f"{name} must have one entry per row, got shape "
                         f"{np.shape(values)}")
 
@@ -101,12 +102,10 @@ def _groups(y, keys, name):
     either is 0-d or ``keys`` is not one per row (``"<name> length
     mismatch"``), then if there are no rows."""
     y = np.asarray(y, dtype=float)
-    _check_sized(keys, name)
-    groups = _factorize(keys)
-    _check_length(groups, y, name)
+    _check_length(keys, y, name)
     if y.shape[0] == 0:
         raise DataError("empty dataset")
-    return y, groups
+    return y, _factorize(keys)
 
 
 def _require_keys(table, groups, missing):

@@ -81,7 +81,8 @@ class DiagnosticReport:
 
 
 def detect_subjective(y, subject, thresholds=Thresholds()):
-    """One-way ANOVA across subject groups."""
+    """One-way ANOVA across subject groups; a DataError unless there are
+    at least 2 subjects and more rows than subjects (df_b, df_w >= 1)."""
     y, subject = _groups(y, subject, "subject vector")
     # Groups in sorted-key order, each in row order, so the sums below add
     # the same terms in the same order as over y[keys == key] per key.
@@ -90,8 +91,8 @@ def detect_subjective(y, subject, thresholds=Thresholds()):
     groups = [grouped[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
     if len(groups) < 2:
         raise DataError("need at least 2 subjects")
-    if any(len(g) < 2 for g in groups):
-        raise DataError("every subject needs at least 2 samples")
+    if y.shape[0] <= len(groups):
+        raise DataError("need more rows than subjects")
     grand = y.mean()
     ssb = sum(len(g) * (g.mean() - grand) ** 2 for g in groups)
     ssw = sum(float(np.sum((g - g.mean()) ** 2)) for g in groups)

@@ -24,8 +24,9 @@ _GOLDEN = (3.0 - math.sqrt(5.0)) / 2.0
 # --------------------------------------------------------------------------
 # Normal distribution helpers
 #
-# scipy.special is imported where it is called, not with the module: loading
-# it takes about 0.3 s, and most commands never need a normal quantile.
+# scipy.special is imported where it is called, not with the module: a fresh
+# import of it took 0.27-0.64 s on 2-vCPU hosts, four times numpy's, and
+# most commands never need a normal quantile.
 
 def normal_cdf(x):
     """Standard normal CDF (scipy's ``ndtr``)."""

@@ -375,30 +375,13 @@ def fit_transform_kind(kind, y, columns=None):
 # --------------------------------------------------------------------------
 # Benchmark
 
-#: how an error names each JSON type a report entry may hold
-_JSON_NAMES = {dict: "a JSON object", str: "a string", int: "an integer",
-               bool: "a boolean", list[str]: "a list of strings",
-               list[float]: "a list of numbers"}
-
-
-def _is_json(value, kind):
-    """Whether ``value`` is of the JSON ``kind`` (a key of ``_JSON_NAMES``,
-    or float for a number); true and false are neither integers nor
-    numbers."""
-    if kind in (list[str], list[float]):
-        return (isinstance(value, list)
-                and all(_is_json(v, *kind.__args__) for v in value))
-    return (isinstance(value, (int, float) if kind is float else kind)
-            and (kind is bool or not isinstance(value, bool)))
-
-
 def _report_entry(obj, key, kind, where):
     """``obj[key]`` of a report being read, which must be of the JSON
     ``kind``; a DataError names a missing key or ``where``."""
     if key not in obj:
         raise DataError(f"report lacks key {key!r}")
-    if not _is_json(obj[key], kind):
-        raise DataError(f"{where} is not {_JSON_NAMES[kind]}")
+    if not core._is_json(obj[key], kind):
+        raise DataError(f"{where} is not {core._JSON_NAMES[kind]}")
     return obj[key]
 
 

@@ -647,6 +647,43 @@ class TestBenchmarkCommand:
         assert dropped not in transforms
         assert ("subject-center" in transforms) == (role == "subject")
 
+    def test_auto_runs_with_a_single_row_subject(self, tmp_path, capsys):
+        # 40 subjects of 10 rows and one of a single row.
+        rng = np.random.default_rng(1)
+        subject = np.append(np.repeat(np.arange(40), 10), 40)
+        x = rng.normal(size=401)
+        y = rng.normal(size=41)[subject] + 0.5 * x + 0.5 * rng.normal(
+            size=401)
+        path = tmp_path / "single.csv"
+        path.write_text("x,subject,y\n" + "".join(
+            f"{a},s{k},{b}\n" for a, k, b in zip(x, subject, y)))
+        roles = '{"target": "y", "subject": "subject"}'
+        assert main(["diagnose", "--input", str(path), "--roles",
+                     roles]) == 0
+        assert "subject-center" in capsys.readouterr().out
+        out_json = tmp_path / "bench.json"
+        assert main(["benchmark", "--input", str(path), "--roles", roles,
+                     "--model", "ridge", "--transform", "auto",
+                     "--out-json", str(out_json)]) == 0
+        assert capsys.readouterr().err == ""
+        assert "subject-center" in json.loads(
+            out_json.read_text())["transforms"]
+
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 10: advice outside "
+                                           "the target's domain")
+    def test_auto_runs_on_a_heteroscedastic_target_below_zero(
+            self, tmp_path):
+        # diagnose recommends sqrt, whose fit rejects a negative target.
+        rng = np.random.default_rng(5)
+        x = rng.normal(size=600)
+        y = 0.5 * x + np.exp(0.8 * x) * rng.normal(size=600)
+        path = tmp_path / "hetero.csv"
+        path.write_text("x,y\n" + "".join(
+            f"{a},{b}\n" for a, b in zip(x, y)))
+        assert main(["benchmark", "--input", str(path), "--roles", ROLES,
+                     "--model", "ridge", "--transform", "auto",
+                     "--out-json", str(tmp_path / "bench.json")]) == 0
+
     def test_threads_env_not_an_integer_is_config_error(
             self, skewed_csv, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("YTX_THREADS", "two")

@@ -1,4 +1,5 @@
 import csv
+import inspect
 import json
 import math
 
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import ytx
-from ytx import core, diagnostics
+from ytx import core, diagnostics, evaluation
 from ytx.core import _MISSING, ROLE_NAMES, Dataset
 from ytx.errors import ConfigError, DataError, TransformDomainError
 
@@ -254,7 +255,7 @@ def _reference_load_csv(path, roles):
             continue
         if row[col_index[roles.target]].strip() in _MISSING:
             continue
-        if _parse_float(row[col_index[roles.target]]) is None:
+        if _parse_float(row[col_index[roles.target]].strip()) is None:
             continue
         ok = True
         for col in roles.role_columns():
@@ -299,7 +300,8 @@ def _reference_load_csv(path, roles):
 
     n = len(final)
     target = np.array(
-        [_parse_float(data_rows[i][col_index[roles.target]]) for i in final])
+        [_parse_float(data_rows[i][col_index[roles.target]].strip())
+         for i in final])
 
     columns = []
     names = []
@@ -589,21 +591,31 @@ class TestStreamedColumns:
         ("x,x,y", {"target": "y"}, "repeated column names"),
         ("x,y", {"target": "y", "subject": "s"}, "missing role column"),
     ], ids=["repeated", "missing-role"])
-    def test_header_error_yields_to_a_later_bad_record(
-            self, tmp_path, quoted, header, roles, error):
+    def test_header_error_reads_one_chunk(
+            self, tmp_path, monkeypatch, quoted, header, roles, error):
+        # The header error is raised once the chunk holding the header is
+        # read, before the field over the size limit on row 30002.
         width = header.count(",")
         rows = "".join(f"{i}" + ",1" * width + "\n" for i in range(30000))
         if quoted:
             header = '"' + header.replace(",", '",', 1)
         path = tmp_path / "header.csv"
         roles = ytx.ColumnRoles(**roles)
-        path.write_text(f"{header}\n{rows}")
-        with pytest.raises(DataError, match=error):
-            ytx.load_csv(str(path), roles)
-        path.write_text(f'{header}\n{rows}"{"a" * 200000}",1\n')
-        with pytest.raises(DataError, match="row 30002: field larger than "
-                                            "field limit"):
-            ytx.load_csv(str(path), roles)
+        yielded = []
+        read_chunks = core._read_chunks
+
+        def counted(path):
+            for chunk in read_chunks(path):
+                yielded.append(len(chunk[1]))
+                yield chunk
+
+        monkeypatch.setattr(core, "_read_chunks", counted)
+        for bad in ("", f'"{"a" * 200000}",1\n'):
+            path.write_text(f"{header}\n{rows}{bad}")
+            yielded.clear()
+            with pytest.raises(DataError, match=error):
+                ytx.load_csv(str(path), roles)
+            assert len(yielded) == 1
 
     def test_equal_labels_are_one_object(self, tmp_path, quoted):
         text = "".join(f"{'ab'[i % 2]}{i % 3},{i}\n" for i in range(30000))
@@ -614,6 +626,19 @@ class TestStreamedColumns:
         first = {}
         assert all(first.setdefault(s, s) is s for s in subjects)
         assert len(first) == 6
+
+
+class TestTargetToken:
+    def test_floats_always_strips(self):
+        assert "strip" not in inspect.signature(core._floats).parameters
+
+    def test_separator_padded_target_and_frame_parse(self, tmp_path):
+        # float() refuses the \x1c padding that str.strip() removes.
+        path = write(tmp_path, "f,y\n\x1c5\x1c,\x1c5\x1c\n2,3\n")
+        ds = ytx.load_csv(path, ytx.ColumnRoles(target="y", frame="f"))
+        assert ds.target.tolist() == [5.0, 3.0]
+        assert ds.aux["frame"].tolist() == [5.0, 2.0]
+        assert ds.n_dropped == 0
 
 
 class TestOneHotLevelCap:
@@ -782,3 +807,61 @@ class TestTransformContract:
         t = ytx.fit_log_offset(np.array([-2.3, 1.0]))
         again = core.FittedTransform.from_json(t.to_json())
         assert again == t
+
+
+#: Every role, with keys, frames and prices a fit of each kind accepts.
+_ALL_ROLES = ytx.ColumnRoles(target="y", subject="s", time="t", trial="r",
+                             frame="f", price_index="p", context=("c",))
+
+
+class TestSidecar:
+    """FittedTransform.from_json reads what to_json writes, and names the
+    first problem of anything else."""
+
+    @pytest.mark.parametrize("kind", ytx.KNOWN_KINDS)
+    def test_every_kind_round_trips(self, tmp_path, kind):
+        rng = np.random.default_rng(3)
+        rows = [f"{i % 4},{i % 5},{i % 3},{1 + i % 7 / 10},{1 + i % 5 / 10},"
+                f"{rng.normal()},{rng.lognormal()}" for i in range(60)]
+        path = write(tmp_path, "s,t,r,f,p,c,y\n" + "\n".join(rows) + "\n")
+        ds = ytx.load_csv(path, _ALL_ROLES)
+        t = evaluation.fit_transform_kind(kind, ds.target, ds.aux)
+        again = core.FittedTransform.from_json(t.to_json())
+        assert again.to_json() == t.to_json()
+        assert again.kind == kind
+
+    @pytest.mark.parametrize("text, message", [
+        ("{", "transform sidecar is not JSON: Expecting property name "
+              "enclosed in double quotes: line 1 column 2 (char 1)"),
+        ("[]", "transform sidecar is not a JSON object"),
+        ("{}", "transform sidecar lacks key 'kind'"),
+        ('{"kind": "sqrt", "params": {}}',
+         "transform sidecar lacks key 'training_target_range'"),
+        ('{"kind": 5, "params": {}, "training_target_range": [0, 1]}',
+         "transform sidecar 'kind' is not a string"),
+        ('{"kind": "sqrt", "params": [], "training_target_range": [0, 1]}',
+         "transform sidecar 'params' is not a JSON object"),
+        ('{"kind": "sqrt", "params": {}, "training_target_range": 5}',
+         "transform sidecar 'training_target_range' is not a list of "
+         "numbers"),
+        ('{"kind": "sqrt", "params": {}, '
+         '"training_target_range": [0, true]}',
+         "transform sidecar 'training_target_range' is not a list of "
+         "numbers"),
+        ('{"kind": "sqrt", "params": {}, "training_target_range": [0]}',
+         "transform sidecar 'training_target_range' does not hold two "
+         "numbers"),
+    ], ids=["not-json", "not-object", "no-kind", "no-range",
+            "kind-not-string", "params-not-object", "range-number",
+            "range-boolean", "range-one-value"])
+    def test_malformed_is_data_error(self, text, message):
+        with pytest.raises(DataError) as err:
+            core.FittedTransform.from_json(text)
+        assert str(err.value) == message
+
+    def test_unknown_kind_is_config_error_when_read(self):
+        with pytest.raises(ConfigError) as err:
+            core.FittedTransform.from_json(
+                '{"kind": "bogus", "params": {}, '
+                '"training_target_range": [0, 1]}')
+        assert str(err.value) == "unknown transform kind 'bogus'"

@@ -1,3 +1,4 @@
+import inspect
 import math
 
 import numpy as np
@@ -538,8 +539,8 @@ def _reference_detect_subjective(y, subject, thresholds=Thresholds()):
     groups = [y[keys == key] for key in np.unique(keys)]
     if len(groups) < 2:
         raise DataError("need at least 2 subjects")
-    if any(len(g) < 2 for g in groups):
-        raise DataError("every subject needs at least 2 samples")
+    if y.shape[0] <= len(groups):
+        raise DataError("need more rows than subjects")
     grand = y.mean()
     ssb = sum(len(g) * (g.mean() - grand) ** 2 for g in groups)
     ssw = sum(float(np.sum((g - g.mean()) ** 2)) for g in groups)
@@ -702,6 +703,28 @@ class TestKeyedInputChecks:
     def test_check_order(self, call, name, y, keys, message):
         with pytest.raises(DataError, match=f"^{message.format(name)}$"):
             call(y, keys)
+
+    @pytest.mark.parametrize("call, name", [
+        (ctx.fit_subject_center, "subject vector"),
+        (dg.detect_subjective, "subject vector"),
+        (dg.detect_trend, "time vector"),
+    ], ids=["subject-center", "detect-subjective", "detect-trend"])
+    def test_length_is_checked_before_grouping(self, monkeypatch, call,
+                                               name):
+        grouped = []
+        monkeypatch.setattr(ctx, "_factorize", grouped.append)
+        with pytest.raises(DataError, match=f"^{name} length mismatch$"):
+            call([1.0, 2.0], ["a", "b", "a"])
+        assert grouped == []
+
+    def test_a_grouping_is_sized_as_a_key_column(self):
+        assert "isinstance" not in inspect.getsource(ctx._check_sized)
+        groups = ctx._factorize(["a", "b", "a"])
+        assert np.ndim(groups) == 1
+        ctx._check_length(groups, [1.0, 2.0, 3.0], "subject vector")
+        with pytest.raises(DataError, match="^subject vector length "
+                                            "mismatch$"):
+            ctx._check_length(groups, [1.0, 2.0], "subject vector")
 
 
 class TestUnicodeKeys:

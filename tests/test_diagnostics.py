@@ -41,6 +41,26 @@ class TestSubjective:
         with pytest.raises(DataError):
             dg.detect_subjective(np.arange(4.0), ["a"] * 4)
 
+    @pytest.mark.parametrize("singles", [1, 5])
+    def test_single_row_subjects_match_f_oneway(self, singles):
+        # A subject with one row adds to the between-subject sum and
+        # nothing to the within-subject sum.
+        from scipy import stats
+
+        rng = np.random.default_rng(1)
+        keys = np.append(np.repeat(np.arange(40), 10),
+                         np.arange(40, 40 + singles))
+        y = rng.normal(size=keys.size) + 0.5 * (keys % 3)
+        verdict = dg.detect_subjective(y, keys)
+        want = stats.f_oneway(*(y[keys == k] for k in np.unique(keys)))
+        assert verdict.statistic == pytest.approx(want.statistic, rel=1e-12)
+        assert verdict.p_value == pytest.approx(want.pvalue, rel=1e-9)
+        assert verdict.flagged
+
+    def test_every_subject_with_one_row_rejected(self):
+        with pytest.raises(DataError, match="^need more rows than subjects$"):
+            dg.detect_subjective(np.arange(4.0), ["a", "b", "c", "d"])
+
 
 class TestFrame:
     def test_proportional_target_flagged(self):
