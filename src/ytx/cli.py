@@ -22,7 +22,7 @@ def _load_roles(spec):
     text = spec
     if not spec.lstrip().startswith("{"):
         try:
-            text = "".join(core.read_lines(spec))
+            text = core.read_text(spec)
         except DataError as exc:
             raise ConfigError(f"roles file: {exc}") from None
     return core.ColumnRoles.from_json(text)
@@ -42,10 +42,7 @@ def _thresholds(pairs):
         if number is None or number != number:
             raise ConfigError(f"threshold {key!r}: {value!r} is not a number")
         overrides[key.strip()] = number
-    try:
-        return diagnostics.Thresholds().replace(**overrides)
-    except DataError as exc:
-        raise ConfigError(str(exc)) from exc
+    return diagnostics.Thresholds().replace(**overrides)
 
 
 def _open_out(path, newline=None):
@@ -57,13 +54,21 @@ def _open_out(path, newline=None):
         raise ConfigError(f"cannot write {path}: {exc}") from exc
 
 
-def _check_out_dirs(*paths):
-    """Raise a ConfigError for the first output path whose directory is
-    missing or that is a directory; called before any input is read, so no
-    other output is written."""
+def _check_outputs(source, *paths):
+    """Raise a ConfigError for the first output path that is the input file
+    ``source``, lies in a missing directory other than the input's (reading
+    the input reports that one) or is a directory; called before any input
+    is read, so no other output is written."""
     for path in filter(None, paths):
+        try:
+            same = os.path.samefile(source, path)
+        except OSError:  # a file is missing, so the path is not the input
+            same = False
+        if same:
+            raise ConfigError(f"cannot write {path}: it is the input file")
         folder = os.path.dirname(path) or "."
-        if not os.path.isdir(folder):
+        if (folder != (os.path.dirname(source) or ".")
+                and not os.path.isdir(folder)):
             raise ConfigError(f"cannot write {path}: no directory {folder!r}")
         if os.path.isdir(path):
             raise ConfigError(f"cannot write {path}: is a directory")
@@ -76,7 +81,7 @@ def _write(path, text):
 
 def cmd_diagnose(args):
     thresholds = _thresholds(args.threshold)
-    _check_out_dirs(args.out_json)
+    _check_outputs(args.input, args.out_json)
     roles = _load_roles(args.roles)
     dataset = core.load_csv(args.input, roles)
     report = diagnostics.diagnose(dataset, thresholds)
@@ -102,16 +107,8 @@ def cmd_transform(args):
     if len(kinds) != 1:
         raise ConfigError("transform requires exactly one --transform")
     kind = kinds[0]
-    # The default --out-csv sits next to the input, so its directory
-    # exists once the input has been read.
-    _check_out_dirs(args.out_csv, args.out_json)
     out_csv = args.out_csv or (args.input + ".transformed.csv")
-    try:
-        same = os.path.samefile(args.input, out_csv)
-    except OSError:  # a file is missing; load_csv reports a missing input
-        same = False
-    if same:
-        raise ConfigError("--out-csv must not be the input file")
+    _check_outputs(args.input, out_csv, args.out_json)
     roles = _load_roles(args.roles)
     records = []
     dataset = ctx._group_keys(core.load_csv(args.input, roles, records),
@@ -139,10 +136,11 @@ def _threads_from_env():
 
 
 def cmd_benchmark(args):
+    threads = _threads_from_env()
     thresholds = _thresholds(args.threshold)
     kinds = list(args.transform or [])
     models = tuple(args.model or evaluation.MODELS)
-    _check_out_dirs(args.out_json, args.out_md)
+    _check_outputs(args.input, args.out_json, args.out_md)
     roles = _load_roles(args.roles)
     dataset = core.load_csv(args.input, roles)
     if "auto" in kinds:
@@ -156,7 +154,7 @@ def cmd_benchmark(args):
     name = os.path.splitext(os.path.basename(args.input))[0]
     report = evaluation.run_benchmark(
         dataset, models=models, transforms=tuple(kinds),
-        seed=args.seed, alpha=args.alpha, threads=_threads_from_env(),
+        seed=args.seed, alpha=args.alpha, threads=threads,
         dataset_name=name)
     if args.out_json:
         _write(args.out_json, report.to_json() + "\n")
@@ -174,9 +172,9 @@ def _print_markdown(report, out_md):
 
 
 def cmd_report(args):
-    _check_out_dirs(args.out_md)
+    _check_outputs(args.in_json, args.out_md)
     try:
-        obj = json.loads("".join(core.read_lines(args.in_json)))
+        obj = json.loads(core.read_text(args.in_json))
     except json.JSONDecodeError as exc:
         raise DataError(f"{args.in_json}: invalid JSON: {exc}") from exc
     try:

@@ -198,16 +198,15 @@ def _open_text(path):
         raise _not_utf8(path) from None
 
 
-def read_lines(path):
-    """Yield the lines of a UTF-8 text file, ends kept, split as ``csv``
-    reads them; the file is opened by :func:`_open_text`."""
+def read_text(path):
+    """The text of a UTF-8 file, as :func:`_open_text` opens it."""
     with _open_text(path) as handle:
-        yield from handle
+        return handle.read()
 
 
-#: Size hint, in characters, of the lines read_rows reads at a time.
+#: Size hint, in characters, of the lines _read_chunks reads at a time.
 _CHUNK_HINT = 1 << 17
-#: Rows per list that read_rows yields once csv.reader reads the file.
+#: Rows per list that _read_chunks yields once csv.reader reads the file.
 _CSV_ROWS = 4096
 
 
@@ -252,10 +251,9 @@ def _read_chunks(path):
 
 
 def read_rows(path):
-    """An iterator over the rows of a CSV file as Python's ``csv`` module
-    (excel dialect) reads them, in lists of consecutive rows, one list
-    per chunk of :func:`_read_chunks`."""
-    return map(_rows, _read_chunks(path))
+    """Yield the rows of a CSV file as ``csv.reader`` reads them."""
+    for chunk in _read_chunks(path):
+        yield from _rows(chunk)
 
 
 def _rows(chunk):

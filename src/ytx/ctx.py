@@ -254,8 +254,8 @@ class DeflationIndex:
         be a header, and any later value that does not parse is a
         DataError naming its row (the file's first row is row 1)."""
         series = {}
-        rows = [(number, row) for number, row in enumerate(
-            itertools.chain.from_iterable(read_rows(path)), 1) if row]
+        rows = [(number, row)
+                for number, row in enumerate(read_rows(path), 1) if row]
         for number, row in rows:
             if len(row) < 2:
                 raise DataError(f"{path}: malformed index row {row!r}")

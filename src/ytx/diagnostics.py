@@ -16,7 +16,7 @@ import numpy as np
 from .core import kind_fit
 from .ctx import _check_length, _design, _groups, _lstsq, _time_sort_key
 from .dist import skewness
-from .errors import DataError
+from .errors import ConfigError, DataError
 
 _EPS = np.finfo(float).eps
 
@@ -34,12 +34,10 @@ class Thresholds:
     hetero_p: float = 0.05
 
     def replace(self, /, **overrides):
-        values = asdict(self)
-        unknown = set(overrides) - set(values)
+        unknown = overrides.keys() - asdict(self).keys()
         if unknown:
-            raise DataError(f"unknown thresholds: {sorted(unknown)}")
-        values.update(overrides)
-        return Thresholds(**values)
+            raise ConfigError(f"unknown thresholds: {sorted(unknown)}")
+        return replace(self, **overrides)
 
 
 @dataclass(frozen=True)

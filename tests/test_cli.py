@@ -46,7 +46,7 @@ def _reference_transform_csv(path, target, kept_rows, transformed):
     kept = set(kept_rows)
     values = iter(transformed)
     out = io.StringIO(newline="")
-    reader = csv.reader(core.read_lines(path))
+    reader = csv.reader(io.StringIO(core.read_text(path), newline=""))
     writer = csv.writer(out)
     header = next(reader)
     writer.writerow(header)
@@ -470,8 +470,19 @@ class TestTransformCommand:
         assert main(["transform", "--input", str(path), "--roles", ROLES,
                      "--transform", "sqrt", "--out-csv", str(path)]) == 2
         assert capsys.readouterr().err == (
-            "error: --out-csv must not be the input file\n")
+            f"error: cannot write {path}: it is the input file\n")
         assert path.read_bytes() == before
+
+    def test_default_output_linked_to_the_input_is_config_error(
+            self, skewed_csv, capsys):
+        link = skewed_csv + ".transformed.csv"
+        os.symlink(skewed_csv, link)
+        before = Path(skewed_csv).read_bytes()
+        assert main(["transform", "--input", skewed_csv, "--roles", ROLES,
+                     "--transform", "identity"]) == 2
+        assert capsys.readouterr().err == (
+            f"error: cannot write {link}: it is the input file\n")
+        assert Path(skewed_csv).read_bytes() == before
 
     def test_missing_input_next_to_existing_output_is_data_error(
             self, tmp_path, capsys):
@@ -693,6 +704,15 @@ class TestBenchmarkCommand:
         assert capsys.readouterr().err == (
             "error: YTX_THREADS='two' is not an integer\n")
         assert not out_json.exists()
+
+    def test_threads_env_is_checked_before_reading(self, tmp_path,
+                                                   monkeypatch, capsys):
+        # A missing input would be a data error (exit 3) if it were read.
+        monkeypatch.setenv("YTX_THREADS", "two")
+        assert main(["benchmark", "--input", str(tmp_path / "none.csv"),
+                     "--roles", ROLES]) == 2
+        assert capsys.readouterr().err == (
+            "error: YTX_THREADS='two' is not an integer\n")
 
     def test_threads_env(self, skewed_csv, tmp_path, monkeypatch):
         out = []
@@ -941,18 +961,39 @@ class TestUnwritableOutput:
                                           skewed_csv, tmp_path, capsys)
         assert err == f"error: cannot write {bad}: is a directory\n"
 
+    @pytest.mark.parametrize("alias", ["same", "dot", "link"])
+    @pytest.mark.parametrize("command, flag", OUTPUTS)
+    def test_input_file_is_config_error(self, command, flag, alias,
+                                        skewed_csv, tmp_path, monkeypatch,
+                                        capsys):
+        monkeypatch.chdir(tmp_path)
+
+        def name(source):
+            """A path naming the input file ``source``."""
+            if alias == "link":
+                os.symlink(source, "link")
+                return "link"
+            if alias == "dot":
+                return "./" + os.path.basename(source)
+            return source
+        err = self._check_nothing_written(command, flag, name, skewed_csv,
+                                          tmp_path, capsys)
+        assert err.endswith(": it is the input file\n")
+
     @staticmethod
     def _check_nothing_written(command, flag, bad, skewed_csv, tmp_path,
                                capsys):
-        """Run ``command`` with ``flag`` set to the unwritable path ``bad``;
-        it must exit 2 naming ``bad`` with nothing written.  Returns the
-        standard error."""
+        """Run ``command`` with ``flag`` set to the unwritable path ``bad``,
+        or to ``bad(input path)`` if it is a function; it must exit 2
+        naming that path with nothing written and the input unchanged.
+        Returns the standard error."""
         if command == "report":
-            bench = tmp_path / "bench.json"
+            source = str(tmp_path / "bench.json")
             main(["benchmark", "--input", skewed_csv, "--roles", ROLES,
-                  "--model", "ridge", "--out-json", str(bench)])
-            argv = ["report", "--in-json", str(bench)]
+                  "--model", "ridge", "--out-json", source])
+            argv = ["report", "--in-json", source]
         else:
+            source = skewed_csv
             argv = [command, "--input", skewed_csv, "--roles", ROLES]
         if command == "benchmark":
             argv += ["--model", "ridge"]
@@ -967,6 +1008,9 @@ class TestUnwritableOutput:
                  ("benchmark", "--out-md"): "--out-json"}.get((command, flag))
         if other:
             argv += [other, str(outs / "other")]
+        if callable(bad):
+            bad = bad(source)
+        before = Path(source).read_bytes()
         capsys.readouterr()
         assert main(argv + [flag, bad]) == 2
         captured = capsys.readouterr()
@@ -975,6 +1019,7 @@ class TestUnwritableOutput:
         assert captured.out == ""
         assert os.listdir(outs) == []
         assert not os.path.exists(skewed_csv + ".transformed.csv")
+        assert Path(source).read_bytes() == before
         return captured.err
 
     @pytest.mark.parametrize("command, flag", [

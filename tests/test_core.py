@@ -453,9 +453,8 @@ class TestReadRows:
         path.write_bytes(text.encode("utf-8"))
         with open(path, newline="", encoding="utf-8") as handle:
             want = list(csv.reader(handle))
-        chunks = list(core.read_rows(str(path)))
-        assert all(chunks)
-        assert [row for chunk in chunks for row in chunk] == want
+        assert all(records for _, records in core._read_chunks(str(path)))
+        assert list(core.read_rows(str(path))) == want
 
     @pytest.mark.parametrize("head, row", [
         ("x,y\n1,2\n", 3),

@@ -11,7 +11,7 @@ from scipy import special
 import ytx
 from ytx import core, ctx, diagnostics as dg
 from ytx.cli import main
-from ytx.errors import DataError
+from ytx.errors import ConfigError, DataError
 
 
 class TestSubjective:
@@ -749,8 +749,8 @@ class TestDiagnose:
         assert base.p_value == pytest.approx(shuffled.p_value)
 
     def test_thresholds_replace_rejects_unknown(self):
-        with pytest.raises(DataError):
+        with pytest.raises(ConfigError):
             dg.Thresholds().replace(bogus=1.0)
-        with pytest.raises(DataError,
+        with pytest.raises(ConfigError,
                            match=r"^unknown thresholds: \['self'\]$"):
             dg.Thresholds().replace(self=1.0)
