@@ -54,18 +54,32 @@ def _open_out(path, newline=None):
         raise ConfigError(f"cannot write {path}: {exc}") from exc
 
 
+def _one_file(a, b):
+    """Whether the paths ``a`` and ``b`` name one file, written or not."""
+    try:
+        return os.path.samefile(a, b)
+    except OSError:  # a file is missing: compare the resolved paths
+        return os.path.realpath(a) == os.path.realpath(b)
+
+
 def _check_outputs(source, *paths):
     """Raise a ConfigError for the first output path that is the input file
-    ``source``, lies in a missing directory other than the input's (reading
-    the input reports that one) or is a directory; called before any input
-    is read, so no other output is written."""
-    for path in filter(None, paths):
+    ``source``, names the same file as an earlier output path, lies in a
+    missing directory other than the input's (reading the input reports
+    that one) or is a directory; called before any input is read, so no
+    other output is written."""
+    paths = list(filter(None, paths))
+    for i, path in enumerate(paths):
         try:
             same = os.path.samefile(source, path)
         except OSError:  # a file is missing, so the path is not the input
             same = False
         if same:
             raise ConfigError(f"cannot write {path}: it is the input file")
+        for earlier in paths[:i]:
+            if _one_file(earlier, path):
+                raise ConfigError(
+                    f"cannot write {path}: it is also the output {earlier}")
         folder = os.path.dirname(path) or "."
         if (folder != (os.path.dirname(source) or ".")
                 and not os.path.isdir(folder)):

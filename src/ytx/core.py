@@ -157,6 +157,24 @@ def _floats(tokens, rows=None):
     return values
 
 
+def _float_matrix(lines, width):
+    """The fields of quote-free ``lines`` of ``width`` fields each, as
+    numpy's C reader parses them: floats only, each stripped of the
+    whitespace str.strip() removes.  None when it rejects a token (a
+    missing one too) or does not give one row per line."""
+    try:
+        matrix = np.loadtxt(lines, dtype=float, delimiter=",", comments=None,
+                            ndmin=2)
+    except ValueError:
+        return None
+    return matrix if matrix.shape == (len(lines), width) else None
+
+
+def _parsed(values, rows=None):
+    """A column of :func:`_float_matrix`, as :func:`_floats` gives it."""
+    return values
+
+
 def _labels(tokens, seen):
     """A column's stripped tokens and which are not missing.
 
@@ -354,6 +372,13 @@ def load_csv(path, roles, records=None):
     a :class:`DataError` raised at the header.  Given a list ``records``,
     the load appends the header row and the chunks of data records to it,
     for write_records.
+
+    While no key role is read and no column is categorical, a quote-free
+    chunk with a data line and no bare line end is first given whole to
+    numpy's C reader (:func:`_float_matrix`), which reads the same float
+    from each token it accepts.  From the first chunk it rejects (a token
+    that is missing or not in its float syntax, or a row of another
+    width), every chunk's tokens are parsed as above.
     """
     chunks = _read_chunks(path)
     quote_free, head = next(chunks, (True, []))
@@ -383,23 +408,38 @@ def load_csv(path, roles, records=None):
     feature_parts = {j: [] for j in feature_cols}
     categorical = set()
 
+    # numpy's reader skips a bare line end, which is a ragged row here,
+    # and warns on a chunk of nothing else: such a chunk takes the tokens.
+    fast = key_cols.isdisjoint(value_cols)
     for chunk in chunks:
-        rows = _rows(chunk)
-        whole = [row for row in rows if len(row) == width]
-        if len(whole) != len(rows):
-            ragged.extend(i for i, row in enumerate(rows, n_rows)
-                          if len(row) != width)
-        n_rows += len(rows)
-        columns = list(zip(*whole)) or [()] * width
+        quote_free, lines = chunk
+        matrix = None
+        if (fast and quote_free and lines and not categorical
+                and not any(end in lines for end in ("\n", "\r\n", "\r"))):
+            matrix = _float_matrix(lines, width)
+            fast = matrix is not None
+        if matrix is not None:
+            n_rows += len(lines)
+            columns = matrix.T
+            parse = _parsed
+        else:
+            rows = _rows(chunk)
+            whole = [row for row in rows if len(row) == width]
+            if len(whole) != len(rows):
+                ragged.extend(i for i, row in enumerate(rows, n_rows)
+                              if len(row) != width)
+            n_rows += len(rows)
+            columns = list(zip(*whole)) or [()] * width
+            parse = _floats
 
         # A missing token never parses finite, so every drop is a mask
         # over the chunk's full-width rows.
-        keep = np.ones(len(whole), dtype=bool)
+        keep = np.ones(len(columns[0]), dtype=bool)
         for name in value_cols:
             if name in key_cols:
                 values, present = _labels(columns[col[name]], seen)
             else:
-                values = _floats(columns[col[name]])
+                values = parse(columns[col[name]])
                 present = np.isfinite(values)
             keep &= present
             value_parts[name].append(values)
@@ -408,7 +448,7 @@ def load_csv(path, roles, records=None):
         # Rows that other feature columns drop still enter the decision.
         for j in feature_cols:
             tokens = columns[j]
-            values = None if j in categorical else _floats(tokens, rows=keep)
+            values = None if j in categorical else parse(tokens, rows=keep)
             if values is not None:
                 feature_parts[j].append((values, np.isfinite(values)))
                 continue

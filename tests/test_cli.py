@@ -980,6 +980,30 @@ class TestUnwritableOutput:
                                           tmp_path, capsys)
         assert err.endswith(": it is the input file\n")
 
+    @pytest.mark.parametrize("alias", ["same", "dot"])
+    @pytest.mark.parametrize("command, first, second", [
+        ("benchmark", "--out-json", "--out-md"),
+        ("transform", "--out-csv", "--out-json")])
+    def test_two_outputs_naming_one_file_are_config_error(
+            self, command, first, second, alias, skewed_csv, tmp_path,
+            monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        os.mkdir("outs")
+        argv = [command, "--input", skewed_csv, "--roles", ROLES,
+                *{"benchmark": ["--model", "ridge"],
+                  "transform": ["--transform", "identity"]}[command],
+                first, "outs/r", second,
+                "outs/r" if alias == "same" else "./outs/r"]
+        before = Path(skewed_csv).read_bytes()
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err == (f"error: cannot write {argv[-1]}: it is also "
+                                f"the output outs/r\n")
+        assert captured.out == ""
+        assert os.listdir("outs") == []
+        assert not os.path.exists(skewed_csv + ".transformed.csv")
+        assert Path(skewed_csv).read_bytes() == before
+
     @staticmethod
     def _check_nothing_written(command, flag, bad, skewed_csv, tmp_path,
                                capsys):

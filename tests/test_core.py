@@ -2,6 +2,7 @@ import csv
 import inspect
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -411,9 +412,9 @@ def _load_either(loader, path, roles):
         return str(exc)
 
 
-def _assert_same_load(path, roles):
+def _assert_same_load(path, roles, oracle=_reference_load_csv):
     got = _load_either(ytx.load_csv, path, roles)
-    want = _load_either(_reference_load_csv, path, roles)
+    want = _load_either(oracle, path, roles)
     if isinstance(want, str) or isinstance(got, str):
         assert got == want
         return
@@ -625,6 +626,160 @@ class TestStreamedColumns:
         first = {}
         assert all(first.setdefault(s, s) is s for s in subjects)
         assert len(first) == 6
+
+
+def _wide_lines(n_rows, width):
+    """Header and ``n_rows`` quote-free numeric rows of ``width`` columns,
+    the last named y."""
+    names = [f"x{j}" for j in range(width - 1)] + ["y"]
+    return [",".join(names) + "\n"] + [
+        ",".join(repr(math.sin(i * width + j) * 1e4) for j in range(width))
+        + "\n" for i in range(n_rows)]
+
+
+def _with_row(lines, i, fields):
+    """``lines`` with data row ``i`` (from 0) starting with ``fields``."""
+    lines = list(lines)
+    old = lines[i + 1].split(",")
+    lines[i + 1] = ",".join(fields + old[len(fields):])
+    return "".join(lines)
+
+
+#: Fills three of read_rows's chunks at the default size hint; row 300 is
+#: in the second.
+_WIDE = _wide_lines(600, 30)
+
+#: Tokens that float() reads, once stripped, and numpy's C reader rejects.
+_UNREAD = ["1_0", "\u0661"]
+#: Tokens that both read to the same float.
+_READ = ["\x1c1.5", " 1.5", "+.5", "1e-320", "1e400", "-nan", "Infinity",
+         "-0"]
+
+
+def _load_by_tokens(path, roles):
+    """load_csv with numpy's reader rejecting every chunk."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(core, "_float_matrix", lambda lines, width: None)
+        return ytx.load_csv(path, roles)
+
+
+@pytest.mark.parametrize("hint", [16, 1 << 17])
+class TestFloatMatrix:
+    """Chunks numpy's C reader parses load as their tokens do."""
+
+    @pytest.fixture(autouse=True)
+    def _hint(self, monkeypatch, hint):
+        monkeypatch.setattr(core, "_CHUNK_HINT", hint)
+
+    @staticmethod
+    def _check(tmp_path, monkeypatch, text):
+        """Load ``text`` with its first and its last column as the target
+        and compare each load with the reference loader and the token path,
+        with no warning.  Returns, per load, the ``(lines, accepted)`` of
+        each chunk given to numpy's reader, in order."""
+        path = tmp_path / "fast.csv"
+        path.write_bytes(text.encode("utf-8"))
+        loads = []
+        read = core._float_matrix
+
+        def spy(lines, width):
+            matrix = read(lines, width)
+            loads[-1].append((lines, matrix is not None))
+            return matrix
+
+        monkeypatch.setattr(core, "_float_matrix", spy)
+        header = text.splitlines()[0].split(",")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for target in dict.fromkeys([header[0], header[-1]]):
+                roles = ytx.ColumnRoles(target=target)
+                for oracle in (_reference_load_csv, _load_by_tokens):
+                    loads.append([])
+                    _assert_same_load(str(path), roles, oracle)
+        return loads
+
+    @classmethod
+    def _assert_fast(cls, tmp_path, monkeypatch, text):
+        """Every chunk numpy's reader was given, at least one, it read."""
+        for calls in cls._check(tmp_path, monkeypatch, text):
+            assert calls and all(accepted for _, accepted in calls)
+
+    @classmethod
+    def _assert_rejected_last(cls, tmp_path, monkeypatch, text):
+        """numpy's reader read chunks until it rejected one, then was not
+        called again."""
+        for calls in cls._check(tmp_path, monkeypatch, text):
+            accepted = [ok for _, ok in calls]
+            assert len(accepted) > 1
+            assert accepted == [True] * (len(accepted) - 1) + [False]
+
+    @pytest.mark.parametrize("token", _UNREAD)
+    def test_token_it_rejects_hands_over_to_tokens(self, tmp_path,
+                                                   monkeypatch, token):
+        self._assert_rejected_last(tmp_path, monkeypatch,
+                                   _with_row(_WIDE, 300, [token, token]))
+
+    @pytest.mark.parametrize("token", _READ)
+    def test_token_both_read_stays_fast(self, tmp_path, monkeypatch, token):
+        self._assert_fast(tmp_path, monkeypatch,
+                          _with_row(_WIDE, 590, [token, "2", token]))
+
+    @pytest.mark.parametrize("at", ["first", "last"])
+    def test_hash_in_a_field_is_not_a_comment(self, tmp_path, monkeypatch,
+                                              at):
+        # As a comment, the "#" of the last field would hide "#2\n".
+        text = (_with_row(_WIDE, 300, ["1#2"]) if at == "first" else
+                "".join(_WIDE[:301] + [_WIDE[301].replace("\n", "#2\n")]
+                        + _WIDE[302:]))
+        self._assert_rejected_last(tmp_path, monkeypatch, text)
+
+    def test_crlf_line_ends(self, tmp_path, monkeypatch):
+        self._assert_fast(tmp_path, monkeypatch,
+                          "".join(_WIDE).replace("\n", "\r\n"))
+
+    def test_bare_line_end_mid_file_skips_its_chunk(self, tmp_path,
+                                                    monkeypatch):
+        lines = list(_WIDE)
+        lines[301] = "\n"
+        # Its chunk is not given to numpy's reader, and later ones are.
+        for calls in self._check(tmp_path, monkeypatch, "".join(lines)):
+            assert all(accepted for _, accepted in calls)
+            assert all("\n" not in chunk for chunk, _ in calls)
+            assert calls[-1][0][-1] == lines[-1]
+
+    def test_column_turned_categorical_keeps_the_token_path(
+            self, tmp_path, monkeypatch):
+        # Text next to a bare line end, which keeps numpy's reader off that
+        # chunk, makes x0 categorical; later chunks need its labels.
+        lines = list(_WIDE)
+        lines[301] = "\n"
+        lines[302] = "abc" + lines[302][lines[302].index(","):]
+        loads = self._check(tmp_path, monkeypatch, "".join(lines))
+        for calls in loads:
+            assert calls and all(accepted for _, accepted in calls)
+        # The loads with target y; as the target, x0 stays numeric.
+        for calls in loads[2:]:
+            assert all(set(chunk) <= set(lines[:301]) for chunk, _ in calls)
+
+    def test_one_column_file(self, tmp_path, monkeypatch):
+        self._assert_fast(tmp_path, monkeypatch, "y\n" + "".join(
+            f"{i % 7}.5\n" for i in range(30000)))
+
+    def test_first_chunk_holding_only_the_header(self, tmp_path,
+                                                 monkeypatch, hint):
+        # A header longer than the hint is a chunk of its own, with no data
+        # line for numpy's reader (which warns on an empty input).
+        header = "first_column_name,y\n"
+        self._assert_fast(tmp_path, monkeypatch,
+                          header + "1,2\n3,4\n5,6\n")
+        first = next(core._read_chunks(str(tmp_path / "fast.csv")))[1]
+        assert (first == [header]) == (hint == 16)
+
+    @pytest.mark.parametrize("token", ["", "NA", "?"])
+    def test_missing_token_in_a_late_chunk(self, tmp_path, monkeypatch,
+                                           token):
+        self._assert_rejected_last(tmp_path, monkeypatch,
+                                   _with_row(_WIDE, 300, [token]))
 
 
 class TestTargetToken:
