@@ -587,7 +587,7 @@ class FittedTransform:
 
 #: kind -> (forward, inverse, inverse_range), filled by register_kind
 _REGISTRY = {}
-#: kind -> (fit, roles), filled by register_kind
+#: kind -> (fit, roles, min_target), filled by register_kind
 _FITS = {}
 #: the kinds that read a role column, filled by register_kind
 AUX_KINDS = set()
@@ -599,8 +599,10 @@ def _total_range(params):
 
 
 def register_kind(kind, fit, forward_fn, inverse_fn,
-                  inverse_range_fn=_total_range, roles=()):
-    """Declare a transform kind: its fit, its maps and the roles it reads.
+                  inverse_range_fn=_total_range, roles=(),
+                  min_target=-math.inf):
+    """Declare a transform kind: its fit, its maps, the roles it reads and
+    the targets it accepts.
 
     ``fit(y, *columns)`` gets the training targets and the columns of
     ``roles``, in that order, and reads the targets through
@@ -610,11 +612,12 @@ def register_kind(kind, fit, forward_fn, inverse_fn,
     ``forward_fn(params, y, aux)`` and ``inverse_fn(params, z, aux)`` get
     the first role's column as ``aux`` (None without roles).
     ``inverse_range_fn(params)`` gives the open interval the inverse
-    accepts; the default is the whole line.  A new kind also needs its
-    entry in :data:`KNOWN_KINDS`.
+    accepts; the default is the whole line.  ``min_target`` is the least
+    target the fit accepts; the default accepts any finite target.  A new
+    kind also needs its entry in :data:`KNOWN_KINDS`.
     """
     _REGISTRY[kind] = (forward_fn, inverse_fn, inverse_range_fn)
-    _FITS[kind] = (fit, tuple(roles))
+    _FITS[kind] = (fit, tuple(roles), min_target)
     if roles:
         AUX_KINDS.add(kind)
 
@@ -626,7 +629,7 @@ def _lookup(table, kind):
 
 
 def kind_fit(kind):
-    """A registered kind's ``(fit, roles)``."""
+    """A registered kind's ``(fit, roles, min_target)``."""
     return _lookup(_FITS, kind)
 
 

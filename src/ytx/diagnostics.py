@@ -285,7 +285,8 @@ def recommend(report):
 
 def diagnose(dataset, thresholds=Thresholds()):
     """Run every detector the dataset's roles permit and attach advice,
-    keeping only the kinds whose roles the dataset has."""
+    keeping only the kinds whose roles the dataset has and whose fit
+    accepts its target."""
     y = dataset.target
     subjective = frame = trend = context = None
     if "subject" in dataset.aux:
@@ -300,6 +301,8 @@ def diagnose(dataset, thresholds=Thresholds()):
     report = DiagnosticReport(
         subjective=subjective, frame=frame, trend=trend, context=context,
         distribution=distribution)
+    least = y.min(initial=np.inf)
     runnable = tuple((kind, reason) for kind, reason in recommend(report)
-                     if set(kind_fit(kind)[1]) <= dataset.aux.keys())
+                     if set(kind_fit(kind)[1]) <= dataset.aux.keys()
+                     and least >= kind_fit(kind)[2])
     return replace(report, recommendations=runnable)

@@ -108,7 +108,7 @@ def _sqrt_forward(params, y, aux):
 
 register_kind("sqrt", lambda y: fit_sqrt(y), _sqrt_forward,
               lambda p, z, aux: np.square(z),
-              lambda p: (0.0, math.inf))
+              lambda p: (0.0, math.inf), min_target=0.0)
 
 
 # --------------------------------------------------------------------------

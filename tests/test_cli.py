@@ -680,11 +680,10 @@ class TestBenchmarkCommand:
         assert "subject-center" in json.loads(
             out_json.read_text())["transforms"]
 
-    @pytest.mark.xfail(strict=True, reason="ROADMAP item 10: advice outside "
-                                           "the target's domain")
     def test_auto_runs_on_a_heteroscedastic_target_below_zero(
             self, tmp_path):
-        # diagnose recommends sqrt, whose fit rejects a negative target.
+        # The target is flagged heteroscedastic, but sqrt, which that flag
+        # suggests, fits no target below zero, so auto must not take it.
         rng = np.random.default_rng(5)
         x = rng.normal(size=600)
         y = 0.5 * x + np.exp(0.8 * x) * rng.normal(size=600)

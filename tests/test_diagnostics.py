@@ -737,6 +737,25 @@ class TestDiagnose:
         for kind in kinds:
             assert set(core.kind_fit(kind)[1]) <= set(ds.aux), kind
 
+    @pytest.mark.parametrize("low", [-1.0, 0.0, 1.0])
+    def test_advice_names_only_kinds_the_target_fits(self, low):
+        # A heteroscedastic target moved to its least value ``low``: sqrt,
+        # which the flag suggests, fits only a target at or above zero.
+        rng = np.random.default_rng(5)
+        x = rng.normal(size=600)
+        y = 0.5 * x + np.exp(0.8 * x) * rng.normal(size=600)
+        ds = ytx.Dataset(features=x[:, None], target=y - y.min() + low,
+                         column_names=("x",), roles=ytx.ColumnRoles(target="y"))
+        report = ytx.diagnose(ds)
+        assert report.distribution.details["hetero_flag"]
+        advised = [kind for kind, _ in dg.recommend(report)]
+        kinds = [kind for kind, _ in report.recommendations]
+        assert "sqrt" in advised
+        assert kinds == [kind for kind in advised
+                         if kind != "sqrt" or low >= 0.0]
+        for kind in kinds:
+            core.kind_fit(kind)[0](ds.target)
+
     def test_permutation_invariance(self):
         rng = np.random.default_rng(8)
         y = rng.gamma(2.0, size=200)

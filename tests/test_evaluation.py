@@ -339,12 +339,19 @@ def alpha_max(X, y):
 
 
 def assert_plain_or_accelerated(model, X, y, alpha):
-    """``model`` has the plain kernel's bits where that stops before the
-    first extrapolation (which follows sweep ``ANDERSON_DEPTH + 1``);
-    otherwise it converged, with a gap computed here from the residual,
-    in no more sweeps and to no higher an objective than the plain kernel."""
+    """The active-set jump is tried exactly when the plain kernel's first
+    sweep does not settle.  ``model`` has the plain kernel's bits where it
+    takes neither a jump nor an Anderson point: where the plain kernel
+    stops at sweep 1, or where the jump is refused and the plain kernel
+    stops before the first extrapolation (which follows sweep
+    ``ANDERSON_DEPTH + 1``).  Otherwise it converged, with a gap computed
+    here from the residual, in no more sweeps and to no higher an
+    objective than the plain kernel."""
     ref = _reference_gram_lasso(X, y, alpha)
-    if ref.n_sweeps <= ev.ANDERSON_DEPTH + 1:
+    _, jumps = _fit_lasso_spied(X, y, alpha, "_active_set")
+    assert len(jumps) == (ref.n_sweeps > 1)
+    if ref.n_sweeps == 1 or (ref.n_sweeps <= ev.ANDERSON_DEPTH + 1
+                             and jumps == [None]):
         assert_same_lasso_bits(model, ref)
         return ref
     Xs, _, _ = ev._standardize(X)
@@ -358,18 +365,21 @@ def assert_plain_or_accelerated(model, X, y, alpha):
     return ref
 
 
-def _fit_lasso_with_extrapolations(X, y, alpha):
-    """``fit_lasso``'s model and how many Anderson points it accepted."""
-    accepted, extrapolate = [], ev._extrapolate
-
+def _spy(function, returned):
     def recorded(*args):
-        point = extrapolate(*args)
-        accepted.append(point is not None)
-        return point
+        returned.append(function(*args))
+        return returned[-1]
+    return recorded
 
-    with mock.patch.object(ev, "_extrapolate", recorded):
+
+def _fit_lasso_spied(X, y, alpha, *names):
+    """``fit_lasso``'s model, then for each of the kernel's functions
+    ``names`` a list of what it returned, call by call."""
+    records = {name: [] for name in names}
+    with mock.patch.multiple(ev, **{name: _spy(getattr(ev, name), returned)
+                                    for name, returned in records.items()}):
         model = ytx.fit_lasso(X, y, alpha)
-    return model, sum(accepted)
+    return (model, *records.values())
 
 
 class TestLassoKernel:
@@ -420,13 +430,16 @@ class TestLassoKernel:
         # Eight columns 1e-3 apart, weighted +100 and -100 in turn: at a
         # tiny alpha, coordinate descent creeps along the narrow valleys
         # between them, and an extrapolation over five differences cannot
-        # span them all.
+        # span them all.  Each column is there twice, so the active-set
+        # jump meets a singular G_AA and is refused.
         rng = np.random.default_rng(0)
         x = rng.normal(size=60)
         X = np.column_stack([x + 1e-3 * rng.normal(size=60)
                              for _ in range(8)])
         y = X @ (100.0 * np.array([1, -1] * 4)) + 0.1 * rng.normal(size=60)
-        model = ytx.fit_lasso(X, y, 1e-4)
+        X = np.column_stack([X, X])
+        model, jumps = _fit_lasso_spied(X, y, 1e-4, "_active_set")
+        assert jumps == [None]
         assert not model.converged
         assert model.n_sweeps == 10000
         assert len(model.objective_history) == 10000
@@ -440,10 +453,14 @@ class TestLassoKernel:
 
     def test_extrapolation_fires_on_a_factor_correlated_design(self):
         # wide-lasso's shape: 2,000 rows of 50 features driven by 10
-        # factors, alpha 0.1.
+        # factors, alpha 0.1.  Each feature is there twice, so the
+        # active-set jump is refused and the sweeps go on from sweep 1.
         X, y = factor_design(n=2000)
-        model, accepted = _fit_lasso_with_extrapolations(X, y, 0.1)
-        assert accepted >= 1
+        X = np.column_stack([X, X])
+        model, jumps, points = _fit_lasso_spied(X, y, 0.1, "_active_set",
+                                                "_extrapolate")
+        assert jumps == [None]
+        assert any(point is not None for point in points)
         assert np.all(np.diff(model.objective_history) <= 1e-12)
         assert model.n_sweeps < _reference_gram_lasso(X, y, 0.1).n_sweeps
 
@@ -529,6 +546,87 @@ def _small_lasso_case(draw):
     return X, y, share * top if top > 0.0 else share
 
 
+class TestActiveSetJump:
+    """After a first sweep that does not settle, the kernel moves to the
+    active-set solution when that is finite and strictly lower; a refused
+    jump costs at most 2d solves and raises no numpy warning."""
+
+    @pytest.mark.parametrize("case", [
+        "orthonormal", "constant-target", "above-alpha-max"])
+    def test_fit_settled_by_sweep_one_never_jumps(self, case):
+        rng = np.random.default_rng(7)
+        G = rng.normal(size=(64, 5))
+        Q, _ = np.linalg.qr(G - G.mean(axis=0))
+        X = Q * 8.0  # zero-mean, unit-std, X'X = 64 I
+        y, alpha = rng.normal(size=64), 0.1
+        if case == "constant-target":
+            y = np.full(64, 3.0)
+        elif case == "above-alpha-max":
+            alpha = 2.0 * alpha_max(X, y)
+        model, jumps = _fit_lasso_spied(X, y, alpha, "_active_set")
+        assert jumps == [] and model.n_sweeps == 1 and model.converged
+        assert_same_lasso_bits(model, _reference_gram_lasso(X, y, alpha))
+
+    def test_accepted_jump_is_certified_by_the_next_gap_check(self):
+        X, y = factor_design()
+        model, jumps, gaps = _fit_lasso_spied(X, y, 0.1, "_active_set",
+                                              "_lasso_gap")
+        (b, _), = jumps
+        Xs, _, _ = ev._standardize(X)
+        yc = y - y.mean()
+        tol = ev.LASSO_GAP_TOL * (yc @ yc / len(y)) / 2
+        jumped = ev.lasso_objective(Xs, yc, b, 0.1)
+        assert model.converged and model.n_sweeps == 2
+        assert gaps[0] > tol >= gaps[1]
+        assert jumped < model.objective_history[0]
+        assert model.objective_history[1] == pytest.approx(jumped, rel=1e-12)
+        # The jump is the lasso solution itself, not just within the stop.
+        assert _residual_gap(Xs, yc, b, 0.1) <= 1e-9 * tol
+
+    @pytest.mark.parametrize("shape", ["duplicated-column", "full-one-hot"])
+    def test_rank_deficient_design_converges_without_warning(self, shape):
+        X, y = factor_design(n=600, d=12, factors=4, seed=5)
+        if shape == "duplicated-column":
+            X = np.column_stack([X, X[:, :1]])
+        else:
+            # Eight dummies, one per level, sum to 1: skewed-session's
+            # categorical column.
+            level = np.random.default_rng(5).integers(0, 8, size=600)
+            X = np.column_stack([X, np.eye(8)[level]])
+            y = y * np.exp(0.2 * level)
+        alpha = 0.01 * alpha_max(X, y)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            model, jumps = _fit_lasso_spied(X, y, alpha, "_active_set")
+        assert len(jumps) == 1
+        Xs, _, _ = ev._standardize(X)
+        yc = y - y.mean()
+        assert model.converged
+        assert _residual_gap(Xs, yc, model.coefficients, alpha) <= (
+            ev.LASSO_GAP_TOL * (yc @ yc / len(y)) / 2)
+
+    @pytest.mark.parametrize("seed, ends", [(0, "singular"), (3, "cap")])
+    def test_refused_jump_stays_within_the_solve_cap(self, seed, ends):
+        # Each column twice: the support takes a column and then its copy.
+        X, y = factor_design(n=200, d=8, factors=3, seed=seed)
+        X = np.column_stack([X, X])
+        design, zc = ev._design(X), y - y.mean()
+        G, c = design.gram / len(y), design.Xs.T @ zc / len(y)
+        d, solves, solve = len(c), [], np.linalg.solve
+
+        def counted(*args):
+            assert len(solves) < 2 * d, "more solves than the cap"
+            solves.append(args[0].shape)
+            return solve(*args)
+
+        with warnings.catch_warnings(), \
+                mock.patch.object(np.linalg, "solve", counted):
+            warnings.simplefilter("error")
+            assert ev._active_set([0.0] * d, G, c, np.zeros(d),
+                                  float(zc @ zc) / len(y), 0.05) is None
+        assert (len(solves) == 2 * d) is (ends == "cap")
+
+
 class TestLassoKernelBits:
     """The list-state kernel gives the plain numpy-state kernel's bits
     until its first extrapolation, and converges no later after it."""
@@ -550,20 +648,6 @@ class TestLassoKernelBits:
         assert_plain_or_accelerated(model, X, y, float(alpha))
 
 
-def _fit_lasso_with_gaps(X, y, alpha):
-    """``fit_lasso``'s model and the O(d) gap its kernel computed after
-    each sweep."""
-    gaps, gap = [], ev._lasso_gap
-
-    def recorded(*args):
-        gaps.append(gap(*args))
-        return gaps[-1]
-
-    with mock.patch.object(ev, "_lasso_gap", recorded):
-        model = ytx.fit_lasso(X, y, alpha)
-    return model, gaps
-
-
 class TestLassoStop:
     """The fit stops at the first sweep whose relative duality gap is at
     most 1e-4."""
@@ -572,7 +656,7 @@ class TestLassoStop:
     @settings(max_examples=150, derandomize=True, deadline=None)
     def test_converged_fit_certifies_its_gap(self, case):
         X, y, alpha = case
-        model, gaps = _fit_lasso_with_gaps(X, y, alpha)
+        model, gaps = _fit_lasso_spied(X, y, alpha, "_lasso_gap")
         yc = y - y.mean()
         zz = yc @ yc / len(y)
         Xs, _, _ = ev._standardize(X)
@@ -588,10 +672,13 @@ class TestLassoStop:
     @pytest.mark.parametrize("k", [-10, 10])
     def test_scaling_target_and_alpha_is_exact(self, k):
         # Scaling by a power of two is exact in float64, so a scale-free
-        # stop takes the same sweeps to the scaled coefficients.
+        # stop takes the same sweeps to the scaled coefficients, through
+        # the active-set jump too.
         X, y = factor_design()
-        model = ytx.fit_lasso(X, y, 0.1)
-        scaled = ytx.fit_lasso(X, 2.0 ** k * y, 2.0 ** k * 0.1)
+        model, jumps = _fit_lasso_spied(X, y, 0.1, "_active_set")
+        scaled, scaled_jumps = _fit_lasso_spied(
+            X, 2.0 ** k * y, 2.0 ** k * 0.1, "_active_set")
+        assert jumps[0] is not None and scaled_jumps[0] is not None
         assert model.converged and scaled.converged
         assert scaled.n_sweeps == model.n_sweeps
         assert scaled.coefficients.tobytes() == (
@@ -612,7 +699,9 @@ class TestLassoStop:
 
     def test_harness_sweep_budget(self, monkeypatch):
         # The stop that waited for a sweep moving no coefficient by 1e-7
-        # took 4,200 sweeps over these 40 fits.
+        # took 4,200 sweeps over these 40 fits.  Each fit's first sweep
+        # does not settle; the active-set jump then leaves one sweep to
+        # certify its gap.
         fit_lasso, models = ev._MODEL_FITTERS["lasso"], []
 
         def counted(design, z, alpha):
@@ -628,7 +717,7 @@ class TestLassoStop:
             "log-offset", "yeo-johnson", "quantile-normal"))
         assert len(models) == 40
         assert all(model.converged for model in models)
-        assert sum(model.n_sweeps for model in models) <= 0.6 * 4200
+        assert [model.n_sweeps for model in models] == [2] * 40
 
 
 class TestPublicFitInput:
@@ -1324,8 +1413,8 @@ class TestBenchmark:
         kinds = ("subject-center", "trial-minmax", "deflate")
         monkeypatch.setattr(ctx._Grouping, "__getitem__", counted_getitem)
         for kind in ("identity", *kinds):
-            fit, roles = core._FITS[kind]
-            monkeypatch.setitem(core._FITS, kind, (recorded(fit), roles))
+            fit, *rest = core._FITS[kind]
+            monkeypatch.setitem(core._FITS, kind, (recorded(fit), *rest))
         monkeypatch.setattr(core, "forward", forward_recording)
         ds = panel_dataset()
         ytx.run_benchmark(ds, models=("ridge",), transforms=kinds, seed=5)

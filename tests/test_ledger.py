@@ -13,8 +13,10 @@ failure lists every moved entry.
 
 The ledger moves only in a change whose description names the result
 change.  Such a change rewrites it with ``python3 tests/test_ledger.py``,
-which first prints each moved entry (path, old -> new) and the largest
-relative move, and records those entries.  A move that no change names
+which first prints each moved entry (path, old -> new), then one line
+per workload and output file with its count of moved entries and their
+largest relative move, and the largest relative move of all, and
+records those entries.  A move that no change names
 is a defect to mend, not a ledger to rewrite.
 """
 
@@ -73,21 +75,38 @@ def _same(old, new):
     return type(old) is type(new) and old == new
 
 
-def moved_entries(expected, actual):
-    """``"path: old -> new"`` for every entry of two ledgers (parsed JSON)
-    that differs, is new or is gone, in path order, and the largest
-    relative move of a float entry (0.0 when none moved)."""
+def _moves(expected, actual):
+    """``(path, old, new, relative move)`` for every entry of two ledgers
+    (parsed JSON) that differs, is new or is gone, in path order; the
+    relative move is 0.0 unless both values are floats."""
     expected, actual = _entries(expected), _entries(actual)
-    moved, largest = [], 0.0
     for path in sorted(expected.keys() | actual.keys()):
         old, new = expected.get(path, "absent"), actual.get(path, "absent")
         if path in expected and path in actual and _same(old, new):
             continue
-        moved.append(f"{path}: {old!r} -> {new!r}")
+        relative = 0.0
         if type(old) is float and type(new) is float:
-            largest = max(largest, abs(new - old) / abs(old) if old else
-                          math.inf)
-    return moved, largest
+            relative = abs(new - old) / abs(old) if old else math.inf
+        yield path, old, new, relative
+
+
+def moved_entries(expected, actual):
+    """``"path: old -> new"`` for every moved entry of two ledgers, and
+    the largest relative move of a float entry (0.0 when none moved)."""
+    moves = list(_moves(expected, actual))
+    return ([f"{path}: {old!r} -> {new!r}" for path, old, new, _ in moves],
+            max((relative for *_, relative in moves), default=0.0))
+
+
+def moves_by_output(expected, actual):
+    """``{(workload, output file): (entries moved, largest relative
+    move)}`` for each output file of two ledgers with a moved entry."""
+    summary = {}
+    for path, _, _, relative in _moves(expected, actual):
+        key = tuple(path.split("/")[1:3])
+        count, largest = summary.get(key, (0, 0.0))
+        summary[key] = (count + 1, max(largest, relative))
+    return summary
 
 
 def test_moved_entries_lists_each_move():
@@ -99,6 +118,18 @@ def test_moved_entries_lists_each_move():
                      "/c: 'absent' -> 1"]
     assert largest == 0.25
     assert moved_entries(old, old) == ([], 0.0)
+
+
+def test_moves_by_output_counts_each_file():
+    old = {"w1": {"bench.json": {"x": 1.0, "y": [2.0, 4.0]},
+                  "params.json": {"k": "a"}},
+           "w2": {"bench.json": {"x": 8.0}}}
+    new = {"w1": {"bench.json": {"x": 1.5, "y": [2.0, 5.0]},
+                  "params.json": {"k": "b"}},
+           "w2": {"bench.json": {"x": 8.0}}}
+    assert moves_by_output(old, new) == {
+        ("w1", "bench.json"): (2, 0.5), ("w1", "params.json"): (1, 0.0)}
+    assert moves_by_output(old, old) == {}
 
 
 def test_results_match_ledger(tmp_path):
@@ -113,8 +144,13 @@ if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
         results = run_sessions(tmp)
     with open(LEDGER) as handle:
-        moved, largest = moved_entries(json.load(handle), results)
+        ledger = json.load(handle)
+    moved, largest = moved_entries(ledger, results)
     print("\n".join(moved))
+    for (workload, output), (count, top) in moves_by_output(
+            ledger, results).items():
+        print(f"{workload} {output}: {count} entries moved; largest "
+              f"relative move {top:.3g}")
     print(f"{len(moved)} entries moved; largest relative move of a float "
           f"entry: {largest:.3g}")
     with open(LEDGER, "w") as handle:
