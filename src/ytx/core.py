@@ -157,22 +157,46 @@ def _floats(tokens, rows=None):
     return values
 
 
-def _float_matrix(lines, width):
-    """The fields of quote-free ``lines`` of ``width`` fields each, as
-    numpy's C reader parses them: floats only, each stripped of the
-    whitespace str.strip() removes.  None when it rejects a token (a
-    missing one too) or does not give one row per line."""
+def _float_matrix(lines, width, usecols):
+    """The fields in columns ``usecols`` (ascending) of quote-free ``lines``
+    of ``width`` fields each, as numpy's C reader parses them: floats only,
+    each stripped of the whitespace str.strip() removes.  None when it
+    rejects a token (a missing one too) or a line is not ``width`` fields.
+
+    Given ``usecols``, the reader takes a row with extra fields and one
+    that ends after the last column it reads, so each line's commas are
+    counted first; reading every column, it checks the width itself."""
+    every = len(usecols) == width
+    if not every and any(line.count(",") != width - 1 for line in lines):
+        return None
     try:
         matrix = np.loadtxt(lines, dtype=float, delimiter=",", comments=None,
-                            ndmin=2)
+                            ndmin=2, usecols=None if every else usecols)
     except ValueError:
         return None
-    return matrix if matrix.shape == (len(lines), width) else None
+    return matrix if matrix.shape == (len(lines), len(usecols)) else None
 
 
-def _parsed(values, rows=None):
-    """A column of :func:`_float_matrix`, as :func:`_floats` gives it."""
-    return values
+def _token_columns(lines, width, skip):
+    """Per column of quote-free ``lines`` of ``width`` fields each, its
+    tokens as :func:`_rows` splits them, or None for a column in ``skip``.
+    A line is split only as far as the other columns need, from the end
+    nearer to each."""
+    columns = [None] * width
+    need = sorted(set(range(width)).difference(skip))
+    front = [j for j in need if j < width - 1 - j]
+    back = [j for j in need if j >= width - 1 - j]
+    if front:
+        fields = list(zip(*[line.split(",", front[-1] + 1)
+                            for line in lines]))
+        for j in front:
+            columns[j] = fields[j]
+    if back:
+        fields = list(zip(*[line.rstrip("\r\n").rsplit(",", width - back[0])
+                            for line in lines]))
+        for j in back:
+            columns[j] = fields[j - width]
+    return columns
 
 
 def _labels(tokens, seen):
@@ -373,12 +397,18 @@ def load_csv(path, roles, records=None):
     the load appends the header row and the chunks of data records to it,
     for write_records.
 
-    While no key role is read and no column is categorical, a quote-free
-    chunk with a data line and no bare line end is first given whole to
-    numpy's C reader (:func:`_float_matrix`), which reads the same float
-    from each token it accepts.  From the first chunk it rejects (a token
-    that is missing or not in its float syntax, or a row of another
-    width), every chunk's tokens are parsed as above.
+    numpy's C reader (:func:`_float_matrix`) reads the same float from
+    each token it accepts, and it parses a set of columns: at first every
+    column that is not a key role.  A quote-free chunk with a data line
+    and no bare line end is first given to it, once each line's field
+    count is checked against the header's; the chunk's other columns are
+    taken from each line, split only as far as they need.  A chunk it
+    rejects (a token that is missing or not in its float syntax, or a row
+    of another width) is parsed as above, and the reader then keeps only
+    the columns whose values in that chunk were all finite floats; when
+    that drops none, it stops for the rest of the load.  So a load makes
+    at most one rejected call per column, plus one.  A column that turns
+    categorical leaves the reader too.
     """
     chunks = _read_chunks(path)
     quote_free, head = next(chunks, (True, []))
@@ -407,39 +437,42 @@ def load_csv(path, roles, records=None):
     # `categorical` holds labels, any other floats.
     feature_parts = {j: [] for j in feature_cols}
     categorical = set()
-
-    # numpy's reader skips a bare line end, which is a ragged row here,
-    # and warns on a chunk of nothing else: such a chunk takes the tokens.
-    fast = key_cols.isdisjoint(value_cols)
+    # The columns numpy's C reader parses, none once it has stopped.
+    reader = [j for j, name in enumerate(header) if name not in key_cols]
     for chunk in chunks:
         quote_free, lines = chunk
-        matrix = None
-        if (fast and quote_free and lines and not categorical
-                and not any(end in lines for end in ("\n", "\r\n", "\r"))):
-            matrix = _float_matrix(lines, width)
-            fast = matrix is not None
+        # numpy's reader skips a bare line end, which is a ragged row here,
+        # and warns on a chunk of nothing else: such a chunk takes the
+        # tokens.
+        offered = (reader and quote_free and lines and not any(
+            end in lines for end in ("\n", "\r\n", "\r")))
+        matrix = _float_matrix(lines, width, reader) if offered else None
         if matrix is not None:
-            n_rows += len(lines)
-            columns = matrix.T
-            parse = _parsed
+            n = len(lines)
+            columns = _token_columns(lines, width, reader)
+            floats = dict(zip(reader, matrix.T))
         else:
             rows = _rows(chunk)
             whole = [row for row in rows if len(row) == width]
             if len(whole) != len(rows):
                 ragged.extend(i for i, row in enumerate(rows, n_rows)
                               if len(row) != width)
-            n_rows += len(rows)
+            n = len(whole)
             columns = list(zip(*whole)) or [()] * width
-            parse = _floats
+            floats = {}
+        n_rows += len(lines)
 
         # A missing token never parses finite, so every drop is a mask
         # over the chunk's full-width rows.
-        keep = np.ones(len(columns[0]), dtype=bool)
+        keep = np.ones(n, dtype=bool)
+        parsed = {}  # this chunk's columns of floats, for the reader below
         for name in value_cols:
+            j = col[name]
             if name in key_cols:
-                values, present = _labels(columns[col[name]], seen)
+                values, present = _labels(columns[j], seen)
             else:
-                values = parse(columns[col[name]])
+                values = parsed[j] = (floats[j] if j in floats
+                                      else _floats(columns[j]))
                 present = np.isfinite(values)
             keep &= present
             value_parts[name].append(values)
@@ -448,8 +481,14 @@ def load_csv(path, roles, records=None):
         # Rows that other feature columns drop still enter the decision.
         for j in feature_cols:
             tokens = columns[j]
-            values = None if j in categorical else parse(tokens, rows=keep)
+            if j in floats:
+                values = floats[j]
+            elif j in categorical:
+                values = None
+            else:
+                values = _floats(tokens, rows=keep)
             if values is not None:
+                parsed[j] = values
                 feature_parts[j].append((values, np.isfinite(values)))
                 continue
             if j not in categorical:
@@ -459,6 +498,16 @@ def load_csv(path, roles, records=None):
                              if len(row) == width], seen)
                     for old in read]
             feature_parts[j].append(_labels(tokens, seen))
+        if offered and matrix is None:
+            # The reader keeps the columns this chunk showed to be finite
+            # floats, and stops when that is every column it had.
+            kept = [j for j in reader
+                    if j in parsed and np.isfinite(parsed[j]).all()]
+            reader = kept if len(kept) < len(reader) else []
+        else:
+            # A column can turn categorical in a chunk the reader was not
+            # given, one with a bare line end.
+            reader = [j for j in reader if j not in categorical]
         read.append(chunk)
     if records is not None:
         records.extend([header, *read])

@@ -1,5 +1,6 @@
 import csv
 import inspect
+import itertools
 import json
 import math
 import warnings
@@ -648,6 +649,9 @@ def _with_row(lines, i, fields):
 #: Fills three of read_rows's chunks at the default size hint; row 300 is
 #: in the second.
 _WIDE = _wide_lines(600, 30)
+#: With a text column added, fills five chunks at the default size hint;
+#: row 500 is in the third.
+_MIXED = _wide_lines(1000, 30)
 
 #: Tokens that float() reads, once stripped, and numpy's C reader rejects.
 _UNREAD = ["1_0", "\u0661"]
@@ -659,8 +663,42 @@ _READ = ["\x1c1.5", " 1.5", "+.5", "1e-320", "1e400", "-nan", "Infinity",
 def _load_by_tokens(path, roles):
     """load_csv with numpy's reader rejecting every chunk."""
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(core, "_float_matrix", lambda lines, width: None)
+        patch.setattr(core, "_float_matrix",
+                      lambda lines, width, usecols: None)
         return ytx.load_csv(path, roles)
+
+
+def _with_text_column(lines, at):
+    """``lines`` with a column ``g`` of labels inserted as field ``at``."""
+    out = []
+    for i, line in enumerate(lines):
+        fields = line.rstrip("\n").split(",")
+        fields.insert(at, f"g{i % 5}" if i else "g")
+        out.append(",".join(fields) + "\n")
+    return out
+
+
+def _with_field(lines, i, j, token):
+    """``lines`` with field ``j`` of data row ``i`` (both from 0) set to
+    ``token``."""
+    lines = list(lines)
+    fields = lines[i + 1].rstrip("\n").split(",")
+    fields[j] = token
+    lines[i + 1] = ",".join(fields) + "\n"
+    return lines
+
+
+def _runs(calls):
+    """The ``(usecols, accepted)`` of a load's calls to numpy's reader, in
+    order, each run of equal consecutive ones given once."""
+    return [key for key, _ in
+            itertools.groupby((tuple(used), ok) for _, used, ok in calls)]
+
+
+def _but(*dropped, width=31):
+    """Every column of a file ``width`` fields wide (by default, _MIXED with
+    its text column) but ``dropped``."""
+    return tuple(j for j in range(width) if j not in dropped)
 
 
 @pytest.mark.parametrize("hint", [16, 1 << 17])
@@ -672,46 +710,58 @@ class TestFloatMatrix:
         monkeypatch.setattr(core, "_CHUNK_HINT", hint)
 
     @staticmethod
-    def _check(tmp_path, monkeypatch, text):
-        """Load ``text`` with its first and its last column as the target
-        and compare each load with the reference loader and the token path,
-        with no warning.  Returns, per load, the ``(lines, accepted)`` of
+    def _check(tmp_path, monkeypatch, text, targets=None, **roles):
+        """Load ``text`` with each of ``targets`` (by default its first and
+        its last column) as the target and the other ``roles``, and compare
+        each load with the reference loader and the token path, with no
+        warning.  Returns, per load, the ``(lines, usecols, accepted)`` of
         each chunk given to numpy's reader, in order."""
         path = tmp_path / "fast.csv"
         path.write_bytes(text.encode("utf-8"))
         loads = []
         read = core._float_matrix
 
-        def spy(lines, width):
-            matrix = read(lines, width)
-            loads[-1].append((lines, matrix is not None))
+        def spy(lines, width, usecols):
+            matrix = read(lines, width, usecols)
+            loads[-1].append((lines, list(usecols), matrix is not None))
             return matrix
 
         monkeypatch.setattr(core, "_float_matrix", spy)
         header = text.splitlines()[0].split(",")
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            for target in dict.fromkeys([header[0], header[-1]]):
-                roles = ytx.ColumnRoles(target=target)
+            for target in targets or dict.fromkeys([header[0], header[-1]]):
                 for oracle in (_reference_load_csv, _load_by_tokens):
                     loads.append([])
-                    _assert_same_load(str(path), roles, oracle)
+                    _assert_same_load(
+                        str(path), ytx.ColumnRoles(target=target, **roles),
+                        oracle)
         return loads
 
     @classmethod
     def _assert_fast(cls, tmp_path, monkeypatch, text):
         """Every chunk numpy's reader was given, at least one, it read."""
         for calls in cls._check(tmp_path, monkeypatch, text):
-            assert calls and all(accepted for _, accepted in calls)
+            assert calls and all(accepted for *_, accepted in calls)
 
     @classmethod
     def _assert_rejected_last(cls, tmp_path, monkeypatch, text):
         """numpy's reader read chunks until it rejected one, then was not
         called again."""
         for calls in cls._check(tmp_path, monkeypatch, text):
-            accepted = [ok for _, ok in calls]
+            accepted = [ok for *_, ok in calls]
             assert len(accepted) > 1
             assert accepted == [True] * (len(accepted) - 1) + [False]
+
+    @classmethod
+    def _assert_column_left(cls, tmp_path, monkeypatch, text, j):
+        """numpy's reader read every column until it rejected a chunk, then
+        read every later chunk without column ``j``."""
+        width = text.split("\n", 1)[0].count(",") + 1
+        every = _but(width=width)
+        for calls in cls._check(tmp_path, monkeypatch, text):
+            assert _runs(calls) == [(every, True), (every, False),
+                                    (_but(j, width=width), True)]
 
     @pytest.mark.parametrize("token", _UNREAD)
     def test_token_it_rejects_hands_over_to_tokens(self, tmp_path,
@@ -727,11 +777,13 @@ class TestFloatMatrix:
     @pytest.mark.parametrize("at", ["first", "last"])
     def test_hash_in_a_field_is_not_a_comment(self, tmp_path, monkeypatch,
                                               at):
-        # As a comment, the "#" of the last field would hide "#2\n".
+        # As a comment, the "#" of the last field would hide "#2\n"; as a
+        # token, it is no float, and its column leaves the reader.
         text = (_with_row(_WIDE, 300, ["1#2"]) if at == "first" else
                 "".join(_WIDE[:301] + [_WIDE[301].replace("\n", "#2\n")]
                         + _WIDE[302:]))
-        self._assert_rejected_last(tmp_path, monkeypatch, text)
+        self._assert_column_left(tmp_path, monkeypatch, text,
+                                 0 if at == "first" else 29)
 
     def test_crlf_line_ends(self, tmp_path, monkeypatch):
         self._assert_fast(tmp_path, monkeypatch,
@@ -743,8 +795,8 @@ class TestFloatMatrix:
         lines[301] = "\n"
         # Its chunk is not given to numpy's reader, and later ones are.
         for calls in self._check(tmp_path, monkeypatch, "".join(lines)):
-            assert all(accepted for _, accepted in calls)
-            assert all("\n" not in chunk for chunk, _ in calls)
+            assert all(accepted for *_, accepted in calls)
+            assert all("\n" not in chunk for chunk, *_ in calls)
             assert calls[-1][0][-1] == lines[-1]
 
     def test_column_turned_categorical_keeps_the_token_path(
@@ -756,10 +808,13 @@ class TestFloatMatrix:
         lines[302] = "abc" + lines[302][lines[302].index(","):]
         loads = self._check(tmp_path, monkeypatch, "".join(lines))
         for calls in loads:
-            assert calls and all(accepted for _, accepted in calls)
+            assert calls and all(accepted for *_, accepted in calls)
         # The loads with target y; as the target, x0 stays numeric.
         for calls in loads[2:]:
-            assert all(set(chunk) <= set(lines[:301]) for chunk, _ in calls)
+            assert _runs(calls) == [(_but(width=30), True),
+                                    (_but(0, width=30), True)]
+            assert all(0 in used for chunk, used, _ in calls
+                       if set(chunk) <= set(lines[:301]))
 
     def test_one_column_file(self, tmp_path, monkeypatch):
         self._assert_fast(tmp_path, monkeypatch, "y\n" + "".join(
@@ -778,8 +833,103 @@ class TestFloatMatrix:
     @pytest.mark.parametrize("token", ["", "NA", "?"])
     def test_missing_token_in_a_late_chunk(self, tmp_path, monkeypatch,
                                            token):
-        self._assert_rejected_last(tmp_path, monkeypatch,
-                                   _with_row(_WIDE, 300, [token]))
+        self._assert_column_left(tmp_path, monkeypatch,
+                                 _with_row(_WIDE, 300, [token]), 0)
+
+    def test_all_numeric_file_reads_every_column_in_one_call(
+            self, tmp_path, monkeypatch):
+        usecols = []
+        loadtxt = np.loadtxt
+
+        def spy(*args, **kwargs):
+            usecols.append(kwargs["usecols"])
+            return loadtxt(*args, **kwargs)
+
+        monkeypatch.setattr(np, "loadtxt", spy)
+        self._assert_fast(tmp_path, monkeypatch, "".join(_WIDE))
+        assert usecols and set(map(type, usecols)) == {type(None)}
+
+    @pytest.mark.parametrize("at", [0, 15, 30])
+    def test_text_column_stays_off_the_reader(self, tmp_path, monkeypatch,
+                                              at):
+        lines = _with_text_column(_MIXED, at)
+        for calls in self._check(tmp_path, monkeypatch, "".join(lines),
+                                 targets=["x0", "y"]):
+            assert _runs(calls) == [(_but(), False), (_but(at), True)]
+
+    def test_key_roles_stay_off_the_reader(self, tmp_path, monkeypatch):
+        names = ["subject", "period", "trial", "size", "cpi", "c1", "c2",
+                 *[f"x{j}" for j in range(6)], "y"]
+        lines = [",".join(names) + "\n"]
+        for i in range(1200):
+            s, p = divmod(i, 50)
+            # Numeric subject and period keys are labels all the same.
+            lines.append(",".join(
+                [str(s), str(p), f"s{s}-{p // 25}",
+                 *(repr(math.sin(i * 14 + j) * 1e3) for j in range(3, 14))])
+                + "\n")
+        loads = self._check(tmp_path, monkeypatch, "".join(lines),
+                            targets=["y", "x0"], subject="subject",
+                            time="period", trial="trial", frame="size",
+                            price_index="cpi", context=("c1", "c2"))
+        for calls in loads:
+            assert _runs(calls) == [(tuple(range(3, 14)), True)]
+
+    @pytest.mark.parametrize("token", ["", "NA", "?"])
+    @pytest.mark.parametrize("at", [0, 30])
+    def test_missing_token_in_a_late_chunk_of_a_mixed_file(
+            self, tmp_path, monkeypatch, at, token):
+        x5 = 5 + (at == 0)
+        lines = _with_field(_with_text_column(_MIXED, at), 500, x5, token)
+        # As a feature and as the target, x5 leaves the reader once its
+        # missing token is met.
+        for calls in self._check(tmp_path, monkeypatch, "".join(lines),
+                                 targets=["y", "x5"]):
+            assert _runs(calls) == [(_but(), False), (_but(at), True),
+                                    (_but(at), False),
+                                    (_but(at, x5), True)]
+
+    def test_column_turning_categorical_late_leaves_the_reader(
+            self, tmp_path, monkeypatch):
+        lines = _with_field(_with_text_column(_MIXED, 30), 500, 7, "abc")
+        loads = self._check(tmp_path, monkeypatch, "".join(lines),
+                            targets=["y", "x0"])
+        for calls in loads:
+            assert _runs(calls) == [(_but(), False), (_but(30), True),
+                                    (_but(30), False), (_but(30, 7), True)]
+
+    @pytest.mark.parametrize("at", [0, 30])
+    def test_row_of_another_width_is_ragged(self, tmp_path, monkeypatch,
+                                            at):
+        # With usecols, numpy's reader takes a row with an extra field, and
+        # one without the text field when that is last.
+        lines = _with_text_column(_MIXED, at)
+        lines[501] = lines[501].replace("\n", ",1.5\n")
+        fields = lines[503].rstrip("\n").split(",")
+        del fields[at]
+        lines[503] = ",".join(fields) + "\n"
+        for calls in self._check(tmp_path, monkeypatch, "".join(lines),
+                                 targets=["y"]):
+            assert _runs(calls) == [(_but(), False), (_but(at), True),
+                                    (_but(at), False)]
+            assert lines[501] in calls[-1][0]
+        kept = ytx.load_csv(str(tmp_path / "fast.csv"),
+                            ytx.ColumnRoles(target="y")).kept_rows
+        assert kept == tuple(i for i in range(1000) if i not in (500, 502))
+
+    def test_rejected_calls_stay_within_one_per_column_plus_one(
+            self, tmp_path, monkeypatch):
+        # Each missing token takes its column off the reader; a token only
+        # float() reads then stops it.
+        lines = _with_text_column(_MIXED, 0)
+        for row, j, token in [(100, 2, ""), (300, 3, "NA"), (500, 4, "1_0")]:
+            lines = _with_field(lines, row, j, token)
+        for calls in self._check(tmp_path, monkeypatch, "".join(lines),
+                                 targets=["y"]):
+            rejected = [used for _, used, ok in calls if not ok]
+            assert len(rejected) <= len(calls[0][1]) + 1
+            assert rejected[-1] == list(_but(0, 2, 3))
+            assert lines[501] in calls[-1][0] and not calls[-1][2]
 
 
 class TestTargetToken:

@@ -20,6 +20,8 @@ records those entries.  A move that no change names
 is a defect to mend, not a ledger to rewrite.
 """
 
+import contextlib
+import io
 import json
 import math
 import os
@@ -39,7 +41,8 @@ SEED = 7
 
 def run_sessions(directory):
     """``{workload: {output name: parsed JSON}}`` of each workload's
-    session at ``SEED``, run in ``directory``."""
+    session at ``SEED``, run in ``directory``; what the commands print is
+    captured and dropped."""
     ledger = {}
     for name, workload in WORKLOADS.items():
         out = os.path.join(directory, name)
@@ -47,7 +50,9 @@ def run_sessions(directory):
         csv_path, _ = workload.write_csv(SEED, out)
         docs = ledger[name] = {}
         for _, argv, outputs in workload.session(csv_path, out):
-            assert cli.main(argv) == 0, argv
+            with contextlib.redirect_stdout(io.StringIO()):
+                status = cli.main(argv)
+            assert status == 0, argv
             for output in outputs:
                 if output.endswith(".json"):
                     with open(os.path.join(out, output)) as handle:
