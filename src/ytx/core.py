@@ -1,9 +1,9 @@
 """Data model, CSV ingestion and the fitted-transform abstraction.
 
 A :class:`FittedTransform` is a plain record (kind + parameter bag); each
-kind's fit, forward/inverse maps and the roles it reads are declared once,
-by a :func:`register_kind` call next to its code in ``dist``/``ctx``.  This
-keeps fitted objects trivially serializable for the CLI sidecar files.
+kind's fit, maps, the roles it reads and the parameters its maps read are
+declared once, by a :func:`register_kind` call next to its code in
+``dist``/``ctx``, so fitted objects serialize trivially as CLI sidecars.
 """
 
 from __future__ import annotations
@@ -570,19 +570,40 @@ def load_csv(path, roles, records=None):
 
 #: how an error names each JSON type an entry read from JSON may hold
 _JSON_NAMES = {dict: "a JSON object", str: "a string", int: "an integer",
-               bool: "a boolean", list[str]: "a list of strings",
-               list[float]: "a list of numbers"}
+               float: "a number", bool: "a boolean",
+               list[str]: "a list of strings",
+               list[float]: "a list of numbers",
+               tuple[float, float]: "a pair of numbers"}
 
 
 def _is_json(value, kind):
-    """Whether ``value`` is of the JSON ``kind`` (a key of ``_JSON_NAMES``,
-    or float for a number); true and false are neither integers nor
-    numbers."""
-    if kind in (list[str], list[float]):
-        return (isinstance(value, list)
-                and all(_is_json(v, *kind.__args__) for v in value))
+    """Whether ``value`` is of the JSON ``kind``, a key of ``_JSON_NAMES``:
+    float is a number, ``list[X]`` a list of X and ``tuple[X, Y]`` a list
+    of an X and a Y; true and false are neither integers nor numbers."""
+    if hasattr(kind, "__args__"):
+        kinds = kind.__args__
+        if kind.__origin__ is list and isinstance(value, list):
+            kinds *= len(value)
+        return (isinstance(value, list) and len(value) == len(kinds)
+                and all(map(_is_json, value, kinds)))
     return (isinstance(value, (int, float) if kind is float else kind)
             and (kind is bool or not isinstance(value, bool)))
+
+
+def _json_entry(obj, key, kind, owner, where=None):
+    """``obj[key]``, of the JSON ``kind``: one _is_json checks, or dict[str,
+    X], an object of X.  A DataError names ``owner`` and a missing key, or
+    ``where`` (by default owner and key; then each entry's) and the kind."""
+    if key not in obj:
+        raise DataError(f"{owner} lacks key {key!r}")
+    where = where or f"{owner} {key!r}"
+    if getattr(kind, "__origin__", None) is dict:
+        for entry in _json_entry(obj, key, dict, owner, where):
+            _json_entry(obj[key], entry, kind.__args__[1], owner,
+                        f"{where} entry {entry!r}")
+    elif not _is_json(obj[key], kind):
+        raise DataError(f"{where} is not {_JSON_NAMES[kind]}")
+    return obj[key]
 
 
 KNOWN_KINDS = (
@@ -591,6 +612,9 @@ KNOWN_KINDS = (
     "subject-center", "trial-minmax", "frame", "deflate",
     "expectation-norm", "regression-norm",
 )
+
+#: a transform sidecar's keys and the JSON type of each
+_SIDECAR = {"kind": str, "params": dict, "training_target_range": list[float]}
 
 
 @dataclass(frozen=True)
@@ -611,32 +635,26 @@ class FittedTransform:
     @classmethod
     def from_json(cls, text):
         """Read what :meth:`to_json` writes.  A DataError names the first
-        problem of malformed text, and an unknown kind is a ConfigError."""
+        problem of bad text or params; an unknown kind is a ConfigError."""
         try:
             obj = json.loads(text)
         except json.JSONDecodeError as exc:
             raise DataError(f"transform sidecar is not JSON: {exc}") from None
         if not isinstance(obj, dict):
             raise DataError("transform sidecar is not a JSON object")
-        for key, kind in (("kind", str), ("params", dict),
-                          ("training_target_range", list[float])):
-            if key not in obj:
-                raise DataError(f"transform sidecar lacks key {key!r}")
-            if not _is_json(obj[key], kind):
-                raise DataError(f"transform sidecar {key!r} is not "
-                                f"{_JSON_NAMES[kind]}")
-        bounds = obj["training_target_range"]
+        kind, params, bounds = (_json_entry(obj, key, of, "transform sidecar")
+                                for key, of in _SIDECAR.items())
         if len(bounds) != 2:
             raise DataError("transform sidecar 'training_target_range' "
                             "does not hold two numbers")
-        _lookup(_REGISTRY, obj["kind"])
-        return cls(kind=obj["kind"], params=obj["params"],
-                   training_target_range=tuple(bounds))
+        for key, of in kind_fit(kind)[3].items():
+            _json_entry(params, key, of, f"{kind} sidecar")
+        return cls(kind, params, tuple(bounds))
 
 
 #: kind -> (forward, inverse, inverse_range), filled by register_kind
 _REGISTRY = {}
-#: kind -> (fit, roles, min_target), filled by register_kind
+#: kind -> (fit, roles, min_target, params), filled by register_kind
 _FITS = {}
 #: the kinds that read a role column, filled by register_kind
 AUX_KINDS = set()
@@ -649,9 +667,9 @@ def _total_range(params):
 
 def register_kind(kind, fit, forward_fn, inverse_fn,
                   inverse_range_fn=_total_range, roles=(),
-                  min_target=-math.inf):
-    """Declare a transform kind: its fit, its maps, the roles it reads and
-    the targets it accepts.
+                  min_target=-math.inf, params=()):
+    """Declare a transform kind: its fit, its maps, the roles it reads, the
+    targets it accepts and the parameters its maps read.
 
     ``fit(y, *columns)`` gets the training targets and the columns of
     ``roles``, in that order, and reads the targets through
@@ -662,11 +680,12 @@ def register_kind(kind, fit, forward_fn, inverse_fn,
     the first role's column as ``aux`` (None without roles).
     ``inverse_range_fn(params)`` gives the open interval the inverse
     accepts; the default is the whole line.  ``min_target`` is the least
-    target the fit accepts; the default accepts any finite target.  A new
-    kind also needs its entry in :data:`KNOWN_KINDS`.
+    target the fit accepts; the default accepts any finite target.  ``params``
+    gives the JSON type of each parameter the maps read, which from_json
+    checks; others are informational.  A new kind needs a KNOWN_KINDS entry.
     """
     _REGISTRY[kind] = (forward_fn, inverse_fn, inverse_range_fn)
-    _FITS[kind] = (fit, tuple(roles), min_target)
+    _FITS[kind] = (fit, tuple(roles), min_target, dict(params))
     if roles:
         AUX_KINDS.add(kind)
 
@@ -678,7 +697,7 @@ def _lookup(table, kind):
 
 
 def kind_fit(kind):
-    """A registered kind's ``(fit, roles, min_target)``."""
+    """A registered kind's ``(fit, roles, min_target, params)``."""
     return _lookup(_FITS, kind)
 
 

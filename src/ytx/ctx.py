@@ -168,7 +168,8 @@ register_kind(
     "subject-center", lambda y, subject: fit_subject_center(y, subject),
     *_affine(lambda p, aux: (_per_row(p["means"], _factorize(aux),
                                       fallback=p["global_mean"]), None)),
-    roles=("subject",))
+    roles=("subject",),
+    params={"means": dict[str, float], "global_mean": float})
 
 
 # --------------------------------------------------------------------------
@@ -197,7 +198,8 @@ def _trial_bounds(params, keys):
 
 
 register_kind("trial-minmax", lambda y, trial: fit_trial_minmax(y, trial),
-              *_affine(_trial_bounds), roles=("trial",))
+              *_affine(_trial_bounds), roles=("trial",),
+              params={"ranges": dict[str, tuple[float, float]]})
 
 
 # --------------------------------------------------------------------------
@@ -316,7 +318,8 @@ register_kind(
     "deflate", _fit_deflate_rows,
     lambda p, y, aux: y * _deflate_factors(p, aux),
     lambda p, z, aux: z / _deflate_factors(p, aux),
-    roles=("time", "price_index"))
+    roles=("time", "price_index"),
+    params={"series": dict[str, float], "base_time": str})
 
 
 # --------------------------------------------------------------------------
@@ -384,7 +387,9 @@ def _en_moments(params, context):
 
 register_kind("expectation-norm",
               lambda y, context: fit_expectation_normalize(y, context),
-              *_affine(_en_moments), roles=("context",))
+              *_affine(_en_moments), roles=("context",),
+              params={"beta_mean": list[float], "beta_sigma": list[float],
+                      "sigma_floor": float})
 
 
 def fit_regression_normalize(y, context):
@@ -419,4 +424,4 @@ register_kind(
     "regression-norm",
     lambda y, context: fit_regression_normalize(y, context),
     *_affine(lambda p, aux: (None, _rn_denominator(p, aux))),
-    roles=("context",))
+    roles=("context",), params={"beta": list[float], "denom_floor": float})

@@ -89,7 +89,8 @@ def _log_forward(params, y, aux):
 
 
 register_kind("log-offset", lambda y: fit_log_offset(y), _log_forward,
-              lambda p, z, aux: np.exp(z) - p["offset"])
+              lambda p, z, aux: np.exp(z) - p["offset"],
+              params={"offset": float})
 
 
 # --------------------------------------------------------------------------
@@ -328,7 +329,8 @@ def _bc_inverse_range(params):
 
 
 register_kind("box-cox", lambda y: fit_box_cox(y),
-              _bc_forward, _bc_inverse, _bc_inverse_range)
+              _bc_forward, _bc_inverse, _bc_inverse_range,
+              params={"lambda": float, "shift": float})
 
 
 def _yj_split(y, shift=1.0):
@@ -419,7 +421,7 @@ def _yj_inverse_range(params):
 
 register_kind("yeo-johnson", lambda y: fit_yeo_johnson(y),
               lambda p, y, aux: yeo_johnson_transform(y, p["lambda"]),
-              _yj_inverse, _yj_inverse_range)
+              _yj_inverse, _yj_inverse_range, params={"lambda": float})
 
 
 # --------------------------------------------------------------------------
@@ -495,9 +497,10 @@ def _qn_inverse_range(params):
 # quantile-normal is quantile-uniform followed by the normal quantile
 # function; normal_ppf/normal_cdf are looked up at call time, so a wrapper
 # set on the module is honoured.
+_QU_PARAMS = {"quantile_knots": list[float], "clip_epsilon": float}
 register_kind("quantile-normal", lambda y: fit_quantile(y, "normal"),
               lambda p, y, aux: normal_ppf(_qu_forward(p, y, aux)),
               lambda p, z, aux: _qu_inverse(p, normal_cdf(z), aux),
-              _qn_inverse_range)
+              _qn_inverse_range, params=_QU_PARAMS)
 register_kind("quantile-uniform", lambda y: fit_quantile(y, "uniform"),
-              _qu_forward, _qu_inverse, _qu_inverse_range)
+              _qu_forward, _qu_inverse, _qu_inverse_range, params=_QU_PARAMS)

@@ -432,22 +432,12 @@ def aux_column(kind, columns):
 def fit_transform_kind(kind, y, columns=None):
     """Fit a transform of the given kind on training targets only; the
     role columns in ``columns``, as in ``Dataset.aux``, hold ``y``'s rows."""
-    fit, roles, _ = core.kind_fit(kind)
+    fit, roles = core.kind_fit(kind)[:2]
     return fit(y, *_role_columns(kind, roles, columns))
 
 
 # --------------------------------------------------------------------------
 # Benchmark
-
-def _report_entry(obj, key, kind, where):
-    """``obj[key]`` of a report being read, which must be of the JSON
-    ``kind``; a DataError names a missing key or ``where``."""
-    if key not in obj:
-        raise DataError(f"report lacks key {key!r}")
-    if not core._is_json(obj[key], kind):
-        raise DataError(f"{where} is not {core._JSON_NAMES[kind]}")
-    return obj[key]
-
 
 @dataclass(frozen=True)
 class BenchmarkReport:
@@ -490,27 +480,28 @@ class BenchmarkReport:
         first entry that is missing or of the wrong JSON type."""
         if not isinstance(obj, dict):
             raise DataError("report is not a JSON object")
-        results = _report_entry(obj, "results", dict, "report 'results'")
+        results = core._json_entry(obj, "results", dict, "report")
         cells = {}
         for model in results:
-            per_model = _report_entry(results, model, dict,
-                                      f"results for {model!r}")
+            per_model = core._json_entry(results, model, dict, "report",
+                                         f"results for {model!r}")
             for transform in per_model:
                 where = f"results for {model!r}, {transform!r}"
-                entry = _report_entry(per_model, transform, dict, where)
+                entry = core._json_entry(per_model, transform, dict, "report",
+                                         where)
                 cell = {}
                 for key, (_, kind) in CELL.items():
-                    cell[key] = _report_entry(entry, key, kind,
-                                              f"{where}, {key!r}")
+                    cell[key] = core._json_entry(entry, key, kind, "report",
+                                                 f"{where}, {key!r}")
                     if key in METRICS:
                         folds = f"{where}, {key!r} folds"
-                        cell[key] = list(_report_entry(
-                            cell[key], "folds", list[float], folds))
+                        cell[key] = list(core._json_entry(
+                            cell[key], "folds", list[float], "report", folds))
                         if len(cell[key]) < 2:  # mean_std's std has ddof=1
                             raise DataError(f"{folds} has fewer than 2 values")
                 cells[(model, transform)] = cell
         name, seed, models, transforms = (
-            _report_entry(obj, key, kind, f"report {key!r}")
+            core._json_entry(obj, key, kind, "report")
             for key, kind in (("dataset", str), ("seed", int),
                               ("models", list[str]),
                               ("transforms", list[str])))

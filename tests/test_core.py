@@ -1118,21 +1118,152 @@ _ALL_ROLES = ytx.ColumnRoles(target="y", subject="s", time="t", trial="r",
                              frame="f", price_index="p", context=("c",))
 
 
+def _fit_every_role(tmp_path, kind):
+    """A ``kind`` fitted on 60 rows that carry every role, with the column
+    its maps read and the targets it was fitted on."""
+    rng = np.random.default_rng(3)
+    rows = [f"{i % 4},{i % 5},{i % 3},{1 + i % 7 / 10},{1 + i % 5 / 10},"
+            f"{rng.normal()},{rng.lognormal()}" for i in range(60)]
+    path = write(tmp_path, "s,t,r,f,p,c,y\n" + "\n".join(rows) + "\n")
+    ds = ytx.load_csv(path, _ALL_ROLES)
+    t = evaluation.fit_transform_kind(kind, ds.target, ds.aux)
+    return t, evaluation.aux_column(kind, ds.aux), ds.target
+
+
+def _maps(t, y, aux):
+    """``t``'s forward of ``y``, inverse of that and inverse range, as
+    bytes, or the type of the first exception one of them raised."""
+    try:
+        z = ytx.forward(t, y, aux)
+        return (z.tobytes(), ytx.inverse(t, z, aux).tobytes(),
+                ytx.inverse_range(t))
+    except Exception as exc:
+        return type(exc)
+
+
+def _sidecar(t, **params):
+    """``t``'s sidecar text with ``params`` set, a value of ``...`` dropped."""
+    obj = json.loads(t.to_json())
+    obj["params"].update(params)
+    obj["params"] = {k: v for k, v in obj["params"].items() if v is not ...}
+    return json.dumps(obj)
+
+
 class TestSidecar:
     """FittedTransform.from_json reads what to_json writes, and names the
     first problem of anything else."""
 
     @pytest.mark.parametrize("kind", ytx.KNOWN_KINDS)
     def test_every_kind_round_trips(self, tmp_path, kind):
-        rng = np.random.default_rng(3)
-        rows = [f"{i % 4},{i % 5},{i % 3},{1 + i % 7 / 10},{1 + i % 5 / 10},"
-                f"{rng.normal()},{rng.lognormal()}" for i in range(60)]
-        path = write(tmp_path, "s,t,r,f,p,c,y\n" + "\n".join(rows) + "\n")
-        ds = ytx.load_csv(path, _ALL_ROLES)
-        t = evaluation.fit_transform_kind(kind, ds.target, ds.aux)
+        t, _, _ = _fit_every_role(tmp_path, kind)
         again = core.FittedTransform.from_json(t.to_json())
         assert again.to_json() == t.to_json()
         assert again.kind == kind
+
+    @pytest.mark.parametrize("kind", ytx.KNOWN_KINDS)
+    def test_declared_parameters_are_the_ones_the_maps_read(self, tmp_path,
+                                                            kind):
+        """A declared key that is dropped or null is a DataError naming the
+        kind and the key, and the maps fail without it; dropping a key that
+        is not declared leaves every map's bits as they were."""
+        t, aux, y = _fit_every_role(tmp_path, kind)
+        declared = core.kind_fit(kind)[3]
+        assert set(declared) <= set(t.params)
+        assert isinstance(_maps(t, y, aux), tuple)
+        for key in t.params:
+            dropped = _sidecar(t, **{key: ...})
+            if key not in declared:
+                again = core.FittedTransform.from_json(dropped)
+                assert _maps(again, y, aux) == _maps(t, y, aux), key
+                continue
+            with pytest.raises(DataError) as err:
+                core.FittedTransform.from_json(dropped)
+            assert str(err.value) == f"{kind} sidecar lacks key {key!r}"
+            unchecked = json.loads(dropped)["params"]
+            assert _maps(core.FittedTransform(kind, unchecked, (0.0, 1.0)),
+                         y, aux) is KeyError, key
+            with pytest.raises(DataError) as err:
+                core.FittedTransform.from_json(_sidecar(t, **{key: None}))
+            assert str(err.value).startswith(f"{kind} sidecar {key!r} is not ")
+
+    @pytest.mark.parametrize("kind, params, message", [
+        ("box-cox", {}, "box-cox sidecar lacks key 'lambda'"),
+        ("box-cox", {"lambda": 0.5},
+         "box-cox sidecar lacks key 'shift'"),
+        ("box-cox", {"lambda": "x", "shift": 0.0},
+         "box-cox sidecar 'lambda' is not a number"),
+        ("box-cox", {"lambda": True, "shift": 0.0},
+         "box-cox sidecar 'lambda' is not a number"),
+        ("quantile-normal", {},
+         "quantile-normal sidecar lacks key 'quantile_knots'"),
+        ("quantile-uniform", {"quantile_knots": [0, "1"],
+                              "clip_epsilon": 1e-7},
+         "quantile-uniform sidecar 'quantile_knots' is not a list of "
+         "numbers"),
+        ("subject-center", {}, "subject-center sidecar lacks key 'means'"),
+        ("subject-center", {"means": [1, 2], "global_mean": 0.0},
+         "subject-center sidecar 'means' is not a JSON object"),
+        ("subject-center", {"means": {"a": 1, "b": "x"}, "global_mean": 0},
+         "subject-center sidecar 'means' entry 'b' is not a number"),
+        ("log-offset", {"offset": None},
+         "log-offset sidecar 'offset' is not a number"),
+        ("deflate", {"series": {"1": 1.0}, "base_time": 1},
+         "deflate sidecar 'base_time' is not a string"),
+        ("deflate", {"series": {"1": None}, "base_time": "1"},
+         "deflate sidecar 'series' entry '1' is not a number"),
+        ("expectation-norm", {"beta_mean": [1.0], "beta_sigma": {},
+                              "sigma_floor": 0.1},
+         "expectation-norm sidecar 'beta_sigma' is not a list of numbers"),
+        ("regression-norm", {"beta": [1.0, 2.0]},
+         "regression-norm sidecar lacks key 'denom_floor'"),
+    ], ids=["box-cox-empty", "box-cox-no-shift", "box-cox-lambda-string",
+            "box-cox-lambda-boolean", "quantile-normal-empty",
+            "quantile-knot-string", "subject-center-empty",
+            "subject-center-means-list", "subject-center-mean-string",
+            "log-offset-null", "deflate-base-number", "deflate-price-null",
+            "expectation-norm-sigma-object", "regression-norm-no-floor"])
+    def test_bad_parameter_is_data_error(self, kind, params, message):
+        text = json.dumps({"kind": kind, "params": params,
+                           "training_target_range": [0, 1]})
+        with pytest.raises(DataError) as err:
+            core.FittedTransform.from_json(text)
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize("ranges, message", [
+        ({"a": [1]}, "'ranges' entry 'a' is not a pair of numbers"),
+        ({"a": [1, 2], "b": [1, 2, 3]},
+         "'ranges' entry 'b' is not a pair of numbers"),
+        ({"a": [1, True]}, "'ranges' entry 'a' is not a pair of numbers"),
+        ({"a": 5}, "'ranges' entry 'a' is not a pair of numbers"),
+        ([[1, 2]], "'ranges' is not a JSON object"),
+    ], ids=["one-number", "three-numbers", "boolean", "number", "list"])
+    def test_trial_range_must_be_two_numbers(self, ranges, message):
+        # Read unchecked, a one-number range paired up the rows of its
+        # trial: forward gave [-inf, -inf] and inverse [1, 1].
+        text = json.dumps({"kind": "trial-minmax",
+                           "params": {"ranges": ranges},
+                           "training_target_range": [0, 1]})
+        with pytest.raises(DataError) as err:
+            core.FittedTransform.from_json(text)
+        assert str(err.value) == "trial-minmax sidecar " + message
+
+    def test_every_json_type_read_has_a_name(self):
+        """Each JSON type a sidecar, a kind's parameters or a report cell is
+        read as has a name for its error, so a wrong value is a DataError,
+        never a KeyError from the message."""
+        kinds = [*core._SIDECAR.values(), list[float]]  # a metric's folds
+        kinds += [kind for _, kind in evaluation.CELL.values()]
+        for kind in ytx.KNOWN_KINDS:
+            for of in core.kind_fit(kind)[3].values():
+                kinds += ([dict, of.__args__[1]]
+                          if getattr(of, "__origin__", None) is dict else [of])
+        for kind in kinds:
+            assert kind in core._JSON_NAMES, kind
+            with pytest.raises(DataError) as err:
+                core._json_entry({"k": None}, "k", kind, "doc")
+            assert str(err.value) == f"doc 'k' is not {core._JSON_NAMES[kind]}"
+        assert core._is_json(1.5, float) and core._is_json(2, float)
+        assert core._JSON_NAMES[float] == "a number"
 
     @pytest.mark.parametrize("text, message", [
         ("{", "transform sidecar is not JSON: Expecting property name "

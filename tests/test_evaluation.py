@@ -626,6 +626,52 @@ class TestActiveSetJump:
                                   float(zc @ zc) / len(y), 0.05) is None
         assert (len(solves) == 2 * d) is (ends == "cap")
 
+    def test_one_coordinate_leaves_the_support_per_crossing(self):
+        # wide-lasso's shape at 0.01 alpha_max: one solve puts two
+        # coordinates past zero, and only the first to cross leaves.
+        X, y = factor_design(seed=1)
+        design, zc = ev._design(X), y - y.mean()
+        G, c = design.gram / len(y), design.Xs.T @ zc / len(y)
+        d, alpha = len(c), 0.01 * alpha_max(X, y)
+        solves, solve = [], np.linalg.solve
+
+        def recorded(M, rhs):
+            x = solve(M, rhs)
+            # rhs is c_A - alpha s_A, so each entry gives its sign.
+            signs = [next(s for s in (1.0, -1.0) if np.any(c - alpha * s == r))
+                     for r in rhs]
+            solves.append((len(rhs), int(np.sum(x * signs <= 0.0))))
+            return x
+
+        with mock.patch.object(np.linalg, "solve", recorded):
+            jump = ev._active_set([0.0] * d, G, c, np.zeros(d),
+                                  float(zc @ zc) / len(y), alpha)
+        assert jump is not None
+        assert max(flips for _, flips in solves) == 2
+        for (size, flips), (after, _) in zip(solves, solves[1:]):
+            assert after == size + (-1 if flips else 1)
+        assert solves[-1][1] == 0
+
+    def test_refuses_a_point_no_lower_than_the_iterate(self):
+        # No harness or fit_lasso design was found whose solve ends above
+        # the first sweep's objective, so the helper is given its own
+        # solution as the iterate to beat.
+        X, y = factor_design(n=200, d=8, factors=3, seed=1)
+        design, zc = ev._design(X), y - y.mean()
+        G, c = design.gram / len(y), design.Xs.T @ zc / len(y)
+        d, zz = len(c), float(zc @ zc) / len(y)
+        b, Gb = ev._active_set([0.0] * d, G, c, np.zeros(d), zz, 0.05)
+        assert ev._active_set(b.tolist(), G, c, Gb, zz, 0.05) is None
+
+    def test_refuses_a_non_finite_point_without_a_warning(self):
+        # A Gram entry of 1e-310 (a column of norm near 1e-155) sends the
+        # solve to inf, and G b then meets 0 * inf.
+        G, c = np.diag([1e-310, 1.0]), np.ones(2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert ev._active_set([0.0, 0.0], G, c, np.zeros(2), 1.0,
+                                  0.5) is None
+
 
 class TestLassoKernelBits:
     """The list-state kernel gives the plain numpy-state kernel's bits
