@@ -647,14 +647,16 @@ class FittedTransform:
         if len(bounds) != 2:
             raise DataError("transform sidecar 'training_target_range' "
                             "does not hold two numbers")
-        for key, of in kind_fit(kind)[3].items():
+        _, _, _, declared, check = kind_fit(kind)
+        for key, of in declared.items():
             _json_entry(params, key, of, f"{kind} sidecar")
+        check(params, f"{kind} sidecar")
         return cls(kind, params, tuple(bounds))
 
 
 #: kind -> (forward, inverse, inverse_range), filled by register_kind
 _REGISTRY = {}
-#: kind -> (fit, roles, min_target, params), filled by register_kind
+#: kind -> (fit, roles, min_target, params, check), filled by register_kind
 _FITS = {}
 #: the kinds that read a role column, filled by register_kind
 AUX_KINDS = set()
@@ -665,9 +667,14 @@ def _total_range(params):
     return (-math.inf, math.inf)
 
 
+def _no_check(params, owner):
+    """The check of a kind whose maps read any parameters of the declared
+    JSON types."""
+
+
 def register_kind(kind, fit, forward_fn, inverse_fn,
                   inverse_range_fn=_total_range, roles=(),
-                  min_target=-math.inf, params=()):
+                  min_target=-math.inf, params=(), check=_no_check):
     """Declare a transform kind: its fit, its maps, the roles it reads, the
     targets it accepts and the parameters its maps read.
 
@@ -682,10 +689,12 @@ def register_kind(kind, fit, forward_fn, inverse_fn,
     accepts; the default is the whole line.  ``min_target`` is the least
     target the fit accepts; the default accepts any finite target.  ``params``
     gives the JSON type of each parameter the maps read, which from_json
-    checks; others are informational.  A new kind needs a KNOWN_KINDS entry.
+    checks; others are informational.  ``check(params, owner)`` then raises
+    a DataError, naming ``owner``, for parameters of those types that the
+    maps still cannot read.  A new kind needs a KNOWN_KINDS entry.
     """
     _REGISTRY[kind] = (forward_fn, inverse_fn, inverse_range_fn)
-    _FITS[kind] = (fit, tuple(roles), min_target, dict(params))
+    _FITS[kind] = (fit, tuple(roles), min_target, dict(params), check)
     if roles:
         AUX_KINDS.add(kind)
 
@@ -697,7 +706,7 @@ def _lookup(table, kind):
 
 
 def kind_fit(kind):
-    """A registered kind's ``(fit, roles, min_target, params)``."""
+    """A registered kind's ``(fit, roles, min_target, params, check)``."""
     return _lookup(_FITS, kind)
 
 

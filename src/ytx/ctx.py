@@ -312,6 +312,13 @@ def _fit_deflate_rows(y, time, prices):
     return fit_deflate(y, time, DeflationIndex(series=series, base_time=base))
 
 
+def _check_base_time(params, owner):
+    base = params["base_time"]
+    if base not in params["series"]:
+        raise DataError(f"{owner} 'base_time' {base!r} is not a key of "
+                        "'series'")
+
+
 # Not an _affine kind: its forward multiplies by base / price, and dividing
 # by a scale of price / base rounds differently.
 register_kind(
@@ -319,7 +326,8 @@ register_kind(
     lambda p, y, aux: y * _deflate_factors(p, aux),
     lambda p, z, aux: z / _deflate_factors(p, aux),
     roles=("time", "price_index"),
-    params={"series": dict[str, float], "base_time": str})
+    params={"series": dict[str, float], "base_time": str},
+    check=_check_base_time)
 
 
 # --------------------------------------------------------------------------

@@ -498,9 +498,17 @@ def _qn_inverse_range(params):
 # function; normal_ppf/normal_cdf are looked up at call time, so a wrapper
 # set on the module is honoured.
 _QU_PARAMS = {"quantile_knots": list[float], "clip_epsilon": float}
+
+
+def _check_knots(params, owner):
+    if len(params["quantile_knots"]) < 2:
+        raise DataError(f"{owner} 'quantile_knots' has fewer than 2 numbers")
+
+
 register_kind("quantile-normal", lambda y: fit_quantile(y, "normal"),
               lambda p, y, aux: normal_ppf(_qu_forward(p, y, aux)),
               lambda p, z, aux: _qu_inverse(p, normal_cdf(z), aux),
-              _qn_inverse_range, params=_QU_PARAMS)
+              _qn_inverse_range, params=_QU_PARAMS, check=_check_knots)
 register_kind("quantile-uniform", lambda y: fit_quantile(y, "uniform"),
-              _qu_forward, _qu_inverse, _qu_inverse_range, params=_QU_PARAMS)
+              _qu_forward, _qu_inverse, _qu_inverse_range, params=_QU_PARAMS,
+              check=_check_knots)

@@ -7,6 +7,8 @@ scores against the untransformed test targets with RSE and SMAPE.
 
 from __future__ import annotations
 
+import bisect
+import functools
 import itertools
 import json
 from dataclasses import dataclass, field
@@ -32,10 +34,7 @@ def rse(actual, predicted):
     predicted = np.asarray(predicted, dtype=float)
     if actual.shape != predicted.shape or actual.shape[0] < 2:
         raise DataError("rse needs two equal-length vectors of length >= 2")
-    denom = float(np.sum((actual - actual.mean()) ** 2))
-    if denom <= 0.0:
-        raise DataError("zero denominator: constant actual values")
-    return float(np.sum((actual - predicted) ** 2) / denom)
+    return _Actual(actual).rse(predicted)
 
 
 def smape(actual, predicted):
@@ -47,11 +46,36 @@ def smape(actual, predicted):
     predicted = np.asarray(predicted, dtype=float)
     if actual.shape != predicted.shape or actual.shape[0] < 1:
         raise DataError("smape needs two equal-length non-empty vectors")
-    scale = (np.abs(actual) + np.abs(predicted)) / 2.0
-    diff = np.abs(actual - predicted)
-    terms = np.divide(diff, scale, out=np.zeros_like(diff),
-                      where=scale > 0.0)
-    return float(np.mean(terms) * 100.0)
+    return _Actual(actual).smape(predicted)
+
+
+class _Actual:
+    """The scorer of predictions against the actual values ``y``: the
+    constants every score reads, sum((y - mean y)^2) and |y|, are computed
+    at their first use and kept for every later score."""
+
+    def __init__(self, y):
+        self.y = y
+
+    @functools.cached_property
+    def _denom(self):
+        return float(np.sum((self.y - self.y.mean()) ** 2))
+
+    @functools.cached_property
+    def _abs(self):
+        return np.abs(self.y)
+
+    def rse(self, predicted):
+        if self._denom <= 0.0:
+            raise DataError("zero denominator: constant actual values")
+        return float(np.sum((self.y - predicted) ** 2) / self._denom)
+
+    def smape(self, predicted):
+        scale = (self._abs + np.abs(predicted)) / 2.0
+        diff = np.abs(self.y - predicted)
+        terms = np.divide(diff, scale, out=np.zeros_like(diff),
+                          where=scale > 0.0)
+        return float(np.mean(terms) * 100.0)
 
 
 # --------------------------------------------------------------------------
@@ -224,29 +248,34 @@ def _active_set(beta, G, c, Gb, zz, alpha):
     lower.  numpy warns of none of these."""
     d = len(c)
     b, s = np.zeros(d), np.zeros(d)
+    A = []      # the support, in ascending order
     solves = 0
     with np.errstate(all="ignore"):
         while True:
-            grad = np.where(s == 0.0, c - G @ b, 0.0)
+            grad = c - G @ b
+            grad[A] = 0.0
             j = int(np.abs(grad).argmax())
             if not abs(grad[j]) > alpha:
                 break
             s[j] = np.sign(grad[j])
+            bisect.insort(A, j)
             while solves < 2 * d:
                 solves += 1
-                A = np.flatnonzero(s)
+                active = np.array(A)
+                s_A = s[active]
                 try:
-                    x = np.linalg.solve(G[np.ix_(A, A)], c[A] - alpha * s[A])
+                    x = np.linalg.solve(G[active][:, active],
+                                        c[active] - alpha * s_A)
                 except np.linalg.LinAlgError:
                     return None
-                flipped = np.flatnonzero(x * s[A] <= 0.0)
+                flipped = np.flatnonzero(x * s_A <= 0.0)
                 if not flipped.size:
-                    b[A] = x
+                    b[active] = x
                     break
-                b_A = b[A]
+                b_A = b[active]
                 t = b_A[flipped] / (b_A[flipped] - x[flipped])
-                b[A] = b_A + t.min() * (x - b_A)
-                drop = A[flipped[t.argmin()]]
+                b[active] = b_A + t.min() * (x - b_A)
+                drop = A.pop(flipped[t.argmin()])
                 b[drop] = s[drop] = 0.0
             else:
                 return None
@@ -396,18 +425,26 @@ class FoldPlan:
     folds: tuple  # 10 (train_indices, test_indices) pairs, 5 repeats x 2
 
 
-def make_fold_plan(n, seed):
-    """Five repeats of a shuffled two-fold split of [0, n)."""
+def _repeat_halves(n, seed):
+    """The two halves of each of the five repeats of a shuffled two-fold
+    split of [0, n), as index arrays into that repeat's permutation."""
     if n < 4:
         raise DataError("fold plan needs n >= 4")
-    folds = []
+    half = (n + 1) // 2
+    halves = []
     for repeat in range(5):
         sub_seed = _splitmix64((seed & _M64) ^ repeat)
-        perm = np.random.default_rng(sub_seed).permutation(n).tolist()
-        half = (n + 1) // 2
-        first, second = tuple(perm[:half]), tuple(perm[half:])
-        folds.append((first, second))
-        folds.append((second, first))
+        perm = np.random.default_rng(sub_seed).permutation(n)
+        halves.append((perm[:half], perm[half:]))
+    return halves
+
+
+def make_fold_plan(n, seed):
+    """Five repeats of a shuffled two-fold split of [0, n)."""
+    folds = []
+    for first, second in _repeat_halves(n, seed):
+        first, second = tuple(first.tolist()), tuple(second.tolist())
+        folds += [(first, second), (second, first)]
     return FoldPlan(seed=seed, folds=tuple(folds))
 
 
@@ -537,30 +574,42 @@ class BenchmarkReport:
         return "\n".join(lines)
 
 
-def _evaluate_fold(dataset, plan, fold_index, model_kinds, transforms, alpha):
-    """Fold ``fold_index``'s cells as ``{(model, kind): {key: value}}``
-    over the keys of ``CELL``: each kind is fitted and applied to the
-    training targets once, then scored under every model."""
-    tr, te = (np.asarray(idx, dtype=np.intp) for idx in plan.folds[fold_index])
-    y_train, y_test = dataset.target[tr], dataset.target[te]
-    design = _design(dataset.features[tr])
-    Xs_test = dataset.features[te]
+class _Half:
+    """One half of a 5x2cv repeat, read by both of the repeat's folds: its
+    ``rows`` of the dataset, their targets ``y`` with the scorer ``actual``
+    of predictions on them, and ``columns``, each role column of ``aux``
+    sliced to them.  Features are sliced by the fold, so a repeat holds no
+    feature matrix."""
+
+    def __init__(self, dataset, rows):
+        self.rows = rows
+        self.y = dataset.target[rows]
+        self.actual = _Actual(self.y)
+        self.columns = {role: col[rows] for role, col in dataset.aux.items()}
+
+
+def _evaluate_fold(dataset, train, test, model_kinds, transforms, alpha):
+    """One fold's cells as ``{(model, kind): {key: value}}`` over the keys
+    of ``CELL``, trained on the ``_Half`` ``train`` and scored on ``test``:
+    each kind is fitted and applied to the training targets once, then
+    scored under every model."""
+    design = _design(dataset.features[train.rows])
+    Xs_test = dataset.features[test.rows]
     Xs_test -= design.means
     Xs_test /= design.stds
-    cols_tr, cols_te = ({role: col[rows] for role, col in dataset.aux.items()}
-                        for rows in (tr, te))
     out = {}
     for kind in transforms:
-        t = fit_transform_kind(kind, y_train, cols_tr)
-        z_train = core.forward(t, y_train, aux_column(kind, cols_tr))
-        aux_te = aux_column(kind, cols_te)
+        t = fit_transform_kind(kind, train.y, train.columns)
+        z_train = core.forward(t, train.y, aux_column(kind, train.columns))
+        aux_te = aux_column(kind, test.columns)
         for model_kind in model_kinds:
             model = _MODEL_FITTERS[model_kind](design, z_train, alpha)
             z_pred = Xs_test @ model.coefficients + model.intercept
             z_pred, n_clamped = core.clamp_to_inverse_range(t, z_pred)
             y_pred = core.inverse(t, z_pred, aux_te)
             out[(model_kind, kind)] = {
-                "rse": rse(y_test, y_pred), "smape": smape(y_test, y_pred),
+                "rse": test.actual.rse(y_pred),
+                "smape": test.actual.smape(y_pred),
                 "clamped": n_clamped, "converged": model.converged}
     return out
 
@@ -569,26 +618,33 @@ def run_benchmark(dataset, models=MODELS, transforms=(),
                   seed=42, alpha=1.0, threads=None,
                   dataset_name="dataset"):
     """Run the 5x2cv comparison of baseline vs. transformed targets; a
-    repeated model or kind is scored and listed once, identity first."""
+    repeated model or kind is scored and listed once, identity first.
+
+    A repeat is the unit of work: its two halves are sliced once, and its
+    two folds, each half trained on and scored on in turn, are evaluated
+    in fold order.  With ``threads`` above 1 a pool of that many threads
+    runs the five repeats."""
     models = tuple(dict.fromkeys(models))
     kinds = tuple(dict.fromkeys(("identity", *transforms)))
     for model in models:
         if model not in _MODEL_FITTERS:
             raise ConfigError(f"unknown or untrainable model {model!r}")
     dataset = ctx._group_keys(dataset, kinds)
-    plan = make_fold_plan(dataset.n, seed)
 
-    def work(i):
-        return _evaluate_fold(dataset, plan, i, models, kinds, alpha)
+    def work(halves):
+        first, second = (_Half(dataset, rows) for rows in halves)
+        return [_evaluate_fold(dataset, train, test, models, kinds, alpha)
+                for train, test in ((first, second), (second, first))]
 
-    folds = range(len(plan.folds))
+    repeats = _repeat_halves(dataset.n, seed)
     if threads and threads > 1:
         from concurrent.futures import ThreadPoolExecutor
 
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            fold_results = list(pool.map(work, folds))
+            per_repeat = list(pool.map(work, repeats))
     else:
-        fold_results = [work(i) for i in folds]
+        per_repeat = [work(halves) for halves in repeats]
+    fold_results = list(itertools.chain.from_iterable(per_repeat))
 
     cells = {key: {name: merge(fr[key][name] for fr in fold_results)
                    for name, (merge, _) in CELL.items()}

@@ -68,3 +68,14 @@ def test_transform_load_is_a_traced_child(traced_sessions):
     for index in transforms:
         assert any(name == "core.load_csv" and parent == index
                    for name, _, _, parent in tracer.spans)
+
+
+def test_each_benchmark_opens_one_fold_span_per_fold(traced_sessions):
+    # evaluation.fold.s is the time of the 5x2cv folds, one span each.
+    _, tracer = traced_sessions
+    spans = tracer.spans
+    runs = [index for index, span in enumerate(spans)
+            if span[0] == "evaluation.run_benchmark"]
+    assert len(runs) == 3
+    assert [span[3] for span in spans if span[0] == "evaluation.fold"] == [
+        run for run in runs for _ in range(10)]

@@ -772,12 +772,13 @@ class TestReportCommand:
         # A scalar field is its CELL entry plus its value per fold: the
         # merge, bench.json, its reader and ``ytx report`` follow.
         monkeypatch.setitem(evaluation.CELL, "n_sweeps", (sum, int))
-        evaluate_fold = evaluation._evaluate_fold
+        evaluate_fold, folds = evaluation._evaluate_fold, []
 
-        def with_sweeps(dataset, plan, fold_index, *args):
-            out = evaluate_fold(dataset, plan, fold_index, *args)
+        def with_sweeps(*args):
+            out = evaluate_fold(*args)
+            folds.append(len(folds))   # one call per fold, in fold order
             for cell in out.values():
-                cell["n_sweeps"] = fold_index + 1
+                cell["n_sweeps"] = len(folds)
             return out
 
         monkeypatch.setattr(evaluation, "_evaluate_fold", with_sweeps)

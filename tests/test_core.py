@@ -1216,12 +1216,24 @@ class TestSidecar:
          "expectation-norm sidecar 'beta_sigma' is not a list of numbers"),
         ("regression-norm", {"beta": [1.0, 2.0]},
          "regression-norm sidecar lacks key 'denom_floor'"),
+        # Read unchecked, forward raised KeyError: '2' and numpy's "array
+        # of sample points is empty".
+        ("deflate", {"series": {"1": 1.0}, "base_time": "2"},
+         "deflate sidecar 'base_time' '2' is not a key of 'series'"),
+        ("quantile-uniform", {"quantile_knots": [], "clip_epsilon": 1e-7},
+         "quantile-uniform sidecar 'quantile_knots' has fewer than 2 "
+         "numbers"),
+        ("quantile-normal", {"quantile_knots": [1.0], "clip_epsilon": 1e-7},
+         "quantile-normal sidecar 'quantile_knots' has fewer than 2 "
+         "numbers"),
     ], ids=["box-cox-empty", "box-cox-no-shift", "box-cox-lambda-string",
             "box-cox-lambda-boolean", "quantile-normal-empty",
             "quantile-knot-string", "subject-center-empty",
             "subject-center-means-list", "subject-center-mean-string",
             "log-offset-null", "deflate-base-number", "deflate-price-null",
-            "expectation-norm-sigma-object", "regression-norm-no-floor"])
+            "expectation-norm-sigma-object", "regression-norm-no-floor",
+            "deflate-base-not-in-series", "quantile-no-knots",
+            "quantile-one-knot"])
     def test_bad_parameter_is_data_error(self, kind, params, message):
         text = json.dumps({"kind": kind, "params": params,
                            "training_target_range": [0, 1]})

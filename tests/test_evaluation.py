@@ -841,6 +841,14 @@ def _reference_evaluate_fold(dataset, plan, fold_index, model_kinds,
     return out
 
 
+def _fold_halves(dataset, seed, fold_index):
+    """Fold ``fold_index``'s training and test ``evaluation._Half``: fold
+    2r trains on repeat r's first half, fold 2r + 1 on its second."""
+    halves = [ev._Half(dataset, rows)
+              for rows in ev._repeat_halves(dataset.n, seed)[fold_index // 2]]
+    return halves if fold_index % 2 == 0 else halves[::-1]
+
+
 def _constant_column_dataset(n=200, seed=12):
     """Varying, exactly constant and inexactly constant (0.1) features,
     and a target with ties."""
@@ -868,7 +876,8 @@ class TestStandardize:
         plan = ytx.make_fold_plan(ds.n, seed=3)
         kinds = ("identity", "log-offset", "box-cox", "quantile-normal")
         for fold in (0, 7):
-            assert ev._evaluate_fold(ds, plan, fold, ev.MODELS, kinds,
+            train, test = _fold_halves(ds, 3, fold)
+            assert ev._evaluate_fold(ds, train, test, ev.MODELS, kinds,
                                      1.0) == _reference_evaluate_fold(
                 ds, plan, fold, ev.MODELS, kinds, 1.0)
 
@@ -1435,7 +1444,7 @@ class TestBenchmark:
             map(report.to_markdown, ev.METRICS)) + "\n"
 
     def test_slices_each_role_column_once_per_fold_side(self, monkeypatch):
-        # Every (fold, kind) reads the fold's one slice of each role column
+        # Every (fold, kind) reads its repeat's one slice of each role column
         # on each side: the fit and its forward get the same column object.
         slices, fit_columns, forward_columns = [], [], []
         getitem = ctx._Grouping.__getitem__
@@ -1465,7 +1474,8 @@ class TestBenchmark:
         ds = panel_dataset()
         ytx.run_benchmark(ds, models=("ridge",), transforms=kinds, seed=5)
         key_roles = 3   # subject, trial and time
-        assert slices == [ds.n] * (2 * 10 * key_roles)
+        # each half of each of the five repeats, read by both its folds
+        assert slices == [ds.n] * (2 * 5 * key_roles)
         assert len(fit_columns) == len(forward_columns) == 10 * 4
         assert all(fitted is mapped for fitted, mapped
                    in zip(fit_columns, forward_columns))
@@ -1563,6 +1573,39 @@ class TestHarnessMatchesReference:
         assert plan == _reference_make_fold_plan(n, seed)
         assert all(type(i) is int for fold in plan.folds[:2]
                    for half in fold for i in half)
+
+    @pytest.mark.parametrize("threads", [None, 2])
+    @pytest.mark.parametrize("dataset, kinds", [
+        (_constant_column_dataset, ("log-offset", "box-cox",
+                                    "quantile-normal")),
+        (panel_dataset, ("subject-center", "trial-minmax", "frame",
+                         "deflate", "expectation-norm", "regression-norm")),
+    ], ids=["constant-columns", "panel"])
+    def test_repeats_match_reference_folds(self, dataset, kinds, threads):
+        # Each of the ten folds as _reference_evaluate_fold slices and
+        # scores it from the public fold plan, merged as the harness merges.
+        ds = dataset()
+        report = ytx.run_benchmark(ds, transforms=kinds, seed=3, alpha=0.05,
+                                   threads=threads)
+        plan = ytx.make_fold_plan(ds.n, 3)
+        folds = [_reference_evaluate_fold(ds, plan, i, ev.MODELS,
+                                          report.transforms, 0.05)
+                 for i in range(10)]
+        expected = {key: {name: merge(fold[key][name] for fold in folds)
+                          for name, (merge, _) in ev.CELL.items()}
+                    for key in report.cells}
+        assert repr(report.cells) == repr(expected)
+
+    @pytest.mark.parametrize("threads", [None, 2])
+    def test_constant_test_half_is_data_error(self, threads):
+        ds = toy_dataset(seed=1)
+        y = ds.target.copy()
+        y[ev._repeat_halves(ds.n, 4)[2][1]] = 2.5   # repeat 2's second half
+        with pytest.raises(DataError) as err:
+            ytx.run_benchmark(dataclasses.replace(ds, target=y),
+                              transforms=("log-offset",), seed=4,
+                              threads=threads)
+        assert str(err.value) == "zero denominator: constant actual values"
 
     @pytest.mark.parametrize("threads", [None, 2])
     def test_report_bytes_all_kinds(self, threads):
